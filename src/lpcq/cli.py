@@ -1,8 +1,9 @@
 """Command-line driver: solve, gen, bench, width, check-decomp.
 
 Exit codes: 0 solved (or command succeeded), 1 infeasible, 2 unbounded,
-3 input error.  ``LPCQ_TOL`` overrides the 1e-6 tolerance used when the
-benchmark asserts that both interpretations agree.
+3 input error, usage errors included.  ``LPCQ_TOL`` overrides the 1e-6
+tolerance used when the benchmark asserts that both interpretations agree;
+it must be a positive finite number.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -52,9 +54,12 @@ def reporting_tolerance() -> float:
     if not raw:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        return DEFAULT_TOL
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise LpcqError(f"LPCQ_TOL must be a positive finite number, got {raw!r}")
+    return tol
 
 
 @dataclass
@@ -202,7 +207,6 @@ def run_pipeline(
     mode: str,
     decomp_path: str | None = None,
     use_heuristic: bool = False,
-    engine: str = "auto",
 ):
     """parse -> normal form -> close -> eliminate quantifiers -> interpret -> solve."""
     seconds: dict[str, float] = {}
@@ -224,7 +228,7 @@ def run_pipeline(
     seconds["interpret"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solution = solve(ilp.lp, engine=engine)
+    solution = solve(ilp.lp)
     seconds["solve"] = time.perf_counter() - t0
 
     value = None
@@ -235,24 +239,26 @@ def run_pipeline(
 
 
 def _write_weights(path: str, cp_qf, ilp: InterpretedLp, solution, db) -> None:
+    # every weighting is lifted before the file is opened, so a lift that
+    # fails leaves no partial file behind
+    sections = []
+    for key in cp_qf.queries_w():
+        if ilp.mode in ("natural", "replacement"):
+            answers, names = ilp.theta[key]
+            masses = {
+                row: max(0.0, solution.assignment.get(var, 0.0))
+                for row, var in zip(answers.rows, names)
+            }
+            sections.append((key[0], answers.variables, answers.rows, masses))
+        else:
+            weighting = solution_to_weights(solution, ilp, key, db)
+            sections.append(
+                (key[0], weighting.base.variables, weighting.base.rows, weighting.values)
+            )
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        for key in cp_qf.queries_w():
-            name, _query = key
+        for name, variables, rows, masses in sections:
             handle.write(f"# {name}\n")
-            if ilp.mode in ("natural", "replacement"):
-                answers, names = ilp.theta[key]
-                masses = {
-                    row: max(0.0, solution.assignment.get(var, 0.0))
-                    for row, var in zip(answers.rows, names)
-                }
-                variables = answers.variables
-                rows = answers.rows
-            else:
-                weighting = solution_to_weights(solution, ilp, key, db)
-                variables = weighting.base.variables
-                rows = weighting.base.rows
-                masses = weighting.values
             for row in rows:
                 cells = [f"{v}={val.text}" for v, val in zip(variables, row)]
                 cells.append(f"{masses[row]:.12g}")
@@ -269,7 +275,6 @@ def cmd_solve(args) -> int:
             args.mode,
             decomp_path=args.decomp,
             use_heuristic=args.heuristic_decomp,
-            engine=args.engine,
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -278,13 +283,17 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if args.emit_lp:
-        export_lp(ilp.lp, args.emit_lp)
+    try:
+        if args.emit_lp:
+            export_lp(ilp.lp, args.emit_lp)
+        if args.weights and solution.status == "optimal":
+            _write_weights(args.weights, cp_qf, ilp, solution, db)
+    except (LpcqError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if args.explain:
         for i, (con, tag) in enumerate(zip(ilp.lp.constraints, ilp.provenance)):
             print(f"[{tag}] c{i + 1}: {con!r}")
-    if args.weights and solution.status == "optimal":
-        _write_weights(args.weights, cp_qf, ilp, solution, db)
 
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
@@ -368,7 +377,7 @@ BENCH_FIELDS = [
 ]
 
 
-def bench_rows(sizes, seed, reps, selectivity, decomp_dict=None, engine="auto"):
+def bench_rows(sizes, seed, reps, selectivity, decomp_dict=None):
     """One row per (size, rep): both interpretations must agree."""
     import tempfile
 
@@ -384,11 +393,9 @@ def bench_rows(sizes, seed, reps, selectivity, decomp_dict=None, engine="auto"):
                 db = generate_delivery(
                     GenSpec(size=size, seed=inst_seed, selectivity=selectivity)
                 )
-                _, nat_ilp, nat_sol, nat_rep = run_pipeline(
-                    program, db, "natural", engine=engine
-                )
+                _, nat_ilp, nat_sol, nat_rep = run_pipeline(program, db, "natural")
                 _, fac_ilp, fac_sol, fac_rep = run_pipeline(
-                    program, db, "factorized", decomp_path=str(decomp_path), engine=engine
+                    program, db, "factorized", decomp_path=str(decomp_path)
                 )
                 if nat_sol.status != fac_sol.status:
                     raise LpcqError(
@@ -538,8 +545,17 @@ def _weight_targets(program: LpcqProgram, name: str) -> list[frozenset[str]]:
     return targets
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reports a usage error with exit code 3, input error;
+    argparse's own 2 would read as "unbounded"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lpcq",
         description="Compile and solve linear programs over conjunctive-query answer sets.",
     )
@@ -556,7 +572,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--heuristic-decomp", action="store_true",
         help="derive decompositions when --decomp is omitted",
     )
-    p_solve.add_argument("--engine", choices=["auto", "simplex", "highs"], default="auto")
     p_solve.add_argument("--emit-lp", metavar="PATH", help="export the LP in LP format")
     p_solve.add_argument("--weights", metavar="PATH", help="write per-answer weights CSV")
     p_solve.add_argument("--explain", action="store_true", help="print constraint provenance")

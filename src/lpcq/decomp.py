@@ -328,7 +328,7 @@ def fractional_bag_width(bag: Iterable[str], q: Query) -> float:
     lp = LinearProgram(
         "minimize", LinSum(0.0, {n: 1.0 for n in names}), constraints
     )
-    sol = solve(lp, engine="simplex")
+    sol = solve(lp)
     assert sol.status == "optimal"
     return sol.value
 

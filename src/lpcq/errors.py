@@ -86,7 +86,8 @@ class UnboundVariableError(LpcqError):
 
 
 class NumericalFailureError(LpcqError):
-    """The simplex solver exhausted its anti-cycling retry budget."""
+    """The LP solver stopped without an optimum, infeasibility or unboundedness
+    verdict, e.g. on an iteration limit or numerical trouble."""
 
 
 class IoError(LpcqError):

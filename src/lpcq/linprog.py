@@ -1,18 +1,15 @@
-"""Concrete linear programs over named nonnegative variables, and solvers.
+"""Concrete linear programs over named nonnegative variables, and their solver.
 
-The in-house solver is a dense two-phase primal simplex on a numpy tableau:
-Dantzig pricing with a switch to Bland's rule after a budget of degenerate
-pivots, so it terminates on degenerate inputs.  It is intended for
-desk-scale programs and is cross-checked in the tests against a vertex
-enumeration oracle.  Programs whose tableau would not fit that regime are
-dispatched to scipy's HiGHS backend behind the same interface; both engines
-agree to solver tolerance.
+Every program is solved by HiGHS through ``scipy.optimize.linprog``: the
+rows are collected into sparse ``A_ub``/``A_eq`` matrices whatever the
+program's size.  The tests cross-check it against a vertex enumeration
+oracle.
 
-Conventions: every variable is implicitly >= 0; ``minimize`` is solved as
-``maximize -objective`` with the reported value negated back.
+Conventions: every variable is implicitly >= 0; ``maximize`` is handed to
+the solver as ``minimize -objective`` with the reported value negated back.
 
-Tolerances: 1e-9 pivot threshold, 1e-7 feasibility and optimality, 1e-6 for
-reported equality checks.  These are fixed here so results are reproducible.
+Tolerance: 1e-7 for constant rows and for ``LinConstraint.satisfied_by``,
+fixed here so results are reproducible.
 """
 
 from __future__ import annotations
@@ -24,12 +21,7 @@ import numpy as np
 
 from .errors import NumericalFailureError, UnboundVariableError
 
-PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
-EQ_TOL = 1e-6
-
-# tableau cell budget above which solve() prefers the sparse HiGHS backend
-_DENSE_CELL_LIMIT = 1_500_000
 
 
 class LinSum:
@@ -232,13 +224,12 @@ class ArrayAssignment(MappingABC):
 
 
 class LpSolution:
-    __slots__ = ("status", "value", "assignment", "duals")
+    __slots__ = ("status", "value", "assignment")
 
-    def __init__(self, status: str, value=None, assignment=None, duals=None):
+    def __init__(self, status: str, value=None, assignment=None):
         self.status = status  # optimal | infeasible | unbounded
         self.value = value
         self.assignment = assignment if assignment is not None else {}
-        self.duals = duals
 
     def __repr__(self) -> str:
         if self.status == "optimal":
@@ -246,10 +237,10 @@ class LpSolution:
         return f"LpSolution({self.status})"
 
 
-def solve(lp: LinearProgram, engine: str = "auto") -> LpSolution:
-    """Solve a finite LP; engine is one of 'auto', 'simplex', 'highs'."""
+def solve(lp: LinearProgram) -> LpSolution:
+    """Solve a finite LP with HiGHS through ``scipy.optimize.linprog``."""
     variables = lp.variables()
-    rows = []
+    ub, eq = [], []
     for con in lp.constraints:
         coeffs, rel, bound = con.normalized()
         if not coeffs:
@@ -257,258 +248,26 @@ def solve(lp: LinearProgram, engine: str = "auto") -> LpSolution:
             if not ok:
                 return LpSolution("infeasible")
             continue
-        rows.append((coeffs, rel, bound))
-
-    maximize = lp.sense == "maximize"
-    obj = lp.objective if maximize else lp.objective.scale(-1.0)
+        (eq if rel == "=" else ub).append((coeffs, bound))
 
     if not variables:
-        value = obj.constant if maximize else -obj.constant
-        return LpSolution("optimal", value=value, assignment={}, duals=[])
+        return LpSolution("optimal", value=lp.objective.constant, assignment={})
 
-    if engine == "auto":
-        m = len(rows)
-        n = len(variables)
-        engine = "simplex" if (m + 2) * (n + 2 * m + 2) <= _DENSE_CELL_LIMIT else "highs"
-
-    if engine == "simplex":
-        solution = _simplex(obj, rows, variables)
-    elif engine == "highs":
-        solution = _highs(obj, rows, variables)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    if solution.status == "optimal" and not maximize:
-        solution.value = -solution.value
-    return solution
-
-
-# --- dense two-phase simplex --------------------------------------------------
-
-
-def _simplex(obj: LinSum, rows, variables) -> LpSolution:
-    n = len(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    m = len(rows)
-
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    rels = []
-    for i, (coeffs, rel, bound) in enumerate(rows):
-        for var, coeff in coeffs.items():
-            A[i, index[var]] = coeff
-        b[i] = bound
-        rels.append(rel)
-
-    flipped = b < 0
-    A[flipped] *= -1.0
-    b[flipped] *= -1.0
-    kinds = []  # per row after flip: "le" (slack), "ge" (surplus+artificial), "eq" (artificial)
-    for i, rel in enumerate(rels):
-        if rel == "=":
-            kinds.append("eq")
-        elif flipped[i]:
-            kinds.append("ge")
-        else:
-            kinds.append("le")
-
-    n_slack = sum(1 for k in kinds if k == "le")
-    n_surp = sum(1 for k in kinds if k == "ge")
-    n_art = sum(1 for k in kinds if k in ("ge", "eq"))
-    total = n + n_slack + n_surp + n_art
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-
-    slack_col: dict[int, int] = {}
-    surp_col: dict[int, int] = {}
-    art_col: dict[int, int] = {}
-    col = n
-    for i, kind in enumerate(kinds):
-        if kind == "le":
-            T[i, col] = 1.0
-            slack_col[i] = col
-            col += 1
-    for i, kind in enumerate(kinds):
-        if kind == "ge":
-            T[i, col] = -1.0
-            surp_col[i] = col
-            col += 1
-    for i, kind in enumerate(kinds):
-        if kind in ("ge", "eq"):
-            T[i, col] = 1.0
-            art_col[i] = col
-            col += 1
-
-    artificials = set(art_col.values())
-    basis = [slack_col[i] if i in slack_col else art_col[i] for i in range(m)]
-
-    # phase 1: maximize -sum(artificials)
-    if artificials:
-        T[m, :] = 0.0
-        for c in artificials:
-            T[m, c] = -1.0
-        for i, bv in enumerate(basis):
-            if bv in artificials:
-                T[m, :] += T[i, :]
-        status = _iterate(T, basis, m, blocked=frozenset())
-        if status != "optimal":  # phase 1 is always bounded
-            raise NumericalFailureError("phase 1 did not converge")
-        # the tableau corner holds the artificial mass at phase-1 optimum
-        if T[m, -1] > FEAS_TOL:
-            return LpSolution("infeasible")
-        _expel_artificials(T, basis, m, artificials, n)
-
-    # phase 2 objective over structural columns; artificials blocked from entering
-    T[m, :] = 0.0
-    for var, coeff in obj.terms.items():
-        T[m, index[var]] = coeff
-    for i, bv in enumerate(basis):
-        coeff = T[m, bv]
-        if abs(coeff) > PIVOT_TOL:
-            T[m, :] -= coeff * T[i, :]
-    status = _iterate(T, basis, m, blocked=frozenset(artificials))
-    if status == "unbounded":
-        return LpSolution("unbounded")
-
-    point = {v: 0.0 for v in variables}
-    for i, bv in enumerate(basis):
-        if bv < n:
-            point[variables[bv]] = max(0.0, float(T[i, -1]))
-    value = float(-T[m, -1]) + obj.constant
-
-    duals = _extract_duals(T, m, kinds, flipped, slack_col, surp_col, art_col)
-    return LpSolution("optimal", value=value, assignment=point, duals=duals)
-
-
-def _iterate(T, basis, m, blocked) -> str:
-    """Run simplex pivots on tableau T until optimal or unbounded."""
-    n_cols = T.shape[1] - 1
-    degenerate_budget = 2 * (m + n_cols)
-    degenerate = 0
-    bland = False
-    hard_cap = 2000 + 200 * (m + n_cols)
-    obj_row = T[m, :n_cols]
-    allowed = np.ones(n_cols, dtype=bool)
-    for j in blocked:
-        allowed[j] = False
-
-    for _ in range(hard_cap):
-        eligible = np.where(allowed & (obj_row > FEAS_TOL))[0]
-        if eligible.size == 0:
-            return "optimal"
-        if bland:
-            entering = int(eligible[0])
-        else:
-            entering = int(eligible[np.argmax(obj_row[eligible])])
-
-        col = T[:m, entering]
-        positive = np.where(col > PIVOT_TOL)[0]
-        if positive.size == 0:
-            return "unbounded"
-        ratios = T[positive, -1] / col[positive]
-        best_ratio = ratios.min()
-        ties = positive[ratios <= best_ratio + PIVOT_TOL]
-        leaving = min(ties, key=lambda i: basis[i])  # Bland-style tie break
-
-        if best_ratio <= PIVOT_TOL:
-            degenerate += 1
-            if degenerate > degenerate_budget:
-                bland = True
-        else:
-            degenerate = 0
-
-        _pivot(T, int(leaving), entering)
-        basis[int(leaving)] = entering
-    raise NumericalFailureError("pivot limit exceeded")
-
-
-def _pivot(T, row, col):
-    T[row, :] /= T[row, col]
-    pivcol = T[:, col].copy()
-    pivcol[row] = 0.0
-    T -= np.outer(pivcol, T[row, :])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-
-
-def _expel_artificials(T, basis, m, artificials, n_structural):
-    """Pivot zero-valued artificial variables out of the basis when possible."""
-    for i in range(m):
-        if basis[i] in artificials:
-            row = T[i, :-1]
-            pivot_col = -1
-            for j in range(T.shape[1] - 1):
-                if j not in artificials and abs(row[j]) > 1e-7:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(T, i, pivot_col)
-                basis[i] = pivot_col
-            # else: redundant row; the artificial stays basic at value zero
-
-
-def _extract_duals(T, m, kinds, flipped, slack_col, surp_col, art_col):
-    """Dual values per original row, read off the final objective row.
-
-    For maximize programs the duals of '<=' rows are nonnegative and the dual
-    objective bounds the primal optimum from above.
-    """
-    duals = []
-    obj_row = T[m]
-    for i in range(m):
-        if i in slack_col:
-            y = -obj_row[slack_col[i]]
-        elif kinds[i] == "ge":
-            y = obj_row[surp_col[i]]
-        else:
-            y = -obj_row[art_col[i]]
-        if flipped[i]:
-            y = -y
-        duals.append(float(y))
-    return duals
-
-
-# --- HiGHS backend -------------------------------------------------------------
-
-
-def _highs(obj: LinSum, rows, variables) -> LpSolution:
+    # looked up per call, so a wrapper installed on scipy.optimize.linprog
+    # after this module was imported still sees every solve
     from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
 
     index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-    c = np.zeros(n)
-    for var, coeff in obj.terms.items():
-        c[index[var]] = -coeff  # linprog minimizes
-
-    ub = [r for r in rows if r[1] != "="]
-    eq = [r for r in rows if r[1] == "="]
-
-    def build(block):
-        # preallocated fill keeps peak memory flat on big programs
-        nnz = sum(len(coeffs) for coeffs, _, _ in block)
-        data = np.empty(nnz)
-        rix = np.empty(nnz, dtype=np.int32)
-        cix = np.empty(nnz, dtype=np.int32)
-        rhs = np.empty(len(block))
-        k = 0
-        for r, (coeffs, _, bound) in enumerate(block):
-            rhs[r] = bound
-            for var, coeff in coeffs.items():
-                data[k] = coeff
-                rix[k] = r
-                cix[k] = index[var]
-                k += 1
-        matrix = csr_matrix((data, (rix, cix)), shape=(len(block), n))
-        return matrix, rhs
+    sign = -1.0 if lp.sense == "maximize" else 1.0  # linprog minimizes
+    c = np.zeros(len(variables))
+    for var, coeff in lp.objective.terms.items():
+        c[index[var]] = sign * coeff
 
     A_ub = b_ub = A_eq = b_eq = None
     if ub:
-        A_ub, b_ub = build(ub)
+        A_ub, b_ub = _csr(ub, index)
     if eq:
-        A_eq, b_eq = build(eq)
+        A_eq, b_eq = _csr(eq, index)
 
     res = linprog(
         c,
@@ -525,6 +284,26 @@ def _highs(obj: LinSum, rows, variables) -> LpSolution:
         return LpSolution("unbounded")
     if res.status != 0:
         raise NumericalFailureError(f"HiGHS failed: {res.message}")
-    point = ArrayAssignment(index, res.x)
-    value = float(-res.fun) + obj.constant
-    return LpSolution("optimal", value=value, assignment=point, duals=None)
+    value = sign * float(res.fun) + lp.objective.constant
+    return LpSolution("optimal", value=value, assignment=ArrayAssignment(index, res.x))
+
+
+def _csr(block, index: dict[str, int]):
+    """Sparse matrix and right-hand side of (coefficients, bound) rows."""
+    from scipy.sparse import csr_matrix
+
+    # preallocated fill keeps peak memory flat on big programs
+    nnz = sum(len(coeffs) for coeffs, _ in block)
+    data = np.empty(nnz)
+    rix = np.empty(nnz, dtype=np.int32)
+    cix = np.empty(nnz, dtype=np.int32)
+    rhs = np.empty(len(block))
+    k = 0
+    for r, (coeffs, bound) in enumerate(block):
+        rhs[r] = bound
+        for var, coeff in coeffs.items():
+            data[k] = coeff
+            rix[k] = r
+            cix[k] = index[var]
+            k += 1
+    return csr_matrix((data, (rix, cix)), shape=(len(block), len(index))), rhs

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from lpcq.errors import InfeasibleSpecError
 from lpcq.lpformat import parse_lp
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
+
+DELIVERY = Path(__file__).resolve().parents[1] / "demos" / "delivery"
 
 WORKED = """
 let Q(x, y) = R1(x) /\\ R2(y)
@@ -159,6 +162,39 @@ class TestSolveCommand:
         code, _ = run_main(["solve", str(tmp_path / "missing.lpcq"), str(db)])
         assert code == 3
 
+    def test_weights_lift_failure_is_input_error(self, tmp_path, monkeypatch, capsys):
+        # the delivery demo has 6 answers; a guard below that makes the
+        # factorized lift refuse to materialize them
+        monkeypatch.setattr("lpcq.weightings.MATERIALIZE_LIMIT", 5)
+        weights = tmp_path / "w.csv"
+        code, _ = run_main(
+            [
+                "solve", str(DELIVERY / "delivery.lpcq"), str(DELIVERY / "data"),
+                "--mode", "factorized", "--decomp", str(DELIVERY / "decomp.json"),
+                "--weights", str(weights),
+            ]
+        )
+        assert code == 3
+        assert "error: 6 answers exceed the materialization guard" in capsys.readouterr().err
+        assert not weights.exists()
+
+    @pytest.mark.parametrize("flag", ["--emit-lp", "--weights"])
+    def test_unwritable_output_is_input_error(self, worked_dir, tmp_path, capsys, flag):
+        prog, db, _ = worked_dir
+        target = tmp_path / "missing" / "out"
+        code, _ = run_main(["solve", str(prog), str(db), flag, str(target)])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("extra", [["--engine", "highs"], ["--mode", "nope"]])
+    def test_usage_error_is_input_error(self, worked_dir, capsys, extra):
+        prog, db, _ = worked_dir
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(prog), str(db), *extra])
+        assert exc.value.code == 3
+        assert "usage: lpcq" in capsys.readouterr().err
+
     def test_counting_gadget_value(self, tmp_path):
         db = tmp_path / "db"
         db.mkdir()
@@ -231,6 +267,13 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("size,rep,seed,status")
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1e-6", "inf", "nan"])
+    def test_malformed_tolerance_is_input_error(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("LPCQ_TOL", raw)
+        code, out = run_main(["bench", "--sizes", "30"])
+        assert code == 3 and out == ""
+        assert "LPCQ_TOL" in capsys.readouterr().err
 
     def test_small_sizes_rows_and_agreement(self):
         rows = bench_rows([30, 50], seed=1, reps=2, selectivity=0.04)

@@ -107,6 +107,30 @@ class TestSolveSmall:
         assert sol.status == "optimal"
         assert abs(sol.value - 2.0) < 1e-9
 
+    def test_every_lp_goes_to_highs(self, monkeypatch):
+        # even an LP far too small to need a sparse solver is handed to
+        # scipy's linprog, looked up at call time, with keyword matrices
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        lp = LinearProgram(
+            "maximize",
+            S(x=1.0, y=2.0),
+            [LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0))],
+        )
+        sol = solve(lp)
+        assert sol.status == "optimal" and abs(sol.value - 8.0) < 1e-9
+        assert len(calls) == 1
+        assert calls[0]["A_ub"].shape == (1, 2)
+        assert calls[0]["method"] == "highs"
+
 
 def _random_lp(rng, n_vars, n_rows, with_eq=True):
     variables = [f"x{i}" for i in range(n_vars)]
@@ -146,7 +170,7 @@ class TestSolveAgainstOracle:
                 [(c, r, b) for c, r, b in rows],
                 lp.variables(),
             )
-            sol = solve(lp, engine="simplex")
+            sol = solve(lp)
             if oracle is None:
                 assert sol.status == "infeasible"
                 continue
@@ -160,7 +184,7 @@ class TestSolveAgainstOracle:
     def test_wider_instances(self, rng):
         for _ in range(6):
             lp = _random_lp(rng, rng.randint(8, 12), rng.randint(1, 2), with_eq=False)
-            sol = solve(lp, engine="simplex")
+            sol = solve(lp)
             rows = [c.normalized() for c in lp.constraints]
             oracle = vertex_enumeration_optimum(
                 lp.sense, lp.objective.terms, lp.objective.constant, rows, lp.variables()
@@ -168,19 +192,10 @@ class TestSolveAgainstOracle:
             assert oracle is not None
             assert math.isclose(sol.value, oracle[0], abs_tol=1e-6)
 
-    def test_engines_agree(self, rng):
-        for _ in range(40):
-            lp = _random_lp(rng, rng.randint(1, 5), rng.randint(0, 4))
-            a = solve(lp, engine="simplex")
-            b = solve(lp, engine="highs")
-            assert a.status == b.status
-            if a.status == "optimal":
-                assert math.isclose(a.value, b.value, abs_tol=1e-6)
-
     def test_solution_feasible_and_matches_value(self, rng):
         for _ in range(40):
             lp = _random_lp(rng, rng.randint(1, 5), rng.randint(0, 4))
-            sol = solve(lp, engine="simplex")
+            sol = solve(lp)
             if sol.status != "optimal":
                 continue
             for con in lp.constraints:
@@ -190,28 +205,6 @@ class TestSolveAgainstOracle:
 
 
 class TestDuality:
-    def test_dual_certificate_bounds_optimum(self, rng):
-        for _ in range(40):
-            lp = _random_lp(rng, rng.randint(1, 4), rng.randint(1, 3))
-            if lp.sense != "maximize":
-                continue
-            sol = solve(lp, engine="simplex")
-            if sol.status != "optimal" or sol.duals is None:
-                continue
-            rows = [c.normalized() for c in lp.constraints]
-            dual_obj = lp.objective.constant
-            per_var = {v: 0.0 for v in lp.variables()}
-            for (coeffs, rel, bound), y in zip(rows, sol.duals):
-                if rel == "<=":
-                    assert y >= -1e-7
-                dual_obj += y * bound
-                for var, coeff in coeffs.items():
-                    per_var[var] += y * coeff
-            # dual feasibility: y^T A >= c componentwise
-            for var, total in per_var.items():
-                assert total >= lp.objective.terms.get(var, 0.0) - 1e-6
-            assert dual_obj >= sol.value - 1e-6
-
     def test_objective_scaling(self, rng):
         for _ in range(20):
             lp = _random_lp(rng, rng.randint(1, 4), rng.randint(1, 3))
@@ -224,8 +217,8 @@ class TestDuality:
                 lp.constraints,
                 declared=lp.declared,
             )
-            a = solve(lp, engine="simplex")
-            b = solve(scaled, engine="simplex")
+            a = solve(lp)
+            b = solve(scaled)
             assert a.status == b.status
             if a.status == "optimal":
                 assert math.isclose(b.value, lam * a.value, abs_tol=1e-6)
