@@ -276,10 +276,7 @@ def cmd_solve(args) -> int:
             decomp_path=args.decomp,
             use_heuristic=args.heuristic_decomp,
         )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except LpcqError as exc:
+    except (LpcqError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -312,7 +309,7 @@ def cmd_gen(args) -> int:
     try:
         spec = GenSpec(size=args.size, seed=args.seed, selectivity=args.selectivity)
         db = write_delivery(spec, args.out)
-    except LpcqError as exc:
+    except (LpcqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {len(db.relations)} tables, {db.size} tuples to {args.out}")
@@ -435,16 +432,20 @@ def bench_rows(sizes, seed, reps, selectivity, decomp_dict=None):
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
     try:
-        rows = bench_rows(sizes, args.seed, args.reps, args.selectivity)
-    except LpcqError as exc:
+        # opened first, so an unwritable path fails before the benchmark runs
+        out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
+        rows = bench_rows(sizes, args.seed, args.reps, args.selectivity)
         writer = csv.DictWriter(out, fieldnames=BENCH_FIELDS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+    except LpcqError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     finally:
         if args.out:
             out.close()
@@ -454,7 +455,7 @@ def cmd_bench(args) -> int:
 def cmd_width(args) -> int:
     try:
         trees = load_decompositions(args.decomp)
-    except (OSError, LpcqError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, LpcqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     status = 0
@@ -480,7 +481,7 @@ def cmd_width(args) -> int:
 def cmd_check_decomp(args) -> int:
     try:
         trees = load_decompositions(args.decomp)
-    except (OSError, LpcqError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, LpcqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -488,7 +489,7 @@ def cmd_check_decomp(args) -> int:
     if args.program:
         try:
             program = parse(Path(args.program).read_text(encoding="utf-8"))
-        except (OSError, LpcqError) as exc:
+        except (LpcqError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 

@@ -28,6 +28,7 @@ from .errors import (
     DisconnectedVariableError,
     IncompatibleTargetError,
     NotATreeError,
+    ParseError,
     UncoverableVariableError,
     UncoveredAtomError,
     UncoveredVariableError,
@@ -45,11 +46,12 @@ from .queries import (
     is_quantifier_free,
     join_factors,
     prenex,
+    projector,
     qf,
     query_factors,
     _Factor,
 )
-from .relations import Database, Value
+from .relations import Database
 
 
 @dataclass(frozen=True)
@@ -440,10 +442,9 @@ def bag_projections(q: Query, tree: DecompTree, db: Database) -> dict[int, Answe
         for child in tree.children[node]:
             local[child] = _semijoin(local[child], local[node])
 
-    return {
-        n: AnswerSet(tree.bags[n], _reorder(local[n], tuple(sorted(tree.bags[n]))))
-        for n in tree.bags
-    }
+    # local relations keep their bag's variables in sorted order, the order
+    # AnswerSet rows are aligned with
+    return {n: AnswerSet(local[n].vars, local[n].rows) for n in tree.bags}
 
 
 def _local_relation(bag: frozenset[str], factors: list[_Factor], db: Database) -> _Factor:
@@ -468,9 +469,9 @@ def _local_relation(bag: frozenset[str], factors: list[_Factor], db: Database) -
         uncovered -= set(best.vars)
 
     joined = join_factors(list(chosen))
-    idx = [joined.vars.index(v) for v in sorted(bag)]
-    rows = {tuple(row[i] for i in idx) for row in joined.rows}
-    rel = _Factor(tuple(sorted(bag)), list(rows))
+    bag_vars = tuple(sorted(bag))
+    project = projector(joined.vars, bag_vars)
+    rel = _Factor(bag_vars, list({project(row) for row in joined.rows}))
 
     for f in factors:
         if f in chosen:
@@ -482,22 +483,9 @@ def _local_relation(bag: frozenset[str], factors: list[_Factor], db: Database) -
 
 def _semijoin(left: _Factor, right: _Factor) -> _Factor:
     shared = [v for v in left.vars if v in right.vars]
-    if not shared:
-        if right.rows:
-            return left
-        return _Factor(left.vars, [])
-    li = [left.vars.index(v) for v in shared]
-    ri = [right.vars.index(v) for v in shared]
-    keys = {tuple(row[i] for i in ri) for row in right.rows}
-    rows = [row for row in left.rows if tuple(row[i] for i in li) in keys]
-    return _Factor(left.vars, rows)
-
-
-def _reorder(f: _Factor, variables: tuple[str, ...]) -> list[tuple[Value, ...]]:
-    if f.vars == variables:
-        return f.rows
-    idx = [f.vars.index(v) for v in variables]
-    return [tuple(row[i] for i in idx) for row in f.rows]
+    left_key = projector(left.vars, shared)
+    keys = set(map(projector(right.vars, shared), right.rows))
+    return _Factor(left.vars, [row for row in left.rows if left_key(row) in keys])
 
 
 # --- heuristic decomposition ----------------------------------------------------
@@ -644,17 +632,27 @@ def save_decompositions(trees: Sequence[DecompTree], path: str | Path) -> None:
 
 
 def load_decompositions(path: str | Path) -> list[DecompTree]:
+    """Trees of a JSON file holding one tree object or a list of them.
+
+    Raises ParseError naming the file when it is not UTF-8 JSON of that
+    shape, and OSError when it cannot be read.
+    """
     from .queries import parse_query
 
-    raw = json.loads(Path(path).read_text())
-    if isinstance(raw, dict):
-        raw = [raw]
-    trees = []
-    for entry in raw:
-        bags = {int(n["id"]): n["bag"] for n in entry["nodes"]}
-        edges = [(int(p), int(c)) for p, c in entry.get("edges", [])]
-        query = parse_query(entry["query"]) if "query" in entry else None
-        trees.append(DecompTree(int(entry["root"]), bags, edges, query=query))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(raw, dict):
+            raw = [raw]
+        trees = []
+        for entry in raw:
+            bags = {int(n["id"]): n["bag"] for n in entry["nodes"]}
+            edges = [(int(p), int(c)) for p, c in entry.get("edges", [])]
+            query = parse_query(entry["query"]) if "query" in entry else None
+            trees.append(DecompTree(int(entry["root"]), bags, edges, query=query))
+    except KeyError as exc:
+        raise ParseError(f"{path}: decomposition misses field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a decomposition file: {exc}") from exc
     return trees
 
 

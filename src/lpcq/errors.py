@@ -97,7 +97,7 @@ class IoError(LpcqError):
 # --- surface language ------------------------------------------------------
 
 class ParseError(LpcqError):
-    """Program or query text violates the grammar."""
+    """Program, query or decomposition-file text violates the grammar."""
 
     def __init__(self, message, span=None):
         if span is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -310,6 +310,22 @@ def canonical_form(q: Query) -> tuple[Query, dict[str, str]]:
 
 # --- answer sets -------------------------------------------------------------
 
+def projector(
+    from_vars: Sequence[str], to_vars: Iterable[str]
+) -> Callable[[tuple], tuple[Value, ...]]:
+    """Function taking a row over *from_vars* to the tuple of its values on
+    *to_vars*, in the order given.  Every relational operator keys and
+    projects rows through it, so all of them agree on key shapes: a 1-tuple
+    for one variable and () for none."""
+    idx = [from_vars.index(v) for v in to_vars]
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
 def _row_sort_key(row: tuple[Value, ...]) -> tuple[str, ...]:
     return tuple(v.text for v in row)
 
@@ -373,28 +389,15 @@ class AnswerSet:
             )
         if wanted == self.variables:
             return self
-        idx = [self.variables.index(v) for v in wanted]
-        if not idx:
-            rows: set[tuple[Value, ...]] = {()} if self.rows else set()
-            return AnswerSet((), rows)
-        getter = itemgetter(*idx)
-        if len(idx) == 1:
-            return AnswerSet(wanted, {(getter(row),) for row in self.rows})
-        return AnswerSet(wanted, {getter(row) for row in self.rows})
+        project = projector(self.variables, wanted)
+        return AnswerSet(wanted, {project(row) for row in self.rows})
 
     def group_by(self, variables: Iterable[str]) -> dict[tuple[Value, ...], list[int]]:
         """Row indices grouped by their projection to *variables* (sorted order)."""
-        wanted = tuple(sorted(set(variables)))
-        idx = [self.variables.index(v) for v in wanted]
+        project = projector(self.variables, sorted(set(variables)))
         groups: dict[tuple[Value, ...], list[int]] = {}
-        if not idx:
-            groups[()] = list(range(len(self.rows)))
-            return groups
-        getter = itemgetter(*idx)
-        single = len(idx) == 1
         for i, row in enumerate(self.rows):
-            key = (getter(row),) if single else getter(row)
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(project(row), []).append(i)
         return groups
 
     def __repr__(self) -> str:
@@ -454,36 +457,24 @@ def _atom_factor(atom: Atom, db: Database) -> _Factor:
 
 
 def _join(a: _Factor, b: _Factor) -> _Factor:
+    """Hash join on the shared variables; with none shared, every row of a
+    meets every row of b under the key ()."""
     shared = [v for v in a.vars if v in b.vars]
     extra = [v for v in b.vars if v not in a.vars]
-    out_vars = a.vars + tuple(extra)
-    if not shared:
-        rows = [ra + rb_proj for rb_proj in _project_rows(b, extra) for ra in a.rows]
-        return _Factor(out_vars, rows)
-
-    a_key = [a.vars.index(v) for v in shared]
-    b_key = [b.vars.index(v) for v in shared]
-    b_extra = [b.vars.index(v) for v in extra]
+    a_key = projector(a.vars, shared)
+    b_key = projector(b.vars, shared)
+    b_tail = projector(b.vars, extra)
     buckets: dict[tuple, list[tuple]] = {}
     for row in b.rows:
-        key = tuple(row[i] for i in b_key)
-        buckets.setdefault(key, []).append(tuple(row[i] for i in b_extra))
+        buckets.setdefault(b_key(row), []).append(b_tail(row))
     rows = []
     append = rows.append
     for row in a.rows:
-        key = tuple(row[i] for i in a_key)
-        hit = buckets.get(key)
+        hit = buckets.get(a_key(row))
         if hit:
             for tail in hit:
                 append(row + tail)
-    return _Factor(out_vars, rows)
-
-
-def _project_rows(f: _Factor, variables: list[str]) -> list[tuple]:
-    idx = [f.vars.index(v) for v in variables]
-    if not idx:
-        return [()] if f.rows else []
-    return [tuple(row[i] for i in idx) for row in f.rows]
+    return _Factor(a.vars + tuple(extra), rows)
 
 
 def query_factors(body: Query, db: Database, needed_vars: Iterable[str]) -> list[_Factor] | None:
@@ -576,20 +567,8 @@ def evaluate(q: Query, db: Database, variables: Iterable[str] | None = None) -> 
     if factors is None:
         return AnswerSet(X, [])
     joined = join_factors(factors)
-
-    target = tuple(sorted(X))
-    idx = []
-    for v in target:
-        idx.append(joined.vars.index(v))
-    if not target:
-        rows: set[tuple[Value, ...]] = {()} if joined.rows else set()
-        return AnswerSet((), rows)
-    getter = itemgetter(*idx)
-    if len(idx) == 1:
-        projected = {(getter(row),) for row in joined.rows}
-    else:
-        projected = {getter(row) for row in joined.rows}
-    return AnswerSet(target, projected)
+    project = projector(joined.vars, sorted(X))
+    return AnswerSet(X, {project(row) for row in joined.rows})
 
 
 # --- concrete syntax ----------------------------------------------------------

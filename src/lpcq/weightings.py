@@ -32,11 +32,14 @@ from .errors import (
     TooLargeError,
     UnsoundCollectionError,
 )
-from .queries import AnswerSet, evaluate
+from .queries import AnswerSet, evaluate, projector
 from .relations import Assignment, Database, Value
 
 ZERO_TOL = 1e-12
 SOUND_TOL = 1e-7
+# marginal disagreement a solved factorized program may show from solver
+# drift and still be lifted
+LIFT_TOL = 1e-5
 MATERIALIZE_LIMIT = 10**6
 
 
@@ -223,30 +226,18 @@ def _extensions(restricted: AnswerSet, bag: frozenset[str]) -> dict:
     }
 
 
-def _row_projector(from_vars: tuple[str, ...], to_vars: Iterable[str]):
-    idx = [from_vars.index(v) for v in sorted(to_vars)]
-    if not idx:
-        return lambda row: ()
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda row: (row[i],)
-    from operator import itemgetter
-
-    getter = itemgetter(*idx)
-    return getter
-
-
 def reconstruct(
     collection: WeightingCollection,
     answers: AnswerSet,
     debug: bool = False,
+    tol: float = SOUND_TOL,
 ) -> Weighting:
     """Weighting of *answers* whose per-bag projections equal the collection.
 
-    Requires a normalized tree, a sound collection, and a conjunctively
-    decomposed relation (query answer sets qualify).  ``debug`` additionally
-    verifies that every intermediate weighting is the projection of the
-    final one, which is quadratic and meant for tests.
+    Requires a normalized tree, a collection sound up to *tol*, and a
+    conjunctively decomposed relation (query answer sets qualify).  ``debug``
+    additionally verifies that every intermediate weighting is the
+    projection of the final one, which is quadratic and meant for tests.
     """
     tree = collection.tree
     if not tree.is_normalized():
@@ -256,10 +247,10 @@ def reconstruct(
             f"{len(answers)} answers exceed the materialization guard; "
             "use reconstruct_point"
         )
-    violation = check_sound(collection)
+    violation = check_sound(collection, tol)
     if violation is not None:
         raise UnsoundCollectionError(
-            violation.edge, violation.gamma, violation.lhs, violation.rhs, SOUND_TOL
+            violation.edge, violation.gamma, violation.lhs, violation.rhs, tol
         )
 
     down = tree.down_vars()
@@ -282,9 +273,9 @@ def reconstruct(
             values = omega[child]
         elif kind.kind == "extend":
             (child,) = tree.children[node]
-            to_bag = _row_projector(base.variables, tree.bags[node])
-            to_child_bag = _row_projector(base.variables, tree.bags[child])
-            to_child_down = _row_projector(base.variables, down[child])
+            to_bag = projector(base.variables, sorted(tree.bags[node]))
+            to_child_bag = projector(base.variables, sorted(tree.bags[child]))
+            to_child_down = projector(base.variables, sorted(down[child]))
             bag_w = collection[node].values
             child_bag_w = collection[child].values
             child_omega = omega[child]
@@ -300,8 +291,8 @@ def reconstruct(
                     values[row] = 0.0
         else:  # join
             kids = tree.children[node]
-            to_bag = _row_projector(base.variables, tree.bags[node])
-            kid_proj = [(k, _row_projector(base.variables, down[k])) for k in kids]
+            to_bag = projector(base.variables, sorted(tree.bags[node]))
+            kid_proj = [(k, projector(base.variables, sorted(down[k]))) for k in kids]
             bag_w = collection[node].values
             k = len(kids)
             for row in rows:
@@ -395,9 +386,9 @@ def transport_collection(
 def solution_to_weights(solution, interpreted, query_key, db: Database) -> Weighting:
     """Per-answer weights from a solved factorized program.
 
-    Reads the bag-variable values for *query_key*, re-checks soundness
-    (solver drift beyond 1e-5 is an error), reconstructs over the full
-    answer set, and returns the resulting weighting.
+    Reads the bag-variable values for *query_key* and reconstructs over the
+    full answer set; solver drift beyond ``LIFT_TOL`` in the bag marginals is
+    an error.
     """
     if solution.status != "optimal":
         raise ValueError(f"solution status is {solution.status!r}, need optimal")
@@ -415,15 +406,7 @@ def solution_to_weights(solution, interpreted, query_key, db: Database) -> Weigh
     collection = WeightingCollection(tree, per_node)
 
     if not tree.is_normalized():
-        ntree = normalize(tree)
-        collection = transport_collection(collection, ntree)
-        tree = ntree
-
-    violation = check_sound(collection, tol=SOUND_TOL)
-    if violation is not None and abs(violation.lhs - violation.rhs) > 1e-5:
-        raise UnsoundCollectionError(
-            violation.edge, violation.gamma, violation.lhs, violation.rhs, 1e-5
-        )
+        collection = transport_collection(collection, normalize(tree))
 
     answers = evaluate(query_key[1], db)
-    return reconstruct(collection, answers)
+    return reconstruct(collection, answers, tol=LIFT_TOL)

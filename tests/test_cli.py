@@ -34,6 +34,26 @@ THREE_NODE_DECOMP = {
 }
 
 
+# no y of R occurs in S, so the answer set and every bag projection are empty
+EMPTY_ANSWERS = """
+let Q(x, y) = R(x, y) /\\ S(y)
+maximize weight[(x, y): true](Q)
+subject to forall (a, b): R(a, b). weight[(x, y): x == a](Q) <= 1
+"""
+
+EMPTY_ANSWERS_DECOMP = {
+    "query": "R(x, y) /\\ S(y)",
+    "root": 0,
+    "nodes": [
+        {"id": 0, "bag": []},
+        {"id": 1, "bag": ["x", "y"]},
+        {"id": 2, "bag": ["x"]},
+        {"id": 3, "bag": ["y"]},
+    ],
+    "edges": [[0, 1], [1, 2], [1, 3]],
+}
+
+
 @pytest.fixture
 def worked_dir(tmp_path):
     db = tmp_path / "db"
@@ -178,6 +198,53 @@ class TestSolveCommand:
         assert "error: 6 answers exceed the materialization guard" in capsys.readouterr().err
         assert not weights.exists()
 
+    def test_weights_of_empty_answer_set(self, tmp_path):
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "R.csv").write_text("0,1\n")
+        (db / "S.csv").write_text("2\n")
+        prog = tmp_path / "empty.lpcq"
+        prog.write_text(EMPTY_ANSWERS)
+        decomp = tmp_path / "decomp.json"
+        decomp.write_text(json.dumps(EMPTY_ANSWERS_DECOMP))
+        weights = tmp_path / "w.csv"
+        code, out = run_main(
+            [
+                "solve", str(prog), str(db), "--mode", "factorized",
+                "--decomp", str(decomp), "--weights", str(weights), "--explain",
+            ]
+        )
+        assert code == 0
+        # no vacuous 0 = 0 soundness rows for the empty projections
+        assert "soundness=0" in out and "[soundness]" not in out
+        assert weights.read_text().splitlines() == ["# Q"]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["program is a directory", "program not utf-8", "db is a file",
+         "decomp not json", "decomp node without bag"],
+    )
+    def test_bad_input_is_input_error(self, worked_dir, tmp_path, capsys, case):
+        prog, db, decomp = worked_dir
+        if case == "program is a directory":
+            prog = tmp_path
+        elif case == "program not utf-8":
+            prog.write_bytes(b"\xff\xfe" + WORKED.encode())
+        elif case == "db is a file":
+            db = prog
+        elif case == "decomp not json":
+            decomp.write_text("{not json")
+        else:
+            decomp.write_text(json.dumps({**THREE_NODE_DECOMP, "nodes": [{"id": 0}]}))
+        code, out = run_main(
+            ["solve", str(prog), str(db), "--mode", "factorized", "--decomp", str(decomp)]
+        )
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if case.startswith("decomp"):
+            assert str(decomp) in err
+
     @pytest.mark.parametrize("flag", ["--emit-lp", "--weights"])
     def test_unwritable_output_is_input_error(self, worked_dir, tmp_path, capsys, flag):
         prog, db, _ = worked_dir
@@ -225,6 +292,13 @@ class TestGenCommand:
         for name in ("prod", "order", "store", "route"):
             assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out = run_main(["gen", "--out", str(blocker / "db"), "--size", "5"])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_row_counts(self, tmp_path):
         out = tmp_path / "d"
         run_main(["gen", "--out", str(out), "--size", "10", "--seed", "1"])
@@ -267,6 +341,12 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("size,rep,seed,status")
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out = run_main(["bench", "--sizes", "", "--out", str(target)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-1e-6", "inf", "nan"])
     def test_malformed_tolerance_is_input_error(self, monkeypatch, capsys, raw):

@@ -23,6 +23,7 @@ from lpcq.queries import (
     is_quantifier_free,
     parse_query,
     prenex,
+    projector,
     qf,
     substitute,
 )
@@ -332,3 +333,20 @@ class TestAnswerSet:
         assert len(a.restrict([])) == 1
         empty = AnswerSet(("x",), [])
         assert len(empty.restrict([])) == 0
+
+    def test_group_by_nothing(self, f1):
+        a = evaluate(Atom("R1", (Var("x"),)), f1)
+        assert a.group_by([]) == {(): [0, 1]}
+        assert AnswerSet(("x",), []).group_by([]) == {}
+
+
+class TestProjector:
+    @pytest.mark.parametrize(
+        "to_vars, expected",
+        [((), ()), (("y",), ("b",)), (("x", "z"), ("a", "c")), (("z", "x", "y"), ("c", "a", "b"))],
+    )
+    def test_values_in_requested_order(self, to_vars, expected):
+        row = (V("a"), V("b"), V("c"))
+        projected = projector(("x", "y", "z"), to_vars)(row)
+        assert isinstance(projected, tuple)
+        assert tuple(v.text for v in projected) == expected

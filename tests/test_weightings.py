@@ -12,7 +12,7 @@ from lpcq.errors import (
 )
 from lpcq.interpret import factorized, natural, quantifier_eliminate
 from lpcq.language import close, parse
-from lpcq.linprog import eval_sum, solve
+from lpcq.linprog import LpSolution, eval_sum, solve
 from lpcq.queries import AnswerSet, evaluate, parse_query
 from lpcq.relations import Assignment, Value
 from lpcq.weightings import (
@@ -337,11 +337,23 @@ class TestSolutionLifting:
             assert con.satisfied_by(point, tol=1e-6)
         assert math.isclose(eval_sum(nat.lp.objective, point), sol.value, abs_tol=1e-6)
 
+    def test_solver_drift_allowance(self):
+        db = f1_db()
+        cp, ilp, sol = self._lift(WORKED, db)
+        (key,) = cp.queries_w()
+        point = dict(sol.assignment)
+        drifted = LpSolution("optimal", sol.value, point)
+        name = next(n for _, names in ilp.xi[key].values() for n in names if point[n] > 0)
+        point[name] += 1e-6
+        w = solution_to_weights(drifted, ilp, key, db)
+        assert math.isclose(w.total(), 2.0, abs_tol=1e-5)
+        point[name] += 1e-3
+        with pytest.raises(UnsoundCollectionError):
+            solution_to_weights(drifted, ilp, key, db)
+
     def test_infeasible_rejected(self):
         db = f1_db()
         cp, ilp, _ = self._lift(WORKED, db)
-        from lpcq.linprog import LpSolution
-
         with pytest.raises(ValueError):
             solution_to_weights(LpSolution("infeasible"), ilp, cp.queries_w()[0], db)
 
