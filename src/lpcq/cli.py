@@ -31,7 +31,7 @@ from .decomp import (
     tree_width,
     validate,
 )
-from .errors import IncompatibleTargetError, LpcqError, MissingDecompositionError
+from .errors import IncompatibleTargetError, LpcqError, MissingDecompositionError, ParseError
 from .interpret import InterpretedLp, factorized, natural, quantifier_eliminate, replacement
 from .language import ClosedProgram, LpcqProgram, SWeight, close, normal_form, parse
 from .lpformat import export_lp
@@ -265,9 +265,17 @@ def _write_weights(path: str, cp_qf, ilp: InterpretedLp, solution, db) -> None:
                 writer.writerow(cells)
 
 
+def _read_program(path: str) -> LpcqProgram:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse(text)
+
+
 def cmd_solve(args) -> int:
     try:
-        program = parse(Path(args.program).read_text(encoding="utf-8"))
+        program = _read_program(args.program)
         db = load_database(args.db)
         cp_qf, ilp, solution, report = run_pipeline(
             program,
@@ -276,7 +284,7 @@ def cmd_solve(args) -> int:
             decomp_path=args.decomp,
             use_heuristic=args.heuristic_decomp,
         )
-    except (LpcqError, OSError, UnicodeDecodeError) as exc:
+    except (LpcqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -488,8 +496,8 @@ def cmd_check_decomp(args) -> int:
     program = None
     if args.program:
         try:
-            program = parse(Path(args.program).read_text(encoding="utf-8"))
-        except (LpcqError, OSError, UnicodeDecodeError) as exc:
+            program = _read_program(args.program)
+        except (LpcqError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 

@@ -97,7 +97,8 @@ class IoError(LpcqError):
 # --- surface language ------------------------------------------------------
 
 class ParseError(LpcqError):
-    """Program, query or decomposition-file text violates the grammar."""
+    """Program, query or decomposition-file text violates the grammar, or an
+    input file is not UTF-8."""
 
     def __init__(self, message, span=None):
         if span is not None:

@@ -40,62 +40,51 @@ QueryKey = tuple[str, Query]
 CONTENT_NAME_LIMIT = 5000
 
 
-def _row_names(prefix: str, rows: AnswerSet) -> list[str]:
-    if len(rows) > CONTENT_NAME_LIMIT:
-        return [f"{prefix}_r{i}" for i in range(len(rows))]
-    names: list[str] = []
-    seen: set[str] = set()
-    for row in rows.rows:
-        base = f"{prefix}_{'_'.join(v.token for v in row)}" if row else f"{prefix}_all"
-        name = base
-        bump = 1
-        while name in seen:
-            bump += 1
-            name = f"{base}_k{bump}"
-        seen.add(name)
-        names.append(name)
-    return names
+def qid(name: str) -> str:
+    """Identifier of a query in its variables' names: the query name with
+    every non-alphanumeric character replaced by ``_``."""
+    return "".join(ch if ch.isalnum() else "_" for ch in name)
 
 
 class VarNaming:
-    """Deterministic, injective names for answer, stand-in, and bag variables."""
+    """Deterministic, injective names for answer, stand-in, and bag variables.
+
+    Every name is claimed in one set shared by all θ, ξ and ν names of the
+    program, so two variables never share a name, even when they come from
+    different queries or their names are built from colliding values.
+    """
 
     def __init__(self):
-        self._qids: dict[QueryKey, str] = {}
-        self._nu: dict[WeightExprClosed, str] = {}
+        self._taken: set[str] = set()
 
-    def qid(self, key: QueryKey) -> str:
-        if key not in self._qids:
-            name = key[0]
-            safe = "".join(ch if ch.isalnum() else "_" for ch in name)
-            qid = f"{safe}{len(self._qids)}" if safe in {
-                v.rstrip("0123456789") for v in self._qids.values()
-            } else safe
-            # ensure uniqueness even for repeated display names
-            existing = set(self._qids.values())
-            if qid in existing:
-                qid = f"{safe}_{len(self._qids)}"
-            self._qids[key] = qid
-        return self._qids[key]
+    def _claim(self, base: str) -> str:
+        """*base*, or *base* with the first free ``_k2``, ``_k3``, … suffix."""
+        name = base
+        bump = 1
+        while name in self._taken:
+            bump += 1
+            name = f"{base}_k{bump}"
+        self._taken.add(name)
+        return name
+
+    def _row_names(self, prefix: str, rows: AnswerSet) -> list[str]:
+        if len(rows) > CONTENT_NAME_LIMIT:
+            return [self._claim(f"{prefix}_r{i}") for i in range(len(rows))]
+        return [
+            self._claim(f"{prefix}_{'_'.join(v.token for v in row)}" if row else f"{prefix}_all")
+            for row in rows.rows
+        ]
 
     def theta_names(self, key: QueryKey, answers: AnswerSet) -> list[str]:
-        return _row_names(f"th_{self.qid(key)}", answers)
+        return self._row_names(f"th_{qid(key[0])}", answers)
 
     def xi_names(self, key: QueryKey, node: int, proj: AnswerSet) -> list[str]:
-        return _row_names(f"xi_{self.qid(key)}_n{node}", proj)
+        return self._row_names(f"xi_{qid(key[0])}_n{node}", proj)
 
     def nu_name(self, w: WeightExprClosed) -> str:
-        if w not in self._nu:
-            key = (w.query_name, w.query)
-            parts = [f"{x}_{v.token}" for x, v in w.targets]
-            base = f"nu_{self.qid(key)}_{'_'.join(parts)}" if parts else f"nu_{self.qid(key)}_all"
-            name = base
-            bump = 1
-            while name in set(self._nu.values()):
-                bump += 1
-                name = f"{base}_k{bump}"
-            self._nu[w] = name
-        return self._nu[w]
+        """A new stand-in name for *w*; each call claims one."""
+        parts = "_".join(f"{x}_{v.token}" for x, v in w.targets) or "all"
+        return self._claim(f"nu_{qid(w.query_name)}_{parts}")
 
 
 @dataclass
@@ -106,7 +95,6 @@ class InterpretedLp:
     mode: str
     lp: LinearProgram
     provenance: list[str]
-    naming: VarNaming
     theta: dict[QueryKey, tuple[AnswerSet, list[str]]] = field(default_factory=dict)
     nu: dict[WeightExprClosed, str] = field(default_factory=dict)
     xi: dict[QueryKey, dict[int, tuple[AnswerSet, list[str]]]] = field(default_factory=dict)
@@ -205,7 +193,6 @@ def natural(cp: ClosedProgram, db: Database) -> InterpretedLp:
         mode="natural",
         lp=lp,
         provenance=provenance,
-        naming=naming,
         theta={key: (answers[key], names[key]) for key in answers},
     )
 
@@ -230,7 +217,6 @@ def replacement(cp: ClosedProgram, db: Database) -> InterpretedLp:
         mode="replacement",
         lp=lp,
         provenance=provenance,
-        naming=naming,
         theta={key: (answers[key], names[key]) for key in answers},
         nu=nu,
     )
@@ -339,7 +325,6 @@ def factorized(
         mode="factorized",
         lp=lp,
         provenance=provenance,
-        naming=naming,
         nu=nu,
         xi=xi,
         trees=trees,

@@ -44,7 +44,10 @@ from .queries import (
     evaluate,
     extend,
     free_vars as query_free_vars,
+    lookup,
     parse_query_tokens,
+    parse_value_expr,
+    rewrite,
     substitute,
 )
 from .relations import Database, Value
@@ -140,10 +143,6 @@ class LpcqProgram:
     queries: dict[str, Query]          # prelude, by name
     minimized: bool = False            # surface sense was `minimize`
 
-    def user_value(self, opt_value: float) -> float:
-        """Optimal value in the sense the program was written in."""
-        return -opt_value if self.minimized else opt_value
-
 
 # --- free variables ---------------------------------------------------------------
 
@@ -187,7 +186,8 @@ def free_vars_lpcq(node) -> frozenset[str]:
 
 def parse(text: str) -> LpcqProgram:
     """Parse program text, check closedness, and make binders hygienic."""
-    stream = TokenStream(tokenize(text))
+    tokens = tokenize(text)
+    stream = TokenStream(tokens)
     prelude: dict[str, Query] = {}
     while stream.at_name("let"):
         stream.next()
@@ -227,7 +227,7 @@ def parse(text: str) -> LpcqProgram:
         objective = SScale(Real(-1.0), objective)
 
     program = LpcqProgram(objective, constraint, prelude, minimized=minimized)
-    program = _hygienic(program)
+    program = _hygienic(program, {tok.text for tok in tokens if tok.kind == "NAME"})
 
     loose = free_vars_lpcq(program)
     if loose:
@@ -345,7 +345,7 @@ class _ProgramParser:
         if stream.at_name("num"):
             stream.next()
             stream.expect("OP", "(")
-            expr = self._value_expr()
+            expr = parse_value_expr(stream)
             stream.expect("OP", ")")
             return SNum(NumOf(expr))
         if stream.at_name("weight"):
@@ -422,25 +422,8 @@ class _ProgramParser:
     def _target_pair(self) -> tuple[str, Expr]:
         var_tok = self.stream.expect("NAME")
         self.stream.expect("OP", "==")
-        value = self._value_expr()
+        value = parse_value_expr(self.stream)
         return var_tok.text, value
-
-    def _value_expr(self) -> Expr:
-        tok = self.stream.peek()
-        if tok.kind == "NAME":
-            self.stream.next()
-            return Var(tok.text)
-        if tok.kind == "NUMBER":
-            self.stream.next()
-            return Const(Value(tok.text))
-        if tok.kind == "STRING":
-            self.stream.next()
-            return Const(Value(tok.text))
-        if tok.kind == "OP" and tok.text == "-" and self.stream.peek(1).kind == "NUMBER":
-            self.stream.next()
-            num = self.stream.next()
-            return Const(Value("-" + num.text))
-        raise ParseError(f"expected a variable or constant, found {tok.text!r}", tok.span)
 
     def _binder_list(self) -> tuple[str, ...]:
         stream = self.stream
@@ -457,35 +440,12 @@ class _ProgramParser:
 # --- binder hygiene -----------------------------------------------------------------
 
 
-def _rename_free_query(q: Query, mapping: dict[str, str]) -> Query:
-    """Rename free variable occurrences; binders shadow as usual."""
-    from .queries import And, Atom, Exists, TrueQuery
+def _hygienic(program: LpcqProgram, names: set[str]) -> LpcqProgram:
+    """Rename forall/sum binders apart from each other and all query scopes.
 
-    def walk(node: Query, active: dict[str, str]) -> Query:
-        if isinstance(node, TrueQuery) or not active:
-            return node
-        if isinstance(node, Equal):
-            return Equal(_ren_expr(node.left, active), _ren_expr(node.right, active))
-        if isinstance(node, Atom):
-            return Atom(node.relation, tuple(_ren_expr(e, active) for e in node.args))
-        if isinstance(node, And):
-            return And(walk(node.left, active), walk(node.right, active))
-        if isinstance(node, Exists):
-            inner = {k: v for k, v in active.items() if k != node.var}
-            return Exists(node.var, walk(node.body, inner))
-        raise TypeError(node)
-
-    return walk(q, dict(mapping))
-
-
-def _ren_expr(e: Expr, mapping: dict[str, str]) -> Expr:
-    if isinstance(e, Var) and e.name in mapping:
-        return Var(mapping[e.name])
-    return e
-
-
-def _hygienic(program: LpcqProgram) -> LpcqProgram:
-    """Rename forall/sum binders apart from each other and all query scopes."""
+    A new binder name is none of *names*, the identifiers of the source, so
+    no quantifier of a binder query can capture it.
+    """
     reserved: set[str] = set()
     for q in program.queries.values():
         reserved |= query_free_vars(q)
@@ -496,31 +456,34 @@ def _hygienic(program: LpcqProgram) -> LpcqProgram:
     def fresh(base: str) -> str:
         counter[0] += 1
         cand = f"{base}_{counter[0]}"
-        while cand in used:
+        while cand in used or cand in names:
             counter[0] += 1
             cand = f"{base}_{counter[0]}"
         used.add(cand)
         return cand
 
-    def rename_binders(binders: tuple[str, ...]) -> tuple[tuple[str, ...], dict[str, str]]:
+    def rename_binders(
+        binders: tuple[str, ...], ren: dict[str, Expr]
+    ) -> tuple[tuple[str, ...], dict[str, Expr]]:
+        """Hygienic binder names, and *ren* as seen under the binders."""
         out = []
-        mapping = {}
+        inner = {k: v for k, v in ren.items() if k not in binders}
         for b in binders:
             if b in used:
                 nb = fresh(b)
-                mapping[b] = nb
+                inner[b] = Var(nb)
             else:
                 nb = b
                 used.add(nb)
             out.append(nb)
-        return tuple(out), mapping
+        return tuple(out), inner
 
-    def walk_num(n: NumExpr, ren: dict[str, str]) -> NumExpr:
+    def walk_num(n: NumExpr, ren: dict[str, Expr]) -> NumExpr:
         if isinstance(n, NumOf):
-            return NumOf(_ren_expr(n.expr, ren))
+            return NumOf(lookup(n.expr, ren))
         return n
 
-    def walk_sum(node: Sum, ren: dict[str, str]) -> Sum:
+    def walk_sum(node: Sum, ren: dict[str, Expr]) -> Sum:
         if isinstance(node, SNum):
             return SNum(walk_num(node.num, ren))
         if isinstance(node, SScale):
@@ -528,20 +491,14 @@ def _hygienic(program: LpcqProgram) -> LpcqProgram:
         if isinstance(node, SAdd):
             return SAdd(walk_sum(node.left, ren), walk_sum(node.right, ren))
         if isinstance(node, SWeight):
-            targets = tuple((x, _ren_expr(e, ren)) for x, e in node.targets)
+            targets = tuple((x, lookup(e, ren)) for x, e in node.targets)
             return SWeight(node.scope, targets, node.query_name, node.query, span=node.span)
         if isinstance(node, SSum):
-            new_binders, extra = rename_binders(node.binders)
-            inner = {k: v for k, v in ren.items() if k not in node.binders}
-            inner.update(extra)
-            return SSum(
-                new_binders,
-                _rename_free_query(node.query, inner),
-                walk_sum(node.body, inner),
-            )
+            binders, inner = rename_binders(node.binders, ren)
+            return SSum(binders, rewrite(node.query, inner), walk_sum(node.body, inner))
         raise TypeError(node)
 
-    def walk_con(node: Constraint, ren: dict[str, str]) -> Constraint:
+    def walk_con(node: Constraint, ren: dict[str, Expr]) -> Constraint:
         if isinstance(node, CTrue):
             return node
         if isinstance(node, CCompare):
@@ -549,14 +506,8 @@ def _hygienic(program: LpcqProgram) -> LpcqProgram:
         if isinstance(node, CAnd):
             return CAnd(walk_con(node.left, ren), walk_con(node.right, ren))
         if isinstance(node, CForall):
-            new_binders, extra = rename_binders(node.binders)
-            inner = {k: v for k, v in ren.items() if k not in node.binders}
-            inner.update(extra)
-            return CForall(
-                new_binders,
-                _rename_free_query(node.query, inner),
-                walk_con(node.body, inner),
-            )
+            binders, inner = rename_binders(node.binders, ren)
+            return CForall(binders, rewrite(node.query, inner), walk_con(node.body, inner))
         raise TypeError(node)
 
     return LpcqProgram(

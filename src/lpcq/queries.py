@@ -11,6 +11,11 @@ range over the whole domain.  The implementation joins per-conjunct factors
 with hash joins; a brute-force enumerator with the same contract lives in
 the test suite and serves as the oracle.
 
+``rewrite`` is the one rewriter of query variables: it substitutes free
+variables and renames bound ones, with quantifiers shadowing as usual.
+``substitute``, ``rename_bound``, ``canonical_form`` and the parser's binder
+hygiene are thin callers of it.
+
 Concrete syntax::
 
     exists y. R1(x) /\\ R2(y)
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -141,6 +146,38 @@ def all_vars(q: Query) -> frozenset[str]:
     return free_vars(q)
 
 
+def lookup(expr: Expr, env: Mapping[str, Expr]) -> Expr:
+    """*expr* with a variable named in *env* replaced by its expression."""
+    return env.get(expr.name, expr) if isinstance(expr, Var) else expr
+
+
+def rewrite(
+    q: Query, env: Mapping[str, Expr], bind: Callable[[str], str] | None = None
+) -> Query:
+    """Replace every free variable named in *env* by its expression.
+
+    With *bind*, every bound variable is renamed to ``bind(name)``, left to
+    right and outer before inner.  A quantifier shadows the *env* entry for
+    its own variable.
+    """
+    if isinstance(q, TrueQuery) or (not env and bind is None):
+        return q
+    if isinstance(q, Equal):
+        return Equal(lookup(q.left, env), lookup(q.right, env))
+    if isinstance(q, Atom):
+        return Atom(q.relation, tuple(lookup(e, env) for e in q.args))
+    if isinstance(q, And):
+        return And(rewrite(q.left, env, bind), rewrite(q.right, env, bind))
+    if isinstance(q, Exists):
+        inner = {k: v for k, v in env.items() if k != q.var}
+        if bind is None:
+            return Exists(q.var, rewrite(q.body, inner))
+        new = bind(q.var)
+        inner[q.var] = Var(new)
+        return Exists(new, rewrite(q.body, inner, bind))
+    raise TypeError(f"not a query: {q!r}")
+
+
 def substitute(q: Query, variables: Iterable[str], constants: Iterable[Value]) -> Query:
     """Replace free occurrences of each variable by the matching constant."""
     variables = list(variables)
@@ -151,85 +188,32 @@ def substitute(q: Query, variables: Iterable[str], constants: Iterable[Value]) -
         )
     if len(set(variables)) != len(variables):
         raise LengthMismatchError("substituted variables must be pairwise distinct")
-    mapping = dict(zip(variables, constants))
-
-    def walk(node: Query, active: dict[str, Value]) -> Query:
-        if isinstance(node, TrueQuery) or not active:
-            return node
-        if isinstance(node, Equal):
-            return Equal(_subst_expr(node.left, active), _subst_expr(node.right, active))
-        if isinstance(node, Atom):
-            return Atom(node.relation, tuple(_subst_expr(e, active) for e in node.args))
-        if isinstance(node, And):
-            return And(walk(node.left, active), walk(node.right, active))
-        if isinstance(node, Exists):
-            inner = {k: v for k, v in active.items() if k != node.var}
-            return Exists(node.var, walk(node.body, inner))
-        raise TypeError(f"not a query: {node!r}")
-
-    return walk(q, mapping)
-
-
-def _subst_expr(e: Expr, mapping: dict[str, Value]) -> Expr:
-    if isinstance(e, Var) and e.name in mapping:
-        return Const(mapping[e.name])
-    return e
+    return rewrite(q, {x: Const(c) for x, c in zip(variables, constants)})
 
 
 def extend(q: Query, variables: Iterable[str]) -> Query:
     """Conjoin ``x == x`` for each listed variable not already free in q."""
     fv = free_vars(q)
-    extras = [Equal(Var(x), Var(x)) for x in variables if x not in fv]
-    if not extras:
-        return q
-    result = extras[0]
-    for extra in extras[1:]:
-        result = And(result, extra)
-    return And(result, q)
+    return conjoin([*(Equal(Var(x), Var(x)) for x in variables if x not in fv), q])
 
 
 def rename_bound(q: Query, taken: set[str]) -> Query:
     """Rename bound variables so they avoid *taken* and each other."""
     used = set(taken) | all_vars(q)
-
-    def fresh(base: str) -> str:
-        i = 1
-        cand = f"{base}_{i}"
-        while cand in used:
-            i += 1
-            cand = f"{base}_{i}"
-        used.add(cand)
-        return cand
-
-    def walk(node: Query, ren: dict[str, str]) -> Query:
-        if isinstance(node, TrueQuery):
-            return node
-        if isinstance(node, Equal):
-            return Equal(_rename_expr(node.left, ren), _rename_expr(node.right, ren))
-        if isinstance(node, Atom):
-            return Atom(node.relation, tuple(_rename_expr(e, ren) for e in node.args))
-        if isinstance(node, And):
-            return And(walk(node.left, ren), walk(node.right, ren))
-        if isinstance(node, Exists):
-            name = node.var
-            if name in taken:
-                new = fresh(name)
-            else:
-                new = name
-                taken.add(name)
-            inner = dict(ren)
-            inner[name] = new
-            return Exists(new, walk(node.body, inner))
-        raise TypeError(f"not a query: {node!r}")
-
     taken = set(taken)
-    return walk(q, {})
 
+    def bind(name: str) -> str:
+        if name not in taken:
+            taken.add(name)
+            return name
+        i = 1
+        while f"{name}_{i}" in used:
+            i += 1
+        new = f"{name}_{i}"
+        used.add(new)
+        return new
 
-def _rename_expr(e: Expr, ren: dict[str, str]) -> Expr:
-    if isinstance(e, Var) and e.name in ren:
-        return Var(ren[e.name])
-    return e
+    return rewrite(q, {}, bind)
 
 
 def prenex(q: Query) -> tuple[list[str], Query]:
@@ -272,10 +256,7 @@ def qf(q: Query) -> Query:
     if is_quantifier_free(q):
         return q
     prefix, body = prenex(q)
-    result = body
-    for var in prefix:
-        result = And(result, Equal(Var(var), Var(var)))
-    return result
+    return conjoin([body, *(Equal(Var(v), Var(v)) for v in prefix)])
 
 
 def canonical_form(q: Query) -> tuple[Query, dict[str, str]]:
@@ -284,28 +265,14 @@ def canonical_form(q: Query) -> tuple[Query, dict[str, str]]:
     Returns the renamed query plus the placeholder -> original-name mapping,
     which lets callers align bound variables of two alpha-equivalent queries.
     """
-    counter = [0]
     mapping: dict[str, str] = {}
 
-    def walk(node: Query, ren: dict[str, str]) -> Query:
-        if isinstance(node, TrueQuery):
-            return node
-        if isinstance(node, Equal):
-            return Equal(_rename_expr(node.left, ren), _rename_expr(node.right, ren))
-        if isinstance(node, Atom):
-            return Atom(node.relation, tuple(_rename_expr(e, ren) for e in node.args))
-        if isinstance(node, And):
-            return And(walk(node.left, ren), walk(node.right, ren))
-        if isinstance(node, Exists):
-            placeholder = f"__b{counter[0]}"
-            counter[0] += 1
-            mapping[placeholder] = node.var
-            inner = dict(ren)
-            inner[node.var] = placeholder
-            return Exists(placeholder, walk(node.body, inner))
-        raise TypeError(f"not a query: {node!r}")
+    def bind(name: str) -> str:
+        placeholder = f"__b{len(mapping)}"
+        mapping[placeholder] = name
+        return placeholder
 
-    return walk(q, {}), mapping
+    return rewrite(q, {}, bind), mapping
 
 
 # --- answer sets -------------------------------------------------------------
@@ -622,18 +589,19 @@ def _parse_query_primary(stream: TokenStream) -> Query:
         stream.next()  # (
         args: list[Expr] = []
         if not stream.at("OP", ")"):
-            args.append(_parse_query_expr(stream))
+            args.append(parse_value_expr(stream))
             while stream.accept("OP", ","):
-                args.append(_parse_query_expr(stream))
+                args.append(parse_value_expr(stream))
         stream.expect("OP", ")")
         return Atom(name, tuple(args))
-    left = _parse_query_expr(stream)
+    left = parse_value_expr(stream)
     stream.expect("OP", "==")
-    right = _parse_query_expr(stream)
+    right = parse_value_expr(stream)
     return Equal(left, right)
 
 
-def _parse_query_expr(stream: TokenStream) -> Expr:
+def parse_value_expr(stream: TokenStream) -> Expr:
+    """A variable or a constant: the argument of an atom, ``==`` or ``num``."""
     tok = stream.peek()
     if tok.kind == "NAME":
         stream.next()

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import (
     DuplicateRelationError,
     EmptyDirError,
+    ParseError,
     RaggedRowsError,
     UnknownVariableError,
 )
@@ -144,7 +145,7 @@ def load_database(directory: str | Path) -> Database:
     Files are RFC-4180 CSV without a header row; positions match atom
     argument positions.  Raises EmptyDirError when no .csv files exist,
     RaggedRowsError on inconsistent column counts, DuplicateRelationError
-    when two files share a stem.
+    when two files share a stem, ParseError naming a file that is not UTF-8.
     """
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if p.suffix.lower() == ".csv")
@@ -156,8 +157,11 @@ def load_database(directory: str | Path) -> Database:
         name = path.stem
         if name in relations:
             raise DuplicateRelationError(f"relation {name!r} defined twice")
-        with path.open(newline="", encoding="utf-8") as handle:
-            rows = [tuple(cells) for cells in csv.reader(handle)]
+        try:
+            with path.open(newline="", encoding="utf-8") as handle:
+                rows = [tuple(cells) for cells in csv.reader(handle)]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
         arity: int | None = None
         tuples = set()
         for lineno, cells in enumerate(rows, start=1):

@@ -289,9 +289,9 @@ def _counting_gadget(q):
 
 
 def _rename_query_free(q, mapping):
-    from lpcq.language import _rename_free_query
+    from lpcq.queries import rewrite
 
-    return _rename_free_query(q, mapping)
+    return rewrite(q, {x: Var(y) for x, y in mapping.items()})
 
 
 def test_criterion_7_weighting_algebra():

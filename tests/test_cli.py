@@ -221,29 +221,34 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "case",
-        ["program is a directory", "program not utf-8", "db is a file",
+        ["program is a directory", "program not utf-8", "db is a file", "table not utf-8",
          "decomp not json", "decomp node without bag"],
     )
     def test_bad_input_is_input_error(self, worked_dir, tmp_path, capsys, case):
         prog, db, decomp = worked_dir
         if case == "program is a directory":
-            prog = tmp_path
+            prog = bad = tmp_path
         elif case == "program not utf-8":
+            bad = prog
             prog.write_bytes(b"\xff\xfe" + WORKED.encode())
         elif case == "db is a file":
-            db = prog
-        elif case == "decomp not json":
-            decomp.write_text("{not json")
+            db = bad = prog
+        elif case == "table not utf-8":
+            bad = db / "R1.csv"
+            bad.write_bytes(b"\xff\n1\n")
         else:
-            decomp.write_text(json.dumps({**THREE_NODE_DECOMP, "nodes": [{"id": 0}]}))
+            bad = decomp
+            if case == "decomp not json":
+                decomp.write_text("{not json")
+            else:
+                decomp.write_text(json.dumps({**THREE_NODE_DECOMP, "nodes": [{"id": 0}]}))
         code, out = run_main(
             ["solve", str(prog), str(db), "--mode", "factorized", "--decomp", str(decomp)]
         )
         assert code == 3 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        if case.startswith("decomp"):
-            assert str(decomp) in err
+        assert str(bad) in err
 
     @pytest.mark.parametrize("flag", ["--emit-lp", "--weights"])
     def test_unwritable_output_is_input_error(self, worked_dir, tmp_path, capsys, flag):
@@ -277,6 +282,29 @@ class TestSolveCommand:
         assert code == 0
         # the optimum counts the seven answers
         assert "value: 7" in out
+
+    def test_names_unique_across_queries(self, tmp_path):
+        # q's row (x, all) and q_x's only answer would both be th_q_x_all
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "R.csv").write_text("x,all\ny,z\n")
+        (db / "S.csv").write_text("a\n")
+        prog = tmp_path / "names.lpcq"
+        prog.write_text(
+            'let q(u, w) = R(u, w)\n'
+            'let q_x() = S("a")\n'
+            "maximize weight[(u, w): true](q) + weight[(): true](q_x)\n"
+            'subject to weight[(u, w): u == "x"](q) <= 1\n'
+            '    /\\ weight[(u, w): u == "y"](q) <= 2\n'
+            "    /\\ weight[(): true](q_x) <= 5\n"
+        )
+        for mode in ("natural", "replacement", "factorized"):
+            code, out = run_main(
+                ["solve", str(prog), str(db), "--mode", mode, "--heuristic-decomp"]
+            )
+            assert code == 0 and "value: 8\n" in out, mode
+            if mode != "factorized":
+                assert "variables: theta=3 " in out, mode
 
 
 class TestGenCommand:
@@ -401,3 +429,10 @@ class TestCheckDecompCommand:
         path.write_text(json.dumps(bad))
         code, _ = run_main(["check-decomp", str(path)])
         assert code == 3
+
+    def test_program_not_utf8_is_named(self, tmp_path, worked_dir, capsys):
+        prog, _, decomp = worked_dir
+        prog.write_bytes(b"\xff" + WORKED.encode())
+        code, _ = run_main(["check-decomp", str(decomp), "--program", str(prog)])
+        assert code == 3
+        assert str(prog) in capsys.readouterr().err

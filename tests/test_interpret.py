@@ -254,6 +254,48 @@ def _factorize_with_heuristic(cp, db):
     return factorized(cp, decomps, db)
 
 
+# q's row (x, all) and q_x's only answer both read th_q_x_all
+COLLIDING_NAMES = """
+let q(u, w) = R(u, w)
+let q_x() = S("a")
+maximize weight[(u, w): true](q) + weight[(): true](q_x)
+subject to weight[(u, w): u == "x"](q) <= 1
+        /\\ weight[(u, w): u == "y"](q) <= 2
+        /\\ weight[(): true](q_x) <= 5
+"""
+
+# both query names map to the id a_
+SHARED_ID = """
+let a'(x) = R(x)
+let a_(x) = R(x)
+maximize weight[(x): true](a') + weight[(x): true](a_)
+subject to weight[(x): x == 0](a') <= 1 /\\ weight[(x): x == 0](a_) <= 2
+"""
+
+
+class TestVariableNames:
+    @pytest.mark.parametrize("interpret", [natural, replacement])
+    def test_names_unique_across_queries(self, interpret):
+        db = make_db(R=[("x", "all"), ("y", "z")], S=[("a",)])
+        ilp = interpret(quantifier_eliminate(close(parse(COLLIDING_NAMES), db)), db)
+        assert len(ilp.lp.variables()) == ilp.variable_count
+        assert math.isclose(solve(ilp.lp).value, 8.0)
+
+    @pytest.mark.parametrize("interpret", [natural, replacement, _factorize_with_heuristic])
+    def test_queries_sharing_an_id_get_disjoint_names(self, interpret):
+        db = make_db(R=[(0,)])
+        ilp = interpret(quantifier_eliminate(close(parse(SHARED_ID), db)), db)
+        families = [
+            set(names)
+            for family in (ilp.theta, *ilp.xi.values())
+            for _, names in family.values()
+        ]
+        assert all(a.isdisjoint(b) for i, a in enumerate(families) for b in families[i + 1:])
+        assert len(ilp.lp.variables()) == ilp.variable_count
+        assert all(name.startswith(("th_a__", "xi_a__", "nu_a__")) for name in ilp.lp.variables())
+        assert math.isclose(solve(ilp.lp).value, 3.0)
+
+
 class TestEquivalences:
     def test_replacement_matches_natural_randomized(self, rng):
         for _ in range(40):

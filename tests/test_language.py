@@ -166,6 +166,25 @@ class TestParse:
         assert outer.binders != inner.binders
 
 
+    # x is a query variable, so the forall binder x gets a new name, which
+    # must not be the x_1 its binder query quantifies
+    CAPTURE = """
+    let Q(y) = R1(y)
+    let P(x) = R1(x)
+    maximize weight[(y): true](Q)
+    subject to forall (x): exists x_1. S(x, x_1). weight[(y): y == VALUE](Q) <= 1
+    """
+
+    def test_renamed_binder_not_captured(self):
+        db = make_db(R1=[(0,), (1,)], S=[(0, 1), (1, 0)])
+        cp = close(parse(self.CAPTURE.replace("VALUE", "x")), db)
+        assert len(cp.constraints) == 2
+
+    def test_renamed_binder_binds_no_other_variable(self):
+        with pytest.raises(FreeVariableError):
+            parse(self.CAPTURE.replace("VALUE", "x_1"))
+
+
 class TestFreeVarsRules:
     def test_weight_only_value_vars_escape(self):
         q = parse_query("R1(x) /\\ R2(y)")

@@ -25,6 +25,7 @@ from lpcq.queries import (
     prenex,
     projector,
     qf,
+    rewrite,
     substitute,
 )
 from lpcq.relations import Assignment, Database, Relation, Value
@@ -228,6 +229,43 @@ class TestCanonicalForm:
         c1, _ = canonical_form(parse_query("exists y. R1(x) /\\ R2(y)"))
         c2, _ = canonical_form(parse_query("exists y. R1(z) /\\ R2(y)"))
         assert c1 != c2
+
+
+class TestRewrite:
+    def test_env_only(self):
+        q = parse_query("R(x, y) /\\ x == z")
+        got = rewrite(q, {"x": Const(V(0)), "z": Var("w")})
+        assert got == parse_query("R(0, y) /\\ 0 == w")
+
+    def test_bind_only(self):
+        q = parse_query("exists y. R(x, y) /\\ (exists z. S(y, z))")
+        got = rewrite(q, {}, lambda name: name.upper())
+        assert got == parse_query("exists Y. R(x, Y) /\\ (exists Z. S(Y, Z))")
+
+    def test_env_and_bind(self):
+        # the binder is renamed and the free x replaced; y's env entry is
+        # shadowed by its own quantifier
+        q = parse_query("exists y. R(x, y)")
+        got = rewrite(q, {"x": Var("a"), "y": Const(V(1))}, lambda name: name + "2")
+        assert got == parse_query("exists y2. R(a, y2)")
+
+    def test_inner_exists_shadows_env(self):
+        q = parse_query("R(x) /\\ (exists x. S(x))")
+        got = rewrite(q, {"x": Const(V(0))})
+        assert got == parse_query("R(0) /\\ (exists x. S(x))")
+
+    def test_bind_order_left_to_right_outer_first(self):
+        q = parse_query(
+            "exists a. (exists b. R(a, b)) /\\ (exists c, d. S(c, d)) /\\ (exists e. T(e))"
+        )
+        calls = []
+
+        def bind(name):
+            calls.append(name)
+            return name
+
+        assert rewrite(q, {}, bind) == q
+        assert calls == ["a", "b", "c", "d", "e"]
 
 
 class TestConcreteSyntax:
