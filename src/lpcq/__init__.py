@@ -12,7 +12,6 @@ from .relations import (
     Database,
     Relation,
     Value,
-    join_assignment_sets,
     load_database,
     restrict,
     save_database,
@@ -81,7 +80,6 @@ from .interpret import (
 from .weightings import (
     Weighting,
     WeightingCollection,
-    check_conj_decomposed,
     check_sound,
     collection_from_weighting,
     project_weighting,
@@ -91,8 +89,20 @@ from .weightings import (
     transport_collection,
 )
 from .synth import GenSpec, generate_delivery, write_delivery
-from .cli import RunReport, run_pipeline
 from . import errors
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the CLI module loads only when one of these is asked for, so that
+# ``python -m lpcq.cli`` does not find it already imported by the package
+_FROM_CLI = ("RunReport", "run_pipeline")
+
+
+def __getattr__(name):
+    if name in _FROM_CLI:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_FROM_CLI)
 __version__ = "0.1.0"

@@ -419,10 +419,14 @@ def attach_target_bags(
 def bag_projections(q: Query, tree: DecompTree, db: Database) -> dict[int, AnswerSet]:
     """Restriction of the query's answers to every bag.
 
-    Builds one local relation per bag from a greedy factor cover, filters it
-    with every conjunct contained in the bag, then runs a bottom-up and a
-    top-down semi-join pass; after both passes each node holds exactly the
-    projection of the full answer set to its bag.
+    Builds one local relation per bag by joining a connected factor cover:
+    each factor added shares a variable with those already chosen, so the
+    local join never multiplies unrelated factors.  Only a bag variable that
+    no connected factor reaches brings in a disconnected factor or the whole
+    domain, and only then is the join a product.  The local relation is
+    filtered with every conjunct contained in the bag, then a bottom-up and a
+    top-down semi-join pass runs; after both passes each node holds exactly
+    the projection of the full answer set to its bag.
     """
     if not is_quantifier_free(q):
         raise UncoveredAtomError("bag projections need a quantifier-free query")
@@ -451,22 +455,24 @@ def _local_relation(bag: frozenset[str], factors: list[_Factor], db: Database) -
     if not bag:
         return _Factor((), [()])
     chosen: list[_Factor] = []
+    reached: set[str] = set()  # variables of the chosen factors
     uncovered = set(bag)
     pool = sorted(factors, key=lambda f: (len(f.rows), f.vars))
     while uncovered:
-        best = None
-        best_gain = 0
-        for f in pool:
-            gain = len(uncovered & set(f.vars))
-            if gain > best_gain:
-                best_gain = gain
-                best = f
+        # a factor joining the chosen ones on a shared variable first, then
+        # the most missing bag variables, then the fewest rows (pool order)
+        best = min(
+            (f for f in pool if not uncovered.isdisjoint(f.vars)),
+            key=lambda f: (reached.isdisjoint(f.vars), -len(uncovered.intersection(f.vars))),
+            default=None,
+        )
         if best is None:
             # unconstrained bag variable: ranges over the whole domain
             var = sorted(uncovered)[0]
             best = _Factor((var,), [(d,) for d in db.domain])
         chosen.append(best)
-        uncovered -= set(best.vars)
+        reached.update(best.vars)
+        uncovered -= reached
 
     joined = join_factors(list(chosen))
     bag_vars = tuple(sorted(bag))

@@ -44,6 +44,7 @@ from .queries import (
     evaluate,
     extend,
     free_vars as query_free_vars,
+    hash_once,
     lookup,
     parse_query_tokens,
     parse_value_expr,
@@ -667,6 +668,7 @@ def normal_form(program: LpcqProgram) -> LpcqProgram:
 # --- closed programs ---------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class WeightExprClosed:
     """weight with constant targets: the summed mass of answers of *query*

@@ -3,7 +3,8 @@
 Queries are built from equalities, relational atoms, conjunction, and
 existential quantification.  Query identity is exact AST equality: two
 queries differing only in a bound-variable name are distinct objects, which
-downstream naming schemes rely on.
+downstream naming schemes rely on.  Compound nodes hash their fields once and
+cache the result (``hash_once``), since queries key many dicts.
 
 Evaluation follows set semantics.  ``evaluate(q, db, X)`` returns the set of
 assignments of X satisfying q, where variables of X not constrained by q
@@ -28,7 +29,7 @@ numeric literals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -44,6 +45,29 @@ from .relations import Assignment, Database, Value
 
 
 # --- AST --------------------------------------------------------------------
+
+
+def hash_once(cls):
+    """Class decorator for a frozen dataclass that keys many dicts: the hash
+    of its fields is computed on first use and kept in the instance dict
+    under ``_hash``.  That is outside the dataclass fields, so ``==``,
+    ``repr`` and ``fields()`` do not see it, and it is left out of pickled
+    state because string hashes differ between processes."""
+    names = [f.name for f in fields(cls)]
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(tuple(getattr(self, n) for n in names))
+        return cached
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
 
 @dataclass(frozen=True)
 class Var:
@@ -64,24 +88,28 @@ class Const:
 Expr = Var | Const
 
 
+@hash_once
 @dataclass(frozen=True)
 class Equal:
     left: Expr
     right: Expr
 
 
+@hash_once
 @dataclass(frozen=True)
 class Atom:
     relation: str
     args: tuple[Expr, ...]
 
 
+@hash_once
 @dataclass(frozen=True)
 class And:
     left: "Query"
     right: "Query"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Exists:
     var: str

@@ -53,8 +53,8 @@ class Value:
         value.text = text
         value.numeric = float(text) if _DECIMAL_RE.match(text) else None
         value._token = None
-        cls._interned[text] = value
-        return value
+        # setdefault is atomic, so threads racing on one text agree on a value
+        return cls._interned.setdefault(text, value)
 
     @property
     def token(self) -> str:
@@ -270,50 +270,3 @@ Assignment.EMPTY = Assignment((), ())
 def restrict(assignment: Assignment, variables: Iterable[str]) -> Assignment:
     """Module-level alias for Assignment.restrict."""
     return assignment.restrict(variables)
-
-
-def _variable_set(assignments: Iterable[Assignment], declared) -> frozenset[str]:
-    if declared is not None:
-        return frozenset(declared)
-    for a in assignments:
-        return frozenset(a.variables)
-    return frozenset()
-
-
-def join_assignment_sets(
-    a1: Iterable[Assignment],
-    a2: Iterable[Assignment],
-    vars1: Iterable[str] | None = None,
-    vars2: Iterable[str] | None = None,
-) -> set[Assignment]:
-    """Natural join of two homogeneous assignment sets.
-
-    The result contains exactly the unions of pairs agreeing on the shared
-    variables.  Variable sets are taken from the elements unless passed
-    explicitly (needed to disambiguate empty inputs).
-    """
-    a1 = list(a1)
-    a2 = list(a2)
-    x1 = _variable_set(a1, vars1)
-    x2 = _variable_set(a2, vars2)
-    for a in a1:
-        if frozenset(a.variables) != x1:
-            raise UnknownVariableError("left operand is not homogeneous")
-    for a in a2:
-        if frozenset(a.variables) != x2:
-            raise UnknownVariableError("right operand is not homogeneous")
-
-    shared = sorted(x1 & x2)
-    buckets: dict[tuple[Value, ...], list[Assignment]] = {}
-    for b in a2:
-        key = tuple(b[v] for v in shared)
-        buckets.setdefault(key, []).append(b)
-
-    out: set[Assignment] = set()
-    for a in a1:
-        key = tuple(a[v] for v in shared)
-        for b in buckets.get(key, ()):
-            merged = a.union(b)
-            if merged is not None:
-                out.add(merged)
-    return out

@@ -171,61 +171,6 @@ def check_sound(
     return None
 
 
-def check_conj_decomposed(
-    answers: AnswerSet, tree: DecompTree, guard: int = 10**4
-):
-    """Brute-force test of conjunctive decomposition; None when it holds.
-
-    Returns a witness (node, beta, alpha_up, alpha_down) whose join escapes
-    the relation otherwise.  Refuses relations above the guard size.
-    """
-    if len(answers) > guard:
-        raise TooLargeError(f"{len(answers)} rows exceeds the brute-force guard {guard}")
-    down = tree.down_vars()
-    all_nodes = set(tree.bags)
-    for u in sorted(tree.bags):
-        down_set = {
-            v for v in all_nodes
-            if v == u or _is_descendant(tree, u, v)
-        }
-        up_set = (all_nodes - down_set) | {u}
-        up_vars = frozenset().union(*(tree.bags[v] for v in up_set))
-        down_vars = down[u]
-        a_up = answers.restrict(up_vars)
-        a_dn = answers.restrict(down_vars)
-        bag = tree.bags[u]
-        up_groups = _extensions(a_up, bag)
-        dn_groups = _extensions(a_dn, bag)
-        for beta_key, ups in up_groups.items():
-            downs = dn_groups.get(beta_key, ())
-            for alpha_up in ups:
-                for alpha_dn in downs:
-                    merged = alpha_up.union(alpha_dn)
-                    if merged is None:
-                        continue
-                    full = merged.restrict(answers.variables)
-                    if full not in answers:
-                        beta = Assignment(tuple(sorted(bag)), beta_key)
-                        return (u, beta, alpha_up, alpha_dn)
-    return None
-
-
-def _is_descendant(tree: DecompTree, root: int, node: int) -> bool:
-    while node is not None:
-        if node == root:
-            return True
-        node = tree.parent[node]
-    return False
-
-
-def _extensions(restricted: AnswerSet, bag: frozenset[str]) -> dict:
-    groups = restricted.group_by(bag)
-    return {
-        key: [Assignment(restricted.variables, restricted.rows[i]) for i in members]
-        for key, members in groups.items()
-    }
-
-
 def reconstruct(
     collection: WeightingCollection,
     answers: AnswerSet,

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import lpcq
 from lpcq.cli import BENCH_DECOMP, BENCH_DECOMP_COARSE, bench_rows, main
 from lpcq.errors import InfeasibleSpecError
 from lpcq.lpformat import parse_lp
@@ -436,3 +440,15 @@ class TestCheckDecompCommand:
         code, _ = run_main(["check-decomp", str(decomp), "--program", str(prog)])
         assert code == 3
         assert str(prog) in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(lpcq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lpcq.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

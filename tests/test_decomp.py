@@ -1,8 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 
+from lpcq import queries
+from lpcq.cli import BENCH_DECOMP
 from lpcq.decomp import (
     DecompTree,
     attach_target_bags,
@@ -27,6 +30,7 @@ from lpcq.errors import (
 )
 from lpcq.queries import evaluate, free_vars, parse_query, qf
 from lpcq.relations import Database, Relation, Value
+from lpcq.synth import GenSpec, generate_delivery
 
 from oracles import brute_force_answers
 
@@ -274,6 +278,46 @@ class TestBagProjections:
                 except UncoverableVariableError:
                     continue
                 assert len(proj[node]) <= db.size ** (w + 1e-9) + 1e-9
+
+
+def spy_joins(monkeypatch):
+    """Shared-variable count of every hash join run from now on."""
+    shared = []
+    join = queries._join
+
+    def spy(a, b):
+        shared.append(len(set(a.vars) & set(b.vars)))
+        return join(a, b)
+
+    monkeypatch.setattr(queries, "_join", spy)
+    return shared
+
+
+class TestConnectedCover:
+    def test_benchmark_bags_join_on_shared_variables(self, tmp_path, monkeypatch):
+        db = generate_delivery(GenSpec(size=40, seed=1))
+        q = parse_query(BENCH_DECOMP["query"])
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(BENCH_DECOMP))
+        (tree,) = load_decompositions(path)
+        tree = match_tree_to_query(tree, q)
+        shared = spy_joins(monkeypatch)
+        proj = bag_projections(tree.query, tree, db)
+        assert shared and min(shared) > 0, shared
+        full = evaluate(tree.query, db, free_vars(tree.query))
+        for node, bag in tree.bags.items():
+            assert proj[node] == full.restrict(bag)
+
+    def test_unconnected_bag_is_the_full_product(self, monkeypatch):
+        db = make_db(R=[(0,), (1,)], S=[("a",), ("b",), ("c",)])
+        q = parse_query("R(x) /\\ S(y)")
+        tree = DecompTree(0, {0: ["x", "y"]}, [], query=q)
+        shared = spy_joins(monkeypatch)
+        proj = bag_projections(q, tree, db)
+        assert shared == [0]
+        assert {(x.text, y.text) for x, y in proj[0]} == {
+            (x, y) for x in "01" for y in "abc"
+        }
 
 
 class TestHeuristic:

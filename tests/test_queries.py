@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from lpcq.errors import (
@@ -6,6 +9,7 @@ from lpcq.errors import (
     MissingFreeVariableError,
     UnknownRelationError,
 )
+from lpcq.language import WeightExprClosed
 from lpcq.queries import (
     And,
     AnswerSet,
@@ -388,3 +392,47 @@ class TestProjector:
         projected = projector(("x", "y", "z"), to_vars)(row)
         assert isinstance(projected, tuple)
         assert tuple(v.text for v in projected) == expected
+
+
+class TestHashOnce:
+    TEXT = 'exists y. R(x, y) /\\ y == "a" /\\ x == x'
+
+    def test_equal_values_built_apart_hash_and_compare_equal(self):
+        a, b = parse_query(self.TEXT), parse_query(self.TEXT)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        wa = WeightExprClosed("q", a, (("x", V("c")),))
+        wb = WeightExprClosed("q", b, (("x", V("c")),))
+        assert wa == wb and hash(wa) == hash(wb)
+        assert {wa: 1}[wb] == 1
+
+    def test_cache_is_outside_the_fields(self):
+        q = parse_query(self.TEXT)
+        w = WeightExprClosed("q", q, ())
+        before = (repr(q), repr(w))
+        hash(q), hash(w)
+        assert (repr(q), repr(w)) == before
+        assert "_hash" not in before[0] + before[1]
+        assert [f.name for f in dataclasses.fields(q)] == ["var", "body"]
+        assert [f.name for f in dataclasses.fields(w)] == ["query_name", "query", "targets"]
+        assert dataclasses.replace(q) == q
+
+    def test_children_are_hashed_once(self):
+        calls = []
+
+        class Counted:
+            def __hash__(self):
+                calls.append(1)
+                return 7
+
+        atom = Atom("R", (Counted(),))
+        first = hash(atom)
+        assert hash(atom) == first and hash(And(atom, atom)) == hash(And(atom, atom))
+        assert len(calls) == 1
+
+    def test_pickled_state_drops_the_cache(self):
+        q = parse_query("exists y. R(x, y) /\\ x == y")
+        hash(q)
+        copy = pickle.loads(pickle.dumps(q))
+        assert "_hash" not in copy.__dict__
+        assert copy == q and hash(copy) == hash(q)

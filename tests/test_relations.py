@@ -1,3 +1,7 @@
+import sys
+import threading
+import uuid
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +15,12 @@ from lpcq.errors import (
 from lpcq.relations import (
     Assignment,
     Value,
-    join_assignment_sets,
     load_database,
     restrict,
     save_database,
 )
+
+from oracles import join_assignment_sets
 
 
 def V(text):
@@ -185,3 +190,32 @@ def test_join_commutative_associative(a, b, c):
     left = join_assignment_sets(ab, c_set, ab_vars, c_vars)
     right = join_assignment_sets(a_set, bc, a_vars, bc_vars)
     assert left == right
+
+
+class TestInterning:
+    THREADS = 8
+    TEXTS = 10_000
+
+    def test_threads_agree_on_one_value_per_text(self):
+        texts = [f"race-{uuid.uuid4().hex}-{i}" for i in range(self.TEXTS)]
+        start = threading.Barrier(self.THREADS)
+        minted = [None] * self.THREADS
+
+        def mint(k):
+            start.wait()
+            minted[k] = [Value(t) for t in texts]
+
+        # switch threads as often as possible, so a read-then-insert race shows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=mint, args=(k,)) for k in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for i, text in enumerate(texts):
+            value = Value(text)
+            assert all(values[i] is value for values in minted), text

@@ -18,7 +18,6 @@ from lpcq.relations import Assignment, Value
 from lpcq.weightings import (
     Weighting,
     WeightingCollection,
-    check_conj_decomposed,
     check_sound,
     collection_from_weighting,
     project_weighting,
@@ -29,6 +28,7 @@ from lpcq.weightings import (
 )
 
 from makers import make_db, rand_db, rand_flagship_instance, rand_query
+from oracles import check_conj_decomposed
 
 
 def V(x):
