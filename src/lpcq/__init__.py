@@ -13,7 +13,6 @@ from .relations import (
     Relation,
     Value,
     load_database,
-    restrict,
     save_database,
 )
 from .queries import (
@@ -86,7 +85,6 @@ from .weightings import (
     reconstruct,
     reconstruct_point,
     solution_to_weights,
-    transport_collection,
 )
 from .synth import GenSpec, generate_delivery, write_delivery
 from . import errors

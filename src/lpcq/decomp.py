@@ -69,12 +69,7 @@ class NodeKind:
 
 
 class DecompTree:
-    """Rooted bag-labeled tree, optionally tied to the query it decomposes.
-
-    ``source`` maps nodes introduced by normalize back to an original node
-    whose bag contains theirs; downstream code uses it to transport per-node
-    weightings onto the normalized tree.
-    """
+    """Rooted bag-labeled tree, optionally tied to the query it decomposes."""
 
     def __init__(
         self,
@@ -82,7 +77,6 @@ class DecompTree:
         bags: Mapping[int, Iterable[str]],
         edges: Iterable[tuple[int, int]],
         query: Query | None = None,
-        source: Mapping[int, int] | None = None,
     ):
         self.root = root
         self.bags: dict[int, frozenset[str]] = {
@@ -90,7 +84,6 @@ class DecompTree:
         }
         self.edges: list[tuple[int, int]] = [(int(p), int(c)) for p, c in edges]
         self.query = query
-        self.source = dict(source) if source else {}
 
         self.children: dict[int, list[int]] = {n: [] for n in self.bags}
         self.parent: dict[int, int | None] = {n: None for n in self.bags}
@@ -142,16 +135,6 @@ class DecompTree:
 
     def post_order(self) -> list[int]:
         return list(reversed(self.bfs_order()))
-
-    def down_vars(self) -> dict[int, frozenset[str]]:
-        """Union of the bags in each node's subtree."""
-        out: dict[int, frozenset[str]] = {}
-        for node in self.post_order():
-            acc = set(self.bags[node])
-            for child in self.children[node]:
-                acc |= out[child]
-            out[node] = frozenset(acc)
-        return out
 
     def classify(self, node: int) -> NodeKind | None:
         """Node kind when the node fits the normalized-tree taxonomy, else None."""
@@ -240,34 +223,31 @@ def normalize(tree: DecompTree) -> DecompTree:
     """Rewrite into a tree where every node classifies as leaf, extend,
     project, or join, with an empty root bag.
 
-    Every original bag survives, new bags are subsets of adjacent original
-    bags (so the fractional width is unchanged), and ``source`` records, for
-    each node, an original node whose bag contains its bag.
+    Every original bag survives and new bags are subsets of adjacent
+    original bags, so the fractional width is unchanged.
     """
     bags: dict[int, frozenset[str]] = {}
     children: dict[int, list[int]] = {}
-    source: dict[int, int] = {}
     counter = [0]
 
-    def fresh(bag: frozenset[str], src: int) -> int:
+    def fresh(bag: frozenset[str]) -> int:
         nid = counter[0]
         counter[0] += 1
         bags[nid] = bag
         children[nid] = []
-        source[nid] = src
         return nid
 
-    def chain_to(parent_bag: frozenset[str], child_id: int, child_src: int, parent_src: int) -> int:
+    def chain_to(parent_bag: frozenset[str], child_id: int) -> int:
         """Stack project/extend steps above child_id until its bag equals parent_bag."""
         cur = child_id
         cur_bag = bags[child_id]
         for var in sorted(cur_bag - parent_bag):
-            nid = fresh(cur_bag - {var}, child_src)
+            nid = fresh(cur_bag - {var})
             children[nid].append(cur)
             cur = nid
             cur_bag = bags[nid]
         for var in sorted(parent_bag - cur_bag):
-            nid = fresh(cur_bag | {var}, parent_src)
+            nid = fresh(cur_bag | {var})
             children[nid].append(cur)
             cur = nid
             cur_bag = bags[nid]
@@ -277,28 +257,27 @@ def normalize(tree: DecompTree) -> DecompTree:
         bag = tree.bags[node]
         kids = sorted(tree.children[node])
         if not kids:
-            return fresh(bag, node)
+            return fresh(bag)
         tops = []
         for child in kids:
             built = build(child)
-            tops.append(chain_to(bag, built, child, node))
+            tops.append(chain_to(bag, built))
         if len(tops) == 1 and bags[tops[0]] == bag and tree.bags[kids[0]] != bag:
             # the chain's top already realizes this node's bag
-            source[tops[0]] = node
             return tops[0]
-        join = fresh(bag, node)
+        join = fresh(bag)
         children[join].extend(tops)
         return join
 
     top = build(tree.root)
     cur = top
     for var in sorted(bags[top]):
-        nid = fresh(bags[cur] - {var}, tree.root)
+        nid = fresh(bags[cur] - {var})
         children[nid].append(cur)
         cur = nid
 
     edges = [(p, c) for p, kids in children.items() for c in kids]
-    return DecompTree(cur, bags, edges, query=tree.query, source=source)
+    return DecompTree(cur, bags, edges, query=tree.query)
 
 
 # --- widths -------------------------------------------------------------------
@@ -383,7 +362,7 @@ def ensure_empty_root(tree: DecompTree) -> DecompTree:
         edges.append((next_id, cur))
         cur = next_id
         next_id += 1
-    return DecompTree(cur, bags, edges, query=tree.query, source=tree.source or None)
+    return DecompTree(cur, bags, edges, query=tree.query)
 
 
 def attach_target_bags(
@@ -410,7 +389,7 @@ def attach_target_bags(
         edges.append((host, next_id))
         existing.add(target)
         next_id += 1
-    return DecompTree(tree.root, bags, edges, query=tree.query, source=tree.source or None)
+    return DecompTree(tree.root, bags, edges, query=tree.query)
 
 
 # --- bag projections -----------------------------------------------------------

@@ -73,6 +73,10 @@ class Value:
     def __repr__(self) -> str:
         return f"Value({self.text!r})"
 
+    def __reduce__(self):
+        # loading goes through __new__, so the copy is the interned value
+        return (Value, (self.text,))
+
     def __str__(self) -> str:
         return self.text
 
@@ -265,8 +269,3 @@ class Assignment:
 
 
 Assignment.EMPTY = Assignment((), ())
-
-
-def restrict(assignment: Assignment, variables: Iterable[str]) -> Assignment:
-    """Module-level alias for Assignment.restrict."""
-    return assignment.restrict(variables)

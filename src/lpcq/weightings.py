@@ -6,14 +6,23 @@ classes and preserves total mass.  A *weighting collection* holds one
 weighting per node of a decomposition tree; it is *sound* when adjacent
 nodes agree on their shared-variable marginals.
 
-The centerpiece is ``reconstruct``: given a sound collection on a
-normalized tree whose underlying relation is conjunctively decomposed (true
-for answer sets of quantifier-free queries), it builds a weighting of the
-full relation whose per-bag projections are exactly the collection.  The
-construction is a single bottom-up pass with multiplicative corrections at
-extend and join nodes; near-zero denominators route to the zero branch
-deterministically (threshold 1e-12).  ``reconstruct_point`` evaluates the
-same function at one row without materializing anything.
+The centerpiece is ``reconstruct``: given a sound collection on any valid
+tree whose underlying relation is conjunctively decomposed (true for answer
+sets of quantifier-free queries), it builds a weighting of the full relation
+whose per-bag projections are exactly the collection.  A row's mass is the
+clique/separator product of decomposable models (Lauritzen, *Graphical
+Models*, 1996)::
+
+    w(a) = w_root(a|B_root) * prod over edges (p, c) of
+           w_c(a|B_c) / m_c(a|B_p & B_c)
+
+where ``m_c`` is the child's marginal on the separator.  It is the function
+the textbook bottom-up pass over a normalized tree computes: there the
+extend-node ratios telescope to the per-edge ratios, and the project steps
+and the join node's division by mass^(k-1) cancel, since soundness makes
+both sides of every separator equal.  A separator marginal at or below
+``ZERO_TOL`` (1e-12) makes the row's mass 0.  ``reconstruct_point``
+evaluates the same function at one row without materializing anything.
 
 ``solution_to_weights`` applies this to a solved factorized program: the
 bag-variable values form a sound collection (up to solver tolerance), and
@@ -23,9 +32,9 @@ answer-variable formulation at the same objective value.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .decomp import DecompTree, normalize
+from .decomp import DecompTree
 from .errors import (
     BadSubsetError,
     NotAnAnswerError,
@@ -142,23 +151,12 @@ class SoundnessViolation:
 
 
 def check_sound(
-    collection: WeightingCollection,
-    tol: float = SOUND_TOL,
-    pairwise: bool = False,
+    collection: WeightingCollection, tol: float = SOUND_TOL
 ) -> SoundnessViolation | None:
-    """First marginal disagreement, or None when the collection is sound.
-
-    Edge-wise by default, which is what the construction and the factorized
-    program's constraints use; ``pairwise`` additionally checks every node
-    pair (strict mode).
-    """
+    """First marginal disagreement along a tree edge, or None when the
+    collection is sound."""
     tree = collection.tree
-    if pairwise:
-        nodes = sorted(tree.bags)
-        pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
-    else:
-        pairs = sorted(tree.edges)
-    for u, v in pairs:
+    for u, v in sorted(tree.edges):
         shared = tree.bags[u] & tree.bags[v]
         left = project_weighting(collection[u], shared)
         right = project_weighting(collection[v], shared)
@@ -171,169 +169,92 @@ def check_sound(
     return None
 
 
-def reconstruct(
-    collection: WeightingCollection,
-    answers: AnswerSet,
-    debug: bool = False,
-    tol: float = SOUND_TOL,
-) -> Weighting:
-    """Weighting of *answers* whose per-bag projections equal the collection.
+def _lift(
+    collection: WeightingCollection, variables: tuple[str, ...], tol: float
+) -> Callable[[tuple[Value, ...]], float]:
+    """Function giving the reconstructed mass of a row over *variables*.
 
-    Requires a normalized tree, a collection sound up to *tol*, and a
-    conjunctively decomposed relation (query answer sets qualify).  ``debug``
-    additionally verifies that every intermediate weighting is the
-    projection of the final one, which is quadratic and meant for tests.
+    Each edge contributes the child bag's mass divided by the child's
+    marginal on the separator; a separator marginal at or below ``ZERO_TOL``
+    makes the row's mass 0.  Each marginal is tested on its own, never
+    their product, which could underflow.
     """
-    tree = collection.tree
-    if not tree.is_normalized():
-        raise ValueError("reconstruct needs a normalized tree; normalize() first")
-    if len(answers) > MATERIALIZE_LIMIT:
-        raise TooLargeError(
-            f"{len(answers)} answers exceed the materialization guard; "
-            "use reconstruct_point"
-        )
     violation = check_sound(collection, tol)
     if violation is not None:
         raise UnsoundCollectionError(
             violation.edge, violation.gamma, violation.lhs, violation.rhs, tol
         )
+    tree = collection.tree
+    to_root = projector(variables, sorted(tree.bags[tree.root]))
+    root_mass = collection[tree.root].values
+    edges = []
+    for parent, child in sorted(tree.edges):
+        shared = sorted(tree.bags[parent] & tree.bags[child])
+        edges.append((
+            projector(variables, sorted(tree.bags[child])),
+            collection[child].values,
+            projector(variables, shared),
+            project_weighting(collection[child], shared).values,
+        ))
 
-    down = tree.down_vars()
-    down_sets: dict[int, AnswerSet] = {
-        node: answers.restrict(down[node]) for node in tree.bags
-    }
-    omega: dict[int, dict[tuple[Value, ...], float]] = {}
+    def mass(row: tuple[Value, ...]) -> float:
+        value = root_mass.get(to_root(row), 0.0)
+        for to_bag, bag_mass, to_sep, sep_mass in edges:
+            denom = sep_mass.get(to_sep(row), 0.0)
+            if denom <= ZERO_TOL:
+                return 0.0
+            value *= bag_mass.get(to_bag(row), 0.0) / denom
+        return value
 
-    for node in tree.post_order():
-        kind = tree.classify(node)
-        base = down_sets[node]
-        rows = base.rows
-        values: dict[tuple[Value, ...], float] = {}
-        if kind.kind == "leaf":
-            w = collection[node]
-            for row in rows:
-                values[row] = w.values[row]
-        elif kind.kind == "project":
-            (child,) = tree.children[node]
-            values = omega[child]
-        elif kind.kind == "extend":
-            (child,) = tree.children[node]
-            to_bag = projector(base.variables, sorted(tree.bags[node]))
-            to_child_bag = projector(base.variables, sorted(tree.bags[child]))
-            to_child_down = projector(base.variables, sorted(down[child]))
-            bag_w = collection[node].values
-            child_bag_w = collection[child].values
-            child_omega = omega[child]
-            for row in rows:
-                denom = child_bag_w.get(to_child_bag(row), 0.0)
-                if denom > ZERO_TOL:
-                    values[row] = (
-                        bag_w.get(to_bag(row), 0.0)
-                        / denom
-                        * child_omega[to_child_down(row)]
-                    )
-                else:
-                    values[row] = 0.0
-        else:  # join
-            kids = tree.children[node]
-            to_bag = projector(base.variables, sorted(tree.bags[node]))
-            kid_proj = [(k, projector(base.variables, sorted(down[k]))) for k in kids]
-            bag_w = collection[node].values
-            k = len(kids)
-            for row in rows:
-                mass = bag_w.get(to_bag(row), 0.0)
-                if mass > ZERO_TOL:
-                    prod = 1.0
-                    for kid, proj in kid_proj:
-                        prod *= omega[kid][proj(row)]
-                    values[row] = prod / mass ** (k - 1)
-                else:
-                    values[row] = 0.0
-        omega[node] = values
+    return mass
 
-    result = Weighting(down_sets[tree.root], omega[tree.root])
-    if debug:
-        for node in tree.bags:
-            expected = project_weighting(result, down[node])
-            for row, mass in omega[node].items():
-                if abs(expected.values[row] - mass) > 1e-6:
-                    raise AssertionError(
-                        f"node {node}: intermediate weight {mass} vs projection "
-                        f"{expected.values[row]}"
-                    )
-    return result
+
+def reconstruct(
+    collection: WeightingCollection,
+    answers: AnswerSet,
+    tol: float = SOUND_TOL,
+) -> Weighting:
+    """Weighting of *answers* whose per-bag projections equal the collection.
+
+    Works on any valid tree.  Requires a collection sound up to *tol* and a
+    conjunctively decomposed relation (query answer sets qualify).
+    """
+    if len(answers) > MATERIALIZE_LIMIT:
+        raise TooLargeError(
+            f"{len(answers)} answers exceed the materialization guard; "
+            "use reconstruct_point"
+        )
+    mass = _lift(collection, answers.variables, tol)
+    return Weighting(answers, {row: mass(row) for row in answers.rows})
 
 
 def reconstruct_point(collection: WeightingCollection, alpha: Assignment) -> float:
-    """Mass of one answer under the reconstruction, via a root-to-leaf walk."""
+    """Mass of one answer under the reconstruction, without materializing
+    the answer set."""
     tree = collection.tree
-    if not tree.is_normalized():
-        raise ValueError("reconstruct_point needs a normalized tree; normalize() first")
     bound = dict(alpha.items())
 
-    def row_for(node: int, variables: Iterable[str]) -> tuple[Value, ...]:
+    def row_for(variables: Iterable[str]) -> tuple[Value, ...]:
         try:
             return tuple(bound[v] for v in sorted(variables))
         except KeyError as exc:
             raise NotAnAnswerError(f"assignment misses variable {exc}") from exc
 
     for node, bag in tree.bags.items():
-        if row_for(node, bag) not in collection[node].values:
+        if row_for(bag) not in collection[node].values:
             raise NotAnAnswerError(
                 f"restriction to bag of node {node} is not a projection row"
             )
-
-    def value(node: int) -> float:
-        kind = tree.classify(node)
-        if kind.kind == "leaf":
-            return collection[node].values[row_for(node, tree.bags[node])]
-        if kind.kind == "project":
-            (child,) = tree.children[node]
-            return value(child)
-        if kind.kind == "extend":
-            (child,) = tree.children[node]
-            denom = collection[child].values.get(row_for(child, tree.bags[child]), 0.0)
-            if denom <= ZERO_TOL:
-                return 0.0
-            return (
-                collection[node].values.get(row_for(node, tree.bags[node]), 0.0)
-                / denom
-                * value(child)
-            )
-        kids = tree.children[node]
-        mass = collection[node].values.get(row_for(node, tree.bags[node]), 0.0)
-        if mass <= ZERO_TOL:
-            return 0.0
-        prod = 1.0
-        for kid in kids:
-            prod *= value(kid)
-        return prod / mass ** (len(kids) - 1)
-
-    return value(tree.root)
-
-
-def transport_collection(
-    collection: WeightingCollection, normalized: DecompTree
-) -> WeightingCollection:
-    """Carry a collection from a tree onto its normalized form.
-
-    Each normalized node's bag sits inside the bag of its recorded source
-    node, so its weighting is that source's projection; edge soundness
-    transfers because projections commute.
-    """
-    per_node = {}
-    for node, bag in normalized.bags.items():
-        src = normalized.source[node]
-        per_node[node] = project_weighting(collection[src], bag)
-    return WeightingCollection(normalized, per_node)
+    variables = tuple(sorted(bound))
+    return _lift(collection, variables, SOUND_TOL)(row_for(variables))
 
 
 def solution_to_weights(solution, interpreted, query_key, db: Database) -> Weighting:
     """Per-answer weights from a solved factorized program.
 
     Reads the bag-variable values for *query_key* and reconstructs over the
-    full answer set; solver drift beyond ``LIFT_TOL`` in the bag marginals is
-    an error.
+    full answer set on the program's tree as given; solver drift beyond
+    ``LIFT_TOL`` in the bag marginals is an error.
     """
     if solution.status != "optimal":
         raise ValueError(f"solution status is {solution.status!r}, need optimal")
@@ -349,9 +270,5 @@ def solution_to_weights(solution, interpreted, query_key, db: Database) -> Weigh
             },
         )
     collection = WeightingCollection(tree, per_node)
-
-    if not tree.is_normalized():
-        collection = transport_collection(collection, normalize(tree))
-
     answers = evaluate(query_key[1], db)
     return reconstruct(collection, answers, tol=LIFT_TOL)

@@ -185,6 +185,17 @@ def join_assignment_sets(
     return out
 
 
+def down_vars(tree: DecompTree) -> dict[int, frozenset[str]]:
+    """Union of the bags in each node's subtree."""
+    out: dict[int, frozenset[str]] = {}
+    for node in tree.post_order():
+        acc = set(tree.bags[node])
+        for child in tree.children[node]:
+            acc |= out[child]
+        out[node] = frozenset(acc)
+    return out
+
+
 def check_conj_decomposed(
     answers: AnswerSet, tree: DecompTree, guard: int = 10**4
 ):
@@ -195,7 +206,7 @@ def check_conj_decomposed(
     """
     if len(answers) > guard:
         raise TooLargeError(f"{len(answers)} rows exceeds the brute-force guard {guard}")
-    down = tree.down_vars()
+    down = down_vars(tree)
     all_nodes = set(tree.bags)
     for u in sorted(tree.bags):
         down_set = {
@@ -204,9 +215,8 @@ def check_conj_decomposed(
         }
         up_set = (all_nodes - down_set) | {u}
         up_vars = frozenset().union(*(tree.bags[v] for v in up_set))
-        down_vars = down[u]
         a_up = answers.restrict(up_vars)
-        a_dn = answers.restrict(down_vars)
+        a_dn = answers.restrict(down[u])
         bag = tree.bags[u]
         up_groups = _extensions(a_up, bag)
         dn_groups = _extensions(a_dn, bag)

@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 import uuid
@@ -14,11 +15,14 @@ from lpcq.errors import (
 )
 from lpcq.relations import (
     Assignment,
+    Database,
+    Relation,
     Value,
     load_database,
-    restrict,
     save_database,
 )
+
+from lpcq.queries import evaluate, parse_query
 
 from oracles import join_assignment_sets
 
@@ -130,7 +134,7 @@ class TestAssignment:
         a = asg(x=0, y=1, z=2)
         assert a.restrict(["x"]) == asg(x=0)
         assert a.restrict([]) == Assignment.EMPTY
-        assert restrict(a, ["x", "z"]) == asg(x=0, z=2)
+        assert a.restrict(["x", "z"]) == asg(x=0, z=2)
 
     def test_restrict_unknown_variable(self):
         with pytest.raises(UnknownVariableError):
@@ -219,3 +223,21 @@ class TestInterning:
         for i, text in enumerate(texts):
             value = Value(text)
             assert all(values[i] is value for values in minted), text
+
+
+class TestPickling:
+    def test_value_loads_as_the_interned_value(self):
+        assert pickle.loads(pickle.dumps(Value("a"))) is Value("a")
+
+    def test_database_round_trip(self):
+        db = Database({"R": Relation("R", 2, [(V("a"), V(1)), (V("b"), V(2))])})
+        back = pickle.loads(pickle.dumps(db))
+        assert back.relations["R"].tuples == db.relations["R"].tuples
+        assert back.domain == db.domain
+
+    def test_query_with_constant_round_trip(self):
+        q = parse_query('R(x, "a")')
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q
+        db = Database({"R": Relation("R", 2, [(V(0), V("a")), (V(1), V("b"))])})
+        assert evaluate(back, db) == evaluate(q, db)

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, build_decompositions
 from lpcq.decomp import DecompTree, heuristic_decompose, normalize
 from lpcq.errors import (
     BadSubsetError,
@@ -11,10 +13,11 @@ from lpcq.errors import (
     UnsoundCollectionError,
 )
 from lpcq.interpret import factorized, natural, quantifier_eliminate
-from lpcq.language import close, parse
+from lpcq.language import close, normal_form, parse
 from lpcq.linprog import LpSolution, eval_sum, solve
 from lpcq.queries import AnswerSet, evaluate, parse_query
 from lpcq.relations import Assignment, Value
+from lpcq.synth import GenSpec, generate_delivery
 from lpcq.weightings import (
     Weighting,
     WeightingCollection,
@@ -24,7 +27,6 @@ from lpcq.weightings import (
     reconstruct,
     reconstruct_point,
     solution_to_weights,
-    transport_collection,
 )
 
 from makers import make_db, rand_db, rand_flagship_instance, rand_query
@@ -151,11 +153,6 @@ class TestCollections:
         assert violation.edge == (0, 2)
         assert math.isclose(violation.lhs, 2.0) and math.isclose(violation.rhs, 0.0)
 
-    def test_pairwise_mode(self, rng):
-        w = Weighting(f1_answers(), {r: rng.random() for r in f1_answers().rows})
-        col = collection_from_weighting(w, f1_tree())
-        assert check_sound(col, pairwise=True) is None
-
 
 class TestConjDecomposition:
     def test_query_answers_always_decomposed(self, rng):
@@ -196,16 +193,13 @@ class TestConjDecomposition:
 class TestReconstruct:
     def test_half_mass_worked_example(self):
         col = collection_on_f1(2.0, (1.0, 1.0), (1.0, 1.0))
-        ntree = normalize(col.tree)
-        ncol = transport_collection(col, ntree)
-        w = reconstruct(ncol, f1_answers(), debug=True)
+        w = reconstruct(col, f1_answers())
         for row in f1_answers().rows:
             assert math.isclose(w.values[row], 0.5, abs_tol=1e-12)
 
     def test_zero_collection(self):
         col = collection_on_f1(0.0, (0.0, 0.0), (0.0, 0.0))
-        ncol = transport_collection(col, normalize(col.tree))
-        w = reconstruct(ncol, f1_answers())
+        w = reconstruct(col, f1_answers())
         assert all(v == 0.0 for v in w.values.values())
 
     def test_point_mass_round_trip(self, rng):
@@ -225,29 +219,8 @@ class TestReconstruct:
 
     def test_unsound_rejected(self):
         col = collection_on_f1(2.0, (1.0, 1.0), (0.0, 0.0))
-        ncol_tree = normalize(col.tree)
-        ncol = WeightingCollection(
-            ncol_tree,
-            {
-                n: Weighting(
-                    f1_answers().restrict(ncol_tree.bags[n]),
-                    {
-                        row: col[ncol_tree.source[n]].values.get(
-                            tuple(
-                                row[list(sorted(ncol_tree.bags[n])).index(v)]
-                                for v in sorted(col.tree.bags[ncol_tree.source[n]])
-                                if v in ncol_tree.bags[n]
-                            ),
-                            0.0,
-                        )
-                        for row in f1_answers().restrict(ncol_tree.bags[n]).rows
-                    },
-                )
-                for n in ncol_tree.bags
-            },
-        )
         with pytest.raises(UnsoundCollectionError):
-            reconstruct(ncol, f1_answers())
+            reconstruct(col, f1_answers())
 
     def test_round_trip_projections_match(self, rng):
         # projections of the reconstruction equal the input collection
@@ -260,7 +233,7 @@ class TestReconstruct:
             t = normalize(heuristic_decompose(q))
             w = Weighting(a, {r: rng.random() * 3 for r in a.rows})
             col = collection_from_weighting(w, t)
-            back = reconstruct(col, a, debug=True)
+            back = reconstruct(col, a)
             round_col = collection_from_weighting(back, t)
             for node in t.bags:
                 for key, mass in col[node].values.items():
@@ -289,15 +262,86 @@ class TestReconstruct:
 
     def test_reconstruct_point_zero_guard(self):
         col = collection_on_f1(1.0, (1.0, 0.0), (1.0, 0.0))
-        ncol = transport_collection(col, normalize(col.tree))
         alpha = Assignment.of({"x": V(1), "y": V(0)})
-        assert reconstruct_point(ncol, alpha) == 0.0
+        assert reconstruct_point(col, alpha) == 0.0
 
     def test_not_an_answer(self):
         col = collection_on_f1(2.0, (1.0, 1.0), (1.0, 1.0))
-        ncol = transport_collection(col, normalize(col.tree))
         with pytest.raises(NotAnAnswerError):
-            reconstruct_point(ncol, Assignment.of({"x": V(7), "y": V(0)}))
+            reconstruct_point(col, Assignment.of({"x": V(7), "y": V(0)}))
+
+
+
+def assert_projections_match(collection, weighting):
+    lifted = collection_from_weighting(weighting, collection.tree)
+    for node in collection.tree.bags:
+        assert lifted[node].values.keys() == collection[node].values.keys()
+        for key, mass in collection[node].values.items():
+            assert math.isclose(
+                lifted[node].values[key], mass, rel_tol=1e-9, abs_tol=1e-9
+            ), (node, key)
+
+
+@pytest.fixture
+def bench_collection(tmp_path):
+    """Random sound collection on BENCH_DECOMP, prepared for the benchmark
+    program as the CLI does, with the answer set it decomposes."""
+    db = generate_delivery(GenSpec(size=40, seed=1))
+    cp = close(normal_form(parse(BENCH_PROGRAM)), db)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(BENCH_DECOMP))
+    ((key, tree),) = build_decompositions(
+        cp, quantifier_eliminate(cp), str(path), False
+    ).items()
+    answers = evaluate(key[1], db)
+    rng = random.Random(7)
+    w = Weighting(answers, {r: rng.random() for r in answers.rows})
+    return collection_from_weighting(w, tree), answers
+
+
+class TestReconstructAnyTree:
+    def test_raw_heuristic_trees(self, rng):
+        raw = 0
+        for _ in range(60):
+            db = rand_db(rng, max_tuples=15, max_relations=3)
+            q = rand_query(rng, db, max_atoms=3)
+            a = evaluate(q, db)
+            if not 0 < len(a) <= 150:
+                continue
+            t = heuristic_decompose(q)
+            raw += not t.is_normalized()
+            w = Weighting(a, {r: rng.random() * 3 for r in a.rows})
+            col = collection_from_weighting(w, t)
+            assert_projections_match(col, reconstruct(col, a))
+        assert raw >= 10
+
+    def test_benchmark_tree(self, bench_collection):
+        col, answers = bench_collection
+        assert not col.tree.is_normalized()
+        assert_projections_match(col, reconstruct(col, answers))
+
+    def test_point_agrees_on_benchmark_tree(self, bench_collection):
+        col, answers = bench_collection
+        full = reconstruct(col, answers)
+        for alpha in random.Random(8).sample(list(answers.assignments()), 25):
+            assert math.isclose(
+                reconstruct_point(col, alpha), full[alpha], rel_tol=1e-12
+            )
+
+    def test_zero_separator_marginal_lifts_to_zero(self):
+        # bags {x, y} and {y, z} share y; y = 1 carries no mass on either side
+        db = make_db(R=[(0, 0), (0, 1)], S=[(0, 0), (1, 0)])
+        q = parse_query("R(x, y) /\\ S(y, z)")
+        a = evaluate(q, db)
+        tree = DecompTree(0, {0: ["x", "y"], 1: ["y", "z"]}, [(0, 1)], query=q)
+        w = Weighting(a, {r: (2.0 if r[1] is V(0) else 0.0) for r in a.rows})
+        col = collection_from_weighting(w, tree)
+        assert col[1].values[(V(1), V(0))] == 0.0
+        lifted = reconstruct(col, a)
+        alpha = Assignment.of({"x": V(0), "y": V(1), "z": V(0)})
+        assert lifted[alpha] == 0.0
+        assert reconstruct_point(col, alpha) == 0.0
+        assert lifted.total() == 2.0
 
 
 WORKED = """
