@@ -73,6 +73,7 @@ class RunReport:
     user_constraints: int = 0
     weight_constraints: int = 0
     soundness_constraints: int = 0
+    nonzeros: int = 0
     seconds: dict = field(default_factory=dict)
     projection_sizes: dict = field(default_factory=dict)
 
@@ -126,6 +127,7 @@ class RunReport:
                 "soundness": self.soundness_constraints,
                 "total": self.total_constraints,
             },
+            "nonzeros": self.nonzeros,
             "seconds": self.seconds,
             "projections": {
                 name: dict(sizes) for name, sizes in self.projection_sizes.items()
@@ -133,11 +135,11 @@ class RunReport:
         }
 
 
-def _report_from(ilp: InterpretedLp, status: str, value, seconds) -> RunReport:
+def _report_from(ilp: InterpretedLp, solution, value, seconds) -> RunReport:
     counts = ilp.provenance_counts()
     report = RunReport(
         mode=ilp.mode,
-        status=status,
+        status=solution.status,
         value=value,
         theta_vars=ilp.theta_count,
         xi_vars=ilp.xi_count,
@@ -145,6 +147,7 @@ def _report_from(ilp: InterpretedLp, status: str, value, seconds) -> RunReport:
         user_constraints=counts["user"],
         weight_constraints=counts["weight"],
         soundness_constraints=counts["soundness"],
+        nonzeros=solution.nonzeros,
         seconds=seconds,
     )
     for (name, _), nodes in ilp.xi.items():
@@ -228,13 +231,13 @@ def run_pipeline(
     seconds["interpret"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solution = solve(ilp.lp)
+    solution = solve(ilp.program)
     seconds["solve"] = time.perf_counter() - t0
 
     value = None
     if solution.status == "optimal":
         value = cp.user_value(solution.value)
-    report = _report_from(ilp, solution.status, value, seconds)
+    report = _report_from(ilp, solution, value, seconds)
     return cp_qf, ilp, solution, report
 
 
@@ -245,10 +248,7 @@ def _write_weights(path: str, cp_qf, ilp: InterpretedLp, solution, db) -> None:
     for key in cp_qf.queries_w():
         if ilp.mode in ("natural", "replacement"):
             answers, names = ilp.theta[key]
-            masses = {
-                row: max(0.0, solution.assignment.get(var, 0.0))
-                for row, var in zip(answers.rows, names)
-            }
+            masses = dict(zip(answers.rows, solution.values(names, ilp.theta_columns[key])))
             sections.append((key[0], answers.variables, answers.rows, masses))
         else:
             weighting = solution_to_weights(solution, ilp, key, db)

@@ -14,13 +14,36 @@ Three interpretations share one variable-naming discipline:
                    ``quantifier_eliminate`` guarantees.
 
 Every constraint carries a provenance tag (user, weight, soundness) for
-diagnostics and reporting.
+diagnostics and reporting.  Rows come in that order: the user rows, then,
+query by query, the weight rows and the soundness rows.
+
+Each interpretation compiles straight to integer columns with an
+``LpBuilder``: one block per query's answers (θ), per (query, bag) (ξ)
+and for the stand-ins (ν).  A weight expression becomes the column
+positions of its ``group_by`` group, cached per (query, target
+variables); a soundness row, the positions of a parent's and a child's
+bag rows.  No row is built as a name-keyed dict.
+
+Names are still generated, once per block, because they fix the column
+order: ``LpBuilder.build`` sorts them once and puts every column at its
+name's place.  HiGHS is sensitive to that order.  Handed the same LPs
+with columns in block order (one run each on a 2-core VM), it took 4,290
+simplex iterations instead of 3,675 on the factorized delivery benchmark
+(m=300, seed 1), and 1,250 instead of 1,210 on the natural one, and
+returned optimal vertices that differ by up to 203 and 49 in a
+coordinate, which would change the lifted weights.  So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
+``InterpretedLp.lp``, the program as a name-keyed ``LinearProgram``, is
+built only when asked for (``--emit-lp``, ``--explain``, tests).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 from .decomp import DecompTree, bag_projections, check_compatible, validate
 from .errors import (
@@ -29,7 +52,7 @@ from .errors import (
     MissingDecompositionError,
 )
 from .language import ClosedProgram, ClosedSum, WeightExprClosed
-from .linprog import LinConstraint, LinearProgram, LinSum
+from .linprog import LinearProgram, LpBuilder, Side, SparseLp
 from .queries import AnswerSet, Query, evaluate, is_quantifier_free, qf
 from .relations import Database, Value
 
@@ -67,13 +90,22 @@ class VarNaming:
         self._taken.add(name)
         return name
 
+    def _claim_all(self, bases: list[str]) -> list[str]:
+        """``_claim`` of each base in turn; one set operation when no base
+        is taken or repeated, which is the common case."""
+        fresh = set(bases)
+        if len(fresh) == len(bases) and fresh.isdisjoint(self._taken):
+            self._taken |= fresh
+            return bases
+        return [self._claim(base) for base in bases]
+
     def _row_names(self, prefix: str, rows: AnswerSet) -> list[str]:
         if len(rows) > CONTENT_NAME_LIMIT:
-            return [self._claim(f"{prefix}_r{i}") for i in range(len(rows))]
-        return [
-            self._claim(f"{prefix}_{'_'.join(v.token for v in row)}" if row else f"{prefix}_all")
+            return self._claim_all([f"{prefix}_r{i}" for i in range(len(rows))])
+        return self._claim_all([
+            f"{prefix}_{'_'.join([v.token for v in row])}" if row else f"{prefix}_all"
             for row in rows.rows
-        ]
+        ])
 
     def theta_names(self, key: QueryKey, answers: AnswerSet) -> list[str]:
         return self._row_names(f"th_{qid(key[0])}", answers)
@@ -89,16 +121,28 @@ class VarNaming:
 
 @dataclass
 class InterpretedLp:
-    """A concrete LP plus the bookkeeping linking its variables back to
-    query answers and bag projections."""
+    """A compiled LP plus the bookkeeping linking its variables back to
+    query answers and bag projections.
+
+    ``theta`` and ``xi`` give each block's rows and variable names, and
+    ``theta_columns`` and ``xi_columns`` the matching column positions in
+    ``program``.
+    """
 
     mode: str
-    lp: LinearProgram
+    program: SparseLp
     provenance: list[str]
     theta: dict[QueryKey, tuple[AnswerSet, list[str]]] = field(default_factory=dict)
     nu: dict[WeightExprClosed, str] = field(default_factory=dict)
     xi: dict[QueryKey, dict[int, tuple[AnswerSet, list[str]]]] = field(default_factory=dict)
     trees: dict[QueryKey, DecompTree] = field(default_factory=dict)
+    theta_columns: dict[QueryKey, np.ndarray] = field(default_factory=dict)
+    xi_columns: dict[QueryKey, dict[int, np.ndarray]] = field(default_factory=dict)
+
+    @cached_property
+    def lp(self) -> LinearProgram:
+        """The program as a ``LinearProgram``, built on first use."""
+        return self.program.program()
 
     @property
     def theta_count(self) -> int:
@@ -127,73 +171,73 @@ def _answer_sets(cp: ClosedProgram, db: Database) -> dict[QueryKey, AnswerSet]:
     return {key: evaluate(key[1], db) for key in cp.queries_w()}
 
 
-class _WeightSums:
-    """Natural reading of weight expressions as sums of answer variables."""
+class _AnswerColumns:
+    """Natural reading of a weight expression: the columns of the answers
+    its targets select, one ``group_by`` per (query, target variables)."""
 
-    def __init__(self, answers: Mapping[QueryKey, AnswerSet], names: Mapping[QueryKey, list[str]]):
+    def __init__(self, answers: Mapping[QueryKey, AnswerSet], starts: Mapping[QueryKey, int]):
         self.answers = answers
-        self.names = names
+        self.starts = starts
         self._groups: dict[tuple[QueryKey, frozenset[str]], dict] = {}
 
-    def natural_sum(self, w: WeightExprClosed) -> LinSum:
+    def __call__(self, w: WeightExprClosed) -> list[int]:
         key = (w.query_name, w.query)
-        rows = self.answers[key]
-        names = self.names[key]
         target_vars = w.target_vars()
         gkey = (key, target_vars)
-        if gkey not in self._groups:
-            self._groups[gkey] = rows.group_by(target_vars)
-        groups = self._groups[gkey]
+        groups = self._groups.get(gkey)
+        if groups is None:
+            groups = self._groups[gkey] = self.answers[key].group_by(target_vars)
         values = tuple(v for _, v in w.targets)  # targets sorted by variable
         members = groups.get(values, ())
-        return LinSum.adopt(0.0, {names[i]: 1.0 for i in members})
+        start = self.starts[key]
+        return [start + i for i in members] if start else members
 
 
-def _closed_sum_to_linsum(s: ClosedSum, term_of) -> LinSum:
-    acc: dict[str, float] = {}
-    for w, coeff in s.ordered_terms():
-        for var, c in term_of(w).terms.items():
-            acc[var] = acc.get(var, 0.0) + c * coeff
-    return LinSum.adopt(s.constant, acc)
+def _side(s: ClosedSum, columns_of) -> Side:
+    """*s* over columns: each column's coefficients summed in term order,
+    zeros dropped."""
+    terms = s.ordered_terms()
+    if len(terms) == 1:  # one expression names each of its columns once
+        ((w, coeff),) = terms
+        cols = columns_of(w)
+        return s.constant, cols, array("d", [coeff]) * len(cols)
+    acc: dict[int, float] = {}
+    for w, coeff in terms:
+        for col in columns_of(w):
+            acc[col] = acc.get(col, 0.0) + coeff
+    if 0.0 in acc.values():
+        acc = {col: v for col, v in acc.items() if v != 0.0}
+    return s.constant, list(acc), list(acc.values())
 
 
-def _assemble(
-    cp: ClosedProgram, term_of, extra_rows: list[tuple[LinConstraint, str]], declared
-) -> tuple[LinearProgram, list[str]]:
-    objective = _closed_sum_to_linsum(cp.objective, term_of)
-    constraints: list[LinConstraint] = []
-    provenance: list[str] = []
+def _ones(cols: list[int]) -> Side:
+    return 0.0, cols, array("d", [1.0]) * len(cols)
+
+
+def _user_rows(cp: ClosedProgram, builder: LpBuilder, columns_of) -> list[str]:
+    """The program's own constraints, the first rows of every interpretation."""
     for con in cp.constraints:
-        constraints.append(
-            LinConstraint(
-                _closed_sum_to_linsum(con.lhs, term_of),
-                con.rel,
-                _closed_sum_to_linsum(con.rhs, term_of),
-            )
-        )
-        provenance.append("user")
-    for row, tag in extra_rows:
-        constraints.append(row)
-        provenance.append(tag)
-    lp = LinearProgram("maximize", objective, constraints, declared=declared)
-    return lp, provenance
+        builder.row(_side(con.lhs, columns_of), con.rel, _side(con.rhs, columns_of))
+    return ["user"] * len(cp.constraints)
 
 
 def natural(cp: ClosedProgram, db: Database) -> InterpretedLp:
     """One LP variable per query answer, weight expressions inlined."""
     naming = VarNaming()
     answers = _answer_sets(cp, db)
+    builder = LpBuilder()
     names = {key: naming.theta_names(key, rows) for key, rows in answers.items()}
-    sums = _WeightSums(answers, names)
+    starts = {key: builder.block(names[key]) for key in answers}
+    columns_of = _AnswerColumns(answers, starts)
 
-    declared = [n for key in answers for n in names[key]]
-    lp, provenance = _assemble(cp, sums.natural_sum, [], declared)
-    sums._groups.clear()
+    provenance = _user_rows(cp, builder, columns_of)
+    program = builder.build("maximize", _side(cp.objective, columns_of))
     return InterpretedLp(
         mode="natural",
-        lp=lp,
+        program=program,
         provenance=provenance,
         theta={key: (answers[key], names[key]) for key in answers},
+        theta_columns={key: builder.columns(starts[key], len(answers[key])) for key in answers},
     )
 
 
@@ -201,24 +245,28 @@ def replacement(cp: ClosedProgram, db: Database) -> InterpretedLp:
     """Fresh stand-in variable per weight expression plus defining equalities."""
     naming = VarNaming()
     answers = _answer_sets(cp, db)
+    builder = LpBuilder()
     names = {key: naming.theta_names(key, rows) for key, rows in answers.items()}
-    sums = _WeightSums(answers, names)
+    starts = {key: builder.block(names[key]) for key in answers}
+    answer_columns = _AnswerColumns(answers, starts)
 
-    nu = {w: naming.nu_name(w) for w in cp.weight_exprs()}
-    rows = [
-        (LinConstraint(LinSum.variable(nu[w]), "=", sums.natural_sum(w)), "weight")
-        for w in cp.weight_exprs()
-    ]
-    declared = [n for key in answers for n in names[key]] + list(nu.values())
-    lp, provenance = _assemble(
-        cp, lambda w: LinSum.variable(nu[w]), rows, declared
-    )
+    weights = cp.weight_exprs()
+    nu = {w: naming.nu_name(w) for w in weights}
+    nu_start = builder.block(list(nu.values()))
+    nu_col = {w: nu_start + j for j, w in enumerate(weights)}
+
+    provenance = _user_rows(cp, builder, lambda w: [nu_col[w]])
+    for w in weights:
+        builder.row(_ones([nu_col[w]]), "=", _ones(answer_columns(w)))
+        provenance.append("weight")
+    program = builder.build("maximize", _side(cp.objective, lambda w: [nu_col[w]]))
     return InterpretedLp(
         mode="replacement",
-        lp=lp,
+        program=program,
         provenance=provenance,
         theta={key: (answers[key], names[key]) for key in answers},
         nu=nu,
+        theta_columns={key: builder.columns(starts[key], len(answers[key])) for key in answers},
     )
 
 
@@ -262,10 +310,13 @@ def factorized(
     for w in cp.weight_exprs():
         targets_by_query.setdefault((w.query_name, w.query), []).append(w)
 
+    builder = LpBuilder()
     xi: dict[QueryKey, dict[int, tuple[AnswerSet, list[str]]]] = {}
+    starts: dict[QueryKey, dict[int, int]] = {}
     trees: dict[QueryKey, DecompTree] = {}
+    witnesses: dict[QueryKey, dict] = {}
     nu: dict[WeightExprClosed, str] = {}
-    extra_rows: list[tuple[LinConstraint, str]] = []
+    nu_col: dict[WeightExprClosed, int] = {}
 
     for key in cp.queries_w():
         name, query = key
@@ -279,53 +330,61 @@ def factorized(
         validate(tree, query)
         weights = targets_by_query.get(key, [])
         try:
-            witnesses = check_compatible(tree, [w.target_vars() for w in weights])
+            witnesses[key] = check_compatible(tree, [w.target_vars() for w in weights])
         except IncompatibleTargetError as exc:
             raise IncompatibleDecompositionError(
                 f"decomposition of {name!r} is incompatible: {exc}"
             ) from exc
 
         proj = bag_projections(query, tree, db)
-        node_entries: dict[int, tuple[AnswerSet, list[str]]] = {}
-        lookup: dict[int, dict[tuple[Value, ...], str]] = {}
+        xi[key] = {}
+        starts[key] = {}
         for node in sorted(tree.bags):
             names = naming.xi_names(key, node, proj[node])
-            node_entries[node] = (proj[node], names)
-            lookup[node] = dict(zip(proj[node].rows, names))
-        xi[key] = node_entries
+            xi[key][node] = (proj[node], names)
+            starts[key][node] = builder.block(names)
         trees[key] = tree
-
         for w in weights:
             nu[w] = naming.nu_name(w)
-            witness = witnesses[w.target_vars()]
-            values = tuple(v for _, v in w.targets)
-            var = lookup[witness].get(values)
-            rhs = LinSum.variable(var) if var is not None else LinSum(0.0)
-            extra_rows.append(
-                (LinConstraint(LinSum.variable(nu[w]), "=", rhs), "weight")
-            )
+            nu_col[w] = builder.block([nu[w]])
+
+    provenance = _user_rows(cp, builder, lambda w: [nu_col[w]])
+    for key, tree in trees.items():
+        nodes = xi[key]
+        row_of: dict[int, dict[tuple[Value, ...], int]] = {}
+        for w in targets_by_query.get(key, []):
+            witness = witnesses[key][w.target_vars()]
+            if witness not in row_of:
+                row_of[witness] = {row: i for i, row in enumerate(nodes[witness][0].rows)}
+            i = row_of[witness].get(tuple(v for _, v in w.targets))
+            rhs = [starts[key][witness] + i] if i is not None else []
+            builder.row(_ones([nu_col[w]]), "=", _ones(rhs))
+            provenance.append("weight")
 
         for parent, child in sorted(tree.edges):
             shared = tree.bags[parent] & tree.bags[child]
-            pg = proj[parent].group_by(shared)
-            cg = proj[child].group_by(shared)
-            p_names = node_entries[parent][1]
-            c_names = node_entries[child][1]
+            pg = nodes[parent][0].group_by(shared)
+            cg = nodes[child][0].group_by(shared)
+            p_start = starts[key][parent]
+            c_start = starts[key][child]
             for gamma in sorted(set(pg) | set(cg), key=lambda t: tuple(v.text for v in t)):
-                lhs = LinSum(0.0, {p_names[i]: 1.0 for i in pg.get(gamma, ())})
-                rhs = LinSum(0.0, {c_names[i]: 1.0 for i in cg.get(gamma, ())})
-                extra_rows.append((LinConstraint(lhs, "=", rhs), "soundness"))
+                builder.row(
+                    _ones([p_start + i for i in pg.get(gamma, ())]),
+                    "=",
+                    _ones([c_start + i for i in cg.get(gamma, ())]),
+                )
+                provenance.append("soundness")
 
-    declared = [n for nodes in xi.values() for _, ns in nodes.values() for n in ns]
-    declared += list(nu.values())
-    lp, provenance = _assemble(
-        cp, lambda w: LinSum.variable(nu[w]), extra_rows, declared
-    )
+    program = builder.build("maximize", _side(cp.objective, lambda w: [nu_col[w]]))
     return InterpretedLp(
         mode="factorized",
-        lp=lp,
+        program=program,
         provenance=provenance,
         nu=nu,
         xi=xi,
         trees=trees,
+        xi_columns={
+            key: {node: builder.columns(starts[key][node], len(nodes[node][0])) for node in nodes}
+            for key, nodes in xi.items()
+        },
     )

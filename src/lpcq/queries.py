@@ -389,10 +389,17 @@ class AnswerSet:
 
     def group_by(self, variables: Iterable[str]) -> dict[tuple[Value, ...], list[int]]:
         """Row indices grouped by their projection to *variables* (sorted order)."""
-        project = projector(self.variables, sorted(set(variables)))
+        wanted = sorted(set(variables))
+        if not wanted:
+            return {(): list(range(len(self.rows)))} if self.rows else {}
         groups: dict[tuple[Value, ...], list[int]] = {}
-        for i, row in enumerate(self.rows):
-            groups.setdefault(project(row), []).append(i)
+        get = groups.get
+        for i, key in enumerate(map(projector(self.variables, wanted), self.rows)):
+            members = get(key)
+            if members is None:
+                groups[key] = [i]
+            else:
+                members.append(i)
         return groups
 
     def __repr__(self) -> str:

@@ -150,23 +150,38 @@ class SoundnessViolation:
         return f"violation at edge {self.edge} on ({shared}): {self.lhs} != {self.rhs}"
 
 
+def _separator_marginals(collection: WeightingCollection) -> list:
+    """Per tree edge (parent, child), in sorted order: the edge, its
+    separator, and the parent's and the child's marginals on it."""
+    tree = collection.tree
+    out = []
+    for u, v in sorted(tree.edges):
+        shared = tree.bags[u] & tree.bags[v]
+        out.append((
+            (u, v),
+            shared,
+            project_weighting(collection[u], shared).values,
+            project_weighting(collection[v], shared).values,
+        ))
+    return out
+
+
+def _first_violation(marginals, tol: float) -> SoundnessViolation | None:
+    for edge, _, left, right in marginals:
+        for gamma in sorted(set(left) | set(right), key=lambda row: tuple(x.text for x in row)):
+            lhs = left.get(gamma, 0.0)
+            rhs = right.get(gamma, 0.0)
+            if abs(lhs - rhs) > tol:
+                return SoundnessViolation(edge, gamma, lhs, rhs)
+    return None
+
+
 def check_sound(
     collection: WeightingCollection, tol: float = SOUND_TOL
 ) -> SoundnessViolation | None:
     """First marginal disagreement along a tree edge, or None when the
     collection is sound."""
-    tree = collection.tree
-    for u, v in sorted(tree.edges):
-        shared = tree.bags[u] & tree.bags[v]
-        left = project_weighting(collection[u], shared)
-        right = project_weighting(collection[v], shared)
-        keys = set(left.values) | set(right.values)
-        for gamma in sorted(keys, key=lambda row: tuple(x.text for x in row)):
-            lhs = left.values.get(gamma, 0.0)
-            rhs = right.values.get(gamma, 0.0)
-            if abs(lhs - rhs) > tol:
-                return SoundnessViolation((u, v), gamma, lhs, rhs)
-    return None
+    return _first_violation(_separator_marginals(collection), tol)
 
 
 def _lift(
@@ -177,9 +192,11 @@ def _lift(
     Each edge contributes the child bag's mass divided by the child's
     marginal on the separator; a separator marginal at or below ``ZERO_TOL``
     makes the row's mass 0.  Each marginal is tested on its own, never
-    their product, which could underflow.
+    their product, which could underflow.  The soundness check and the lift
+    share one projection of each bag per edge.
     """
-    violation = check_sound(collection, tol)
+    marginals = _separator_marginals(collection)
+    violation = _first_violation(marginals, tol)
     if violation is not None:
         raise UnsoundCollectionError(
             violation.edge, violation.gamma, violation.lhs, violation.rhs, tol
@@ -188,13 +205,12 @@ def _lift(
     to_root = projector(variables, sorted(tree.bags[tree.root]))
     root_mass = collection[tree.root].values
     edges = []
-    for parent, child in sorted(tree.edges):
-        shared = sorted(tree.bags[parent] & tree.bags[child])
+    for (_, child), shared, _, sep_mass in marginals:
         edges.append((
             projector(variables, sorted(tree.bags[child])),
             collection[child].values,
-            projector(variables, shared),
-            project_weighting(collection[child], shared).values,
+            projector(variables, sorted(shared)),
+            sep_mass,
         ))
 
     def mass(row: tuple[Value, ...]) -> float:
@@ -252,23 +268,18 @@ def reconstruct_point(collection: WeightingCollection, alpha: Assignment) -> flo
 def solution_to_weights(solution, interpreted, query_key, db: Database) -> Weighting:
     """Per-answer weights from a solved factorized program.
 
-    Reads the bag-variable values for *query_key* and reconstructs over the
-    full answer set on the program's tree as given; solver drift beyond
-    ``LIFT_TOL`` in the bag marginals is an error.
+    Reads the bag-variable values for *query_key* by column and
+    reconstructs over the full answer set on the program's tree as given;
+    solver drift beyond ``LIFT_TOL`` in the bag marginals is an error.
     """
     if solution.status != "optimal":
         raise ValueError(f"solution status is {solution.status!r}, need optimal")
     tree = interpreted.trees[query_key]
-    entries = interpreted.xi[query_key]
-    per_node = {}
-    for node, (proj, names) in entries.items():
-        per_node[node] = Weighting(
-            proj,
-            {
-                row: max(0.0, solution.assignment.get(name, 0.0))
-                for row, name in zip(proj.rows, names)
-            },
-        )
+    columns = interpreted.xi_columns[query_key]
+    per_node = {
+        node: Weighting(proj, dict(zip(proj.rows, solution.values(names, columns[node]))))
+        for node, (proj, names) in interpreted.xi[query_key].items()
+    }
     collection = WeightingCollection(tree, per_node)
     answers = evaluate(query_key[1], db)
     return reconstruct(collection, answers, tol=LIFT_TOL)

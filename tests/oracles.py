@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive: brute-force enumeration over the
 domain for query answers, vertex enumeration for linear programs, a natural
-join of assignment sets, and a brute-force test of conjunctive
-decomposition.  Only that last test reads answer sets through the
-production ``AnswerSet.restrict`` and ``group_by``; the rest shares no code
-with the paths it checks.
+join of assignment sets, a brute-force test of conjunctive decomposition,
+and ``dict_assembly``, which builds an interpretation's LP row by row as
+string-keyed ``LinSum`` dicts.  The decomposition test and the dict
+assembly read answer sets through the production ``AnswerSet.restrict`` and
+``group_by``, and the dict assembly names variables with the production
+``VarNaming``, so it checks the compilation to columns and nothing before
+it; the rest shares no code with the paths it checks.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from typing import Iterable
 
 import numpy as np
 
-from lpcq.decomp import DecompTree
+from lpcq.decomp import DecompTree, bag_projections, check_compatible
 from lpcq.errors import TooLargeError, UnknownVariableError
+from lpcq.interpret import VarNaming
+from lpcq.language import ClosedProgram, ClosedSum
+from lpcq.linprog import LinConstraint, LinearProgram, LinSum
 from lpcq.queries import (
     And,
     AnswerSet,
@@ -26,6 +32,7 @@ from lpcq.queries import (
     Query,
     TrueQuery,
     Var,
+    evaluate,
     free_vars,
 )
 from lpcq.relations import Assignment, Database, Value
@@ -248,3 +255,108 @@ def _extensions(restricted: AnswerSet, bag: frozenset[str]) -> dict:
         key: [Assignment(restricted.variables, restricted.rows[i]) for i in members]
         for key, members in groups.items()
     }
+
+
+# --- dict assembly -------------------------------------------------------------
+
+
+class _WeightSums:
+    """Natural reading of weight expressions as sums of answer variables."""
+
+    def __init__(self, answers, names):
+        self.answers = answers
+        self.names = names
+        self._groups = {}
+
+    def natural_sum(self, w) -> LinSum:
+        key = (w.query_name, w.query)
+        target_vars = w.target_vars()
+        gkey = (key, target_vars)
+        if gkey not in self._groups:
+            self._groups[gkey] = self.answers[key].group_by(target_vars)
+        values = tuple(v for _, v in w.targets)
+        members = self._groups[gkey].get(values, ())
+        return LinSum(0.0, {self.names[key][i]: 1.0 for i in members})
+
+
+def _closed_sum_to_linsum(s: ClosedSum, term_of) -> LinSum:
+    acc: dict[str, float] = {}
+    for w, coeff in s.ordered_terms():
+        for var, c in term_of(w).terms.items():
+            acc[var] = acc.get(var, 0.0) + c * coeff
+    return LinSum(s.constant, acc)
+
+
+def _assemble(cp: ClosedProgram, term_of, extra_rows, declared) -> tuple[LinearProgram, list[str]]:
+    objective = _closed_sum_to_linsum(cp.objective, term_of)
+    constraints = []
+    provenance = []
+    for con in cp.constraints:
+        constraints.append(
+            LinConstraint(
+                _closed_sum_to_linsum(con.lhs, term_of),
+                con.rel,
+                _closed_sum_to_linsum(con.rhs, term_of),
+            )
+        )
+        provenance.append("user")
+    for row, tag in extra_rows:
+        constraints.append(row)
+        provenance.append(tag)
+    return LinearProgram("maximize", objective, constraints, declared=declared), provenance
+
+
+def dict_assembly(mode: str, cp: ClosedProgram, db: Database, decomps=None):
+    """(LinearProgram, provenance) of one interpretation, each row built as
+    ``LinSum`` dicts keyed by variable name: user rows, then weight rows,
+    then soundness rows, query by query."""
+    naming = VarNaming()
+    if mode == "factorized":
+        return _dict_factorized(cp, decomps, db, naming)
+    answers = {key: evaluate(key[1], db) for key in cp.queries_w()}
+    names = {key: naming.theta_names(key, rows) for key, rows in answers.items()}
+    sums = _WeightSums(answers, names)
+    declared = [n for key in answers for n in names[key]]
+    if mode == "natural":
+        return _assemble(cp, sums.natural_sum, [], declared)
+    nu = {w: naming.nu_name(w) for w in cp.weight_exprs()}
+    rows = [
+        (LinConstraint(LinSum.variable(nu[w]), "=", sums.natural_sum(w)), "weight")
+        for w in cp.weight_exprs()
+    ]
+    declared += list(nu.values())
+    return _assemble(cp, lambda w: LinSum.variable(nu[w]), rows, declared)
+
+
+def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: VarNaming):
+    targets_by_query = {}
+    for w in cp.weight_exprs():
+        targets_by_query.setdefault((w.query_name, w.query), []).append(w)
+    nu = {}
+    declared = []
+    extra_rows = []
+    for key in cp.queries_w():
+        tree = decomps[key]
+        weights = targets_by_query.get(key, [])
+        witnesses = check_compatible(tree, [w.target_vars() for w in weights])
+        proj = bag_projections(key[1], tree, db)
+        names = {}
+        for node in sorted(tree.bags):
+            names[node] = naming.xi_names(key, node, proj[node])
+            declared += names[node]
+        for w in weights:
+            nu[w] = naming.nu_name(w)
+            witness = witnesses[w.target_vars()]
+            var = dict(zip(proj[witness].rows, names[witness])).get(tuple(v for _, v in w.targets))
+            rhs = LinSum.variable(var) if var is not None else LinSum(0.0)
+            extra_rows.append((LinConstraint(LinSum.variable(nu[w]), "=", rhs), "weight"))
+        for parent, child in sorted(tree.edges):
+            shared = tree.bags[parent] & tree.bags[child]
+            pg = proj[parent].group_by(shared)
+            cg = proj[child].group_by(shared)
+            for gamma in sorted(set(pg) | set(cg), key=lambda t: tuple(v.text for v in t)):
+                lhs = LinSum(0.0, {names[parent][i]: 1.0 for i in pg.get(gamma, ())})
+                rhs = LinSum(0.0, {names[child][i]: 1.0 for i in cg.get(gamma, ())})
+                extra_rows.append((LinConstraint(lhs, "=", rhs), "soundness"))
+    declared += list(nu.values())
+    return _assemble(cp, lambda w: LinSum.variable(nu[w]), extra_rows, declared)

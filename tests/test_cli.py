@@ -166,6 +166,34 @@ class TestSolveCommand:
         assert payload["status"] == "optimal"
         assert payload["variables"]["theta"] == 4
 
+    @pytest.mark.parametrize("mode", ["natural", "replacement", "factorized"])
+    def test_json_reports_nonzeros_handed_to_highs(self, worked_dir, mode, monkeypatch):
+        import scipy.optimize
+
+        prog, db, decomp = worked_dir
+        handed = []
+        original = scipy.optimize.linprog
+
+        def counting(c, **kwargs):
+            handed.append(sum(kwargs[k].nnz for k in ("A_ub", "A_eq") if kwargs[k] is not None))
+            return original(c, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        argv = ["solve", str(prog), str(db), "--mode", mode]
+        if mode == "factorized":
+            argv += ["--decomp", str(decomp)]
+        code, out = run_main(argv + ["--json"])
+        assert code == 0
+        # natural: two user rows over two answers each.  Otherwise the user
+        # rows hold one stand-in each, and each of the three weight rows a
+        # stand-in plus its answers (4 + 2 + 2) or its one bag row; the two
+        # soundness rows tie the empty root's row to the two rows of a child.
+        assert json.loads(out)["nonzeros"] == handed[0] == {
+            "natural": 4, "replacement": 2 + 3 + 8, "factorized": 2 + 3 + 3 + 2 * 3,
+        }[mode]
+        code, text = run_main(argv)
+        assert code == 0 and "nonzeros" not in text
+
     def test_exit_codes(self, tmp_path, worked_dir):
         _, db, _ = worked_dir
         unbounded = tmp_path / "unbounded.lpcq"

@@ -1,0 +1,175 @@
+"""The columnar compilation hands HiGHS exactly what the dict assembly builds.
+
+Each interpretation compiles straight to integer columns.  These tests
+capture the arguments ``scipy.optimize.linprog`` receives and compare them,
+exactly, with those of the same program built row by row as ``LinSum``
+dicts (``oracles.dict_assembly``) and sent through the ``LinearProgram``
+conversion.
+"""
+
+import json
+import random
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, BENCH_SELECTIVITY, build_decompositions
+from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
+from lpcq.language import close, normal_form, parse
+from lpcq.linprog import SparseLp, solve
+from lpcq.lpformat import export_lp, parse_lp
+from lpcq.relations import load_database
+from lpcq.synth import GenSpec, generate_delivery
+
+from makers import make_db, rand_flagship_instance
+from oracles import dict_assembly
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+MATRICES = ("A_ub", "b_ub", "A_eq", "b_eq")
+MODES = ("natural", "replacement", "factorized")
+
+
+def interpret(mode, cp, db, decomps):
+    if mode == "factorized":
+        return factorized(cp, decomps, db)
+    return {"natural": natural, "replacement": replacement}[mode](cp, db)
+
+
+@contextmanager
+def highs_calls():
+    """Records the arguments of every ``scipy.optimize.linprog`` call."""
+    calls = []
+    original = scipy.optimize.linprog
+
+    def recording(c, **kwargs):
+        calls.append(dict(kwargs, c=c))
+        return original(c, **kwargs)
+
+    scipy.optimize.linprog = recording
+    try:
+        yield calls
+    finally:
+        scipy.optimize.linprog = original
+
+
+def highs_input(program):
+    """The solution of *program*, and what HiGHS was handed for it (None
+    when ``solve`` decided the program without HiGHS)."""
+    with highs_calls() as calls:
+        solution = solve(program)
+    assert len(calls) <= 1
+    return (calls[0] if calls else None), solution
+
+
+def assert_same_input(got, want) -> None:
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert np.array_equal(got["c"], want["c"])
+    for key in MATRICES:
+        a, b = got[key], want[key]
+        assert (a is None) == (b is None), key
+        if a is None:
+            continue
+        if key.startswith("A"):
+            a, b = a.tocsr(), b.tocsr()
+            a.sort_indices()
+            b.sort_indices()
+            assert a.shape == b.shape, key
+            assert np.array_equal(a.indptr, b.indptr), key
+            assert np.array_equal(a.indices, b.indices), key
+            assert np.array_equal(a.data, b.data), key
+        else:
+            assert np.array_equal(a, b), key
+
+
+def same_rows(got, want) -> None:
+    """Two LinearPrograms with the same rows, side by side, and objective."""
+    assert got.sense == want.sense
+    assert got.objective == want.objective
+    assert got.variables() == want.variables()
+    assert len(got.constraints) == len(want.constraints)
+    for a, b in zip(got.constraints, want.constraints):
+        assert (a.lhs, a.rel, a.rhs) == (b.lhs, b.rel, b.rhs), (a, b)
+
+
+def delivery_case(tmp_path):
+    db = generate_delivery(GenSpec(size=30, seed=1, selectivity=BENCH_SELECTIVITY))
+    decomp = tmp_path / "decomp.json"
+    decomp.write_text(json.dumps(BENCH_DECOMP))
+    return parse(BENCH_PROGRAM), db, str(decomp)
+
+
+def demo_case(name):
+    here = DEMOS / name
+    return parse((here / f"{name}.lpcq").read_text()), load_database(here / "data"), None
+
+
+# weight expressions that share answers, with coefficients whose float sum
+# depends on the order of the terms, and a column on both sides of a row
+FRACTIONS = """
+let Q(x, y) = R1(x) /\\ R2(y)
+maximize 0.1 * weight[(x, y): true](Q) + 0.2 * weight[(x, y): x == 0](Q)
+       + 0.3 * weight[(x, y): y == 0](Q)
+subject to weight[(x, y): true](Q) <= 1
+        /\\ 0.7 * weight[(x, y): x == 1](Q) + 0.1 * weight[(x, y): true](Q)
+            <= 0.2 * weight[(x, y): y == 1](Q) + 0.4
+"""
+
+
+def cases(tmp_path):
+    yield "delivery", delivery_case(tmp_path)
+    for name in ("privacy", "smeasure"):
+        yield name, demo_case(name)
+    yield "fractions", (parse(FRACTIONS), make_db(R1=[(0,), (1,)], R2=[(0,), (1,)]), None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_highs_input_matches_dict_assembly(mode, tmp_path):
+    for label, (program, db, decomp_path) in cases(tmp_path):
+        cp = close(normal_form(program), db)
+        cp_qf = quantifier_eliminate(cp)
+        decomps = build_decompositions(cp, cp_qf, decomp_path, decomp_path is None)
+        ilp = interpret(mode, cp_qf, db, decomps)
+        want_lp, want_provenance = dict_assembly(mode, cp_qf, db, decomps)
+
+        assert ilp.provenance == want_provenance, label
+        assert ilp.program.names == want_lp.variables(), label
+        got, got_sol = highs_input(ilp.program)
+        want, want_sol = highs_input(want_lp)
+        assert_same_input(got, want)
+        assert got_sol.nonzeros == want_sol.nonzeros > 0
+        assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value), label
+
+        # the lazy view: the rows as written, and an LP-format round trip
+        same_rows(ilp.lp, want_lp)
+        path = tmp_path / f"{label}_{mode}.lp"
+        export_lp(ilp.lp, path)
+        parsed, _ = highs_input(parse_lp(path))
+        assert_same_input(parsed, got)
+
+
+def random_program(seed: int):
+    db, _, cp = rand_flagship_instance(random.Random(seed))
+    cpq = quantifier_eliminate(cp)
+    return db, cpq, build_decompositions(cp, cpq, None, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_programs_compile_like_the_conversion(seed):
+    db, cp, decomps = random_program(seed)
+    for mode in MODES:
+        ilp = interpret(mode, cp, db, decomps)
+        want_lp, _ = dict_assembly(mode, cp, db, decomps)
+        assert ilp.program.names == want_lp.variables()
+        got, got_sol = highs_input(ilp.program)
+        want, want_sol = highs_input(SparseLp.from_program(want_lp))
+        assert_same_input(got, want)
+        assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value)
+        same_rows(ilp.lp, want_lp)

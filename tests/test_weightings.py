@@ -18,6 +18,7 @@ from lpcq.linprog import LpSolution, eval_sum, solve
 from lpcq.queries import AnswerSet, evaluate, parse_query
 from lpcq.relations import Assignment, Value
 from lpcq.synth import GenSpec, generate_delivery
+from lpcq import weightings
 from lpcq.weightings import (
     Weighting,
     WeightingCollection,
@@ -342,6 +343,23 @@ class TestReconstructAnyTree:
         assert lifted[alpha] == 0.0
         assert reconstruct_point(col, alpha) == 0.0
         assert lifted.total() == 2.0
+
+    def test_each_bag_projected_once_per_edge(self, bench_collection, monkeypatch):
+        # the soundness check and the lift share the separator marginals
+        col, answers = bench_collection
+        calls = []
+
+        def counting(w, variables):
+            calls.append(w)
+            return project_weighting(w, variables)
+
+        monkeypatch.setattr(weightings, "project_weighting", counting)
+        edges = len(col.tree.edges)
+        reconstruct(col, answers)
+        assert len(calls) == 2 * edges
+        del calls[:]
+        reconstruct_point(col, next(iter(answers.assignments())))
+        assert len(calls) == 2 * edges
 
 
 WORKED = """
