@@ -29,13 +29,10 @@ from .queries import (
     format_query,
     free_vars,
     parse_query,
-    prenex,
     qf,
-    substitute,
 )
 from .decomp import (
     DecompTree,
-    NodeKind,
     attach_target_bags,
     bag_projections,
     check_compatible,
@@ -53,7 +50,6 @@ from .linprog import (
     LinearProgram,
     LinSum,
     LpSolution,
-    eval_sum,
     solve,
 )
 from .lpformat import export_lp, parse_lp
@@ -70,7 +66,6 @@ from .language import (
 )
 from .interpret import (
     InterpretedLp,
-    VarNaming,
     factorized,
     natural,
     quantifier_eliminate,

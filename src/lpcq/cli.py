@@ -19,15 +19,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .decomp import (
-    DecompTree,
     attach_target_bags,
-    check_compatible,
-    ensure_empty_root,
     fractional_bag_width,
     heuristic_decompose,
     load_decompositions,
     match_tree_to_query,
-    normalize,
     tree_width,
     validate,
 )
@@ -157,50 +153,42 @@ def _report_from(ilp: InterpretedLp, solution, value, seconds) -> RunReport:
     return report
 
 
-def _prepare_tree(tree: DecompTree, targets) -> DecompTree:
-    tree = attach_target_bags(tree, [t for t in targets if t])
-    if any(not t for t in targets):
-        tree = ensure_empty_root(tree)
-    return tree
-
-
 def build_decompositions(
     cp: ClosedProgram,
     cp_qf: ClosedProgram,
     decomp_path: str | None,
     use_heuristic: bool,
 ):
-    """Decomposition per weight-bearing query of the eliminated program."""
-    qf_of = {}
-    for name, query in cp.queries_w():
-        qf_of[(name, query)] = (name, qf(query))
+    """Decomposition per weight-bearing query of the eliminated program,
+    fitted to the query's weight targets.
+
+    The tree is the first one of *decomp_path* that matches the query, or
+    else the min-fill tree when *use_heuristic* is set.
+    """
+    if decomp_path:
+        trees = load_decompositions(decomp_path)
+    elif not use_heuristic:
+        raise MissingDecompositionError(
+            "factorized mode needs --decomp FILE or --heuristic-decomp"
+        )
     targets_by_key: dict = {}
     for w in cp_qf.weight_exprs():
         targets_by_key.setdefault((w.query_name, w.query), []).append(w.target_vars())
 
     decomps = {}
-    if decomp_path:
-        trees = load_decompositions(decomp_path)
-        for orig_key, qf_key in qf_of.items():
-            matched = None
-            for tree in trees:
-                matched = match_tree_to_query(tree, orig_key[1])
-                if matched is not None:
-                    break
-            if matched is None:
+    for name, query in cp.queries_w():
+        key = (name, qf(query))
+        targets = targets_by_key.get(key, [])
+        if decomp_path:
+            matches = (match_tree_to_query(t, query) for t in trees)
+            tree = next((m for m in matches if m is not None), None)
+            if tree is None:
                 raise MissingDecompositionError(
-                    f"{decomp_path} has no decomposition for query {orig_key[0]!r}"
+                    f"{decomp_path} has no decomposition for query {name!r}"
                 )
-            decomps[qf_key] = _prepare_tree(matched, targets_by_key.get(qf_key, []))
-    elif use_heuristic:
-        for orig_key, qf_key in qf_of.items():
-            targets = targets_by_key.get(qf_key, [])
-            tree = heuristic_decompose(qf_key[1], targets)
-            decomps[qf_key] = normalize(tree)
-    else:
-        raise MissingDecompositionError(
-            "factorized mode needs --decomp FILE or --heuristic-decomp"
-        )
+        else:
+            tree = heuristic_decompose(key[1], targets)
+        decomps[key] = attach_target_bags(tree, targets)
     return decomps
 
 
@@ -522,13 +510,15 @@ def cmd_check_decomp(args) -> int:
                 continue
             targets = _weight_targets(program, name)
             try:
-                check_compatible(matched, targets)
-                print(f"tree {i}: compatible with query {name!r} ({len(targets)} targets)")
+                fitted = attach_target_bags(matched, targets)
             except IncompatibleTargetError as exc:
-                print(
-                    f"tree {i}: query {name!r}: {exc} "
-                    "(solve attaches the missing bags automatically)",
-                )
+                print(f"tree {i}: query {name!r}: INCOMPATIBLE: {exc}", file=sys.stderr)
+                status = 3
+                continue
+            print(
+                f"tree {i}: compatible with query {name!r} ({len(targets)} targets, "
+                f"solve attaches {len(fitted.bags) - len(matched.bags)} bags)"
+            )
     return status
 
 

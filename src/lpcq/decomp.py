@@ -7,13 +7,15 @@ variables, and each conjunct's variable set fits inside some bag.  Equality
 conjuncts between two distinct variables are covered like atoms, since the
 projection machinery can only enforce them inside a bag.
 
-``normalize`` rewrites any valid tree into one where every node is a leaf,
-an extend node, a project node, or a join node, with an empty root bag so
-target sets down to the empty set always have a witness.  ``bag_projections``
+``attach_target_bags`` fits a tree to the target sets of its query's
+weight expressions: every target, the empty one included, becomes a bag,
+which is what the factorized interpretation needs.  ``bag_projections``
 computes the restriction of the query's answer set to every bag with the
 classic two-phase semi-join reduction, never materializing the full answer
 set.  ``heuristic_decompose`` provides a min-fill fallback when no tree is
-supplied.
+supplied.  ``normalize`` rewrites any valid tree into the textbook normal
+form (leaf, extend, project and join nodes under an empty root); the
+factorized program does not need it.
 """
 
 from __future__ import annotations
@@ -156,9 +158,6 @@ class DecompTree:
 
     def is_normalized(self) -> bool:
         return all(self.classify(n) is not None for n in self.bags)
-
-    def max_bag(self) -> int:
-        return max((len(b) for b in self.bags.values()), default=0)
 
     def __repr__(self):
         return f"DecompTree({len(self.bags)} nodes, root={self.root})"
@@ -343,53 +342,47 @@ def check_compatible(
     return witnesses
 
 
-def ensure_empty_root(tree: DecompTree) -> DecompTree:
-    """Guarantee an empty bag by chaining project nodes above the root.
-
-    Cheaper than full normalization: the new bags are subsets of the old
-    root's bag and the rest of the tree is untouched.
-    """
-    if any(not bag for bag in tree.bags.values()):
-        return tree
-    bags = dict(tree.bags)
-    edges = list(tree.edges)
-    next_id = max(bags) + 1
-    cur = tree.root
-    cur_bag = set(tree.bags[tree.root])
-    for var in sorted(cur_bag):
-        cur_bag = cur_bag - {var}
-        bags[next_id] = frozenset(cur_bag)
-        edges.append((next_id, cur))
-        cur = next_id
-        next_id += 1
-    return DecompTree(cur, bags, edges, query=tree.query)
-
-
 def attach_target_bags(
     tree: DecompTree, weight_targets: Iterable[Iterable[str]]
 ) -> DecompTree:
-    """Give every target set a bag by hanging a leaf under a covering node.
+    """Fit *tree* to its weight targets: give every target set a bag.
 
-    A no-op for targets that already equal a bag.  The empty target is left
-    to normalize(), which guarantees an empty root.  Raises
-    IncompatibleTargetError when some target fits inside no bag at all.
+    A target that equals no bag gets a new leaf under the covering node
+    closest to the root (smallest id on ties).  When the empty target is
+    asked for and no bag is empty, a chain of project bags goes above the
+    root, dropping the root's variables in sorted order, down to an empty
+    root.  New nodes take ids from ``max(bags) + 1`` on, the leaves first in
+    sorted target order, then the chain; the variable names of the
+    factorized program depend on them.  A no-op when every target already
+    equals a bag.  Raises IncompatibleTargetError when some target fits
+    inside no bag.
     """
     bags = dict(tree.bags)
     edges = list(tree.edges)
     next_id = max(bags) + 1
     existing = set(bags.values())
-    for target in sorted({frozenset(t) for t in weight_targets}, key=sorted):
-        if target in existing or not target:
-            continue
+    targets = {frozenset(t) for t in weight_targets}
+    for target in sorted(targets - existing - {frozenset()}, key=sorted):
         hosts = [n for n, bag in tree.bags.items() if target <= bag]
         if not hosts:
-            raise IncompatibleTargetError(target)
+            raise IncompatibleTargetError(
+                target, f"target set {sorted(target)!r} fits inside no bag"
+            )
         host = min(hosts, key=lambda n: (tree.depth(n), n))
         bags[next_id] = target
         edges.append((host, next_id))
-        existing.add(target)
         next_id += 1
-    return DecompTree(tree.root, bags, edges, query=tree.query)
+
+    root = tree.root
+    if frozenset() in targets - existing:
+        cur_bag = tree.bags[root]
+        for var in sorted(cur_bag):
+            cur_bag = cur_bag - {var}
+            bags[next_id] = cur_bag
+            edges.append((next_id, root))
+            root = next_id
+            next_id += 1
+    return DecompTree(root, bags, edges, query=tree.query)
 
 
 # --- bag projections -----------------------------------------------------------
@@ -480,8 +473,9 @@ def heuristic_decompose(q: Query, targets: Iterable[Iterable[str]] = ()) -> Deco
     """Min-fill elimination tree for a quantifier-free query.
 
     Optional *targets* are treated as cliques so each target set ends up
-    inside some bag, then gets its own leaf bag; factorized interpretation
-    needs target sets to be bags.  No width optimality is guaranteed.
+    inside some bag; the tree is then fitted with ``attach_target_bags``, so
+    every target, the empty one included, is a bag.  No width optimality is
+    guaranteed.
     """
     fv = sorted(free_vars(q))
     adj: dict[str, set[str]] = {v: set() for v in fv}

@@ -72,7 +72,8 @@ class UncoverableVariableError(LpcqError):
 
 
 class IncompatibleTargetError(LpcqError):
-    """A weight-expression target set equals no bag of the tree."""
+    """A weight-expression target set equals no bag of the tree, or fits
+    inside none."""
 
     def __init__(self, target, msg=None):
         super().__init__(msg or f"no bag equals target set {sorted(target)!r}")

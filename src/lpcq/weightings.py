@@ -113,11 +113,17 @@ def project_weighting(w: Weighting, variables: Iterable[str]) -> Weighting:
 
 
 class WeightingCollection:
-    """One weighting per tree node, each over the bag's projection."""
+    """One weighting per tree node, each over the bag's projection.
+
+    A collection is frozen once ``reconstruct_point`` has lifted it: the
+    lift is kept per variable order and tolerance, so later points cost one
+    row each, and a weighting changed afterwards is not seen by them.
+    """
 
     def __init__(self, tree: DecompTree, per_node: Mapping[int, Weighting]):
         self.tree = tree
         self.per_node = dict(per_node)
+        self._lifts: dict[tuple[tuple[str, ...], float], Callable] = {}
         for node in tree.bags:
             if node not in self.per_node:
                 raise BadSubsetError(f"collection misses node {node}")
@@ -246,7 +252,11 @@ def reconstruct(
 
 def reconstruct_point(collection: WeightingCollection, alpha: Assignment) -> float:
     """Mass of one answer under the reconstruction, without materializing
-    the answer set."""
+    the answer set.
+
+    The first call on a collection checks its soundness and builds the lift;
+    later calls over the same variables reuse it.
+    """
     tree = collection.tree
     bound = dict(alpha.items())
 
@@ -262,7 +272,10 @@ def reconstruct_point(collection: WeightingCollection, alpha: Assignment) -> flo
                 f"restriction to bag of node {node} is not a projection row"
             )
     variables = tuple(sorted(bound))
-    return _lift(collection, variables, SOUND_TOL)(row_for(variables))
+    key = (variables, SOUND_TOL)
+    if key not in collection._lifts:
+        collection._lifts[key] = _lift(collection, variables, SOUND_TOL)
+    return collection._lifts[key](row_for(variables))
 
 
 def solution_to_weights(solution, interpreted, query_key, db: Database) -> Weighting:

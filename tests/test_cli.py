@@ -11,13 +11,24 @@ from pathlib import Path
 import pytest
 
 import lpcq
-from lpcq.cli import BENCH_DECOMP, BENCH_DECOMP_COARSE, bench_rows, main
+from lpcq.cli import (
+    BENCH_DECOMP,
+    BENCH_DECOMP_COARSE,
+    BENCH_PROGRAM,
+    bench_rows,
+    main,
+    run_pipeline,
+)
+from lpcq.decomp import bag_projections, heuristic_decompose
 from lpcq.errors import InfeasibleSpecError
+from lpcq.interpret import quantifier_eliminate
+from lpcq.language import close, normal_form, parse
 from lpcq.lpformat import parse_lp
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
-DELIVERY = Path(__file__).resolve().parents[1] / "demos" / "delivery"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DELIVERY = DEMOS / "delivery"
 
 WORKED = """
 let Q(x, y) = R1(x) /\\ R2(y)
@@ -55,6 +66,20 @@ EMPTY_ANSWERS_DECOMP = {
         {"id": 3, "bag": ["y"]},
     ],
     "edges": [[0, 1], [1, 2], [1, 3]],
+}
+
+# the target {x, z} of the constraint spans both bags of the two-bag tree
+UNFITTABLE = """
+let q(x, y, z) = R(x, y) /\\ S(y, z)
+maximize weight[(x, y, z): true](q)
+subject to weight[(x, y, z): x == "a" /\\ z == "e"](q) <= 1
+"""
+
+UNFITTABLE_DECOMP = {
+    "query": "R(x, y) /\\ S(y, z)",
+    "root": 0,
+    "nodes": [{"id": 0, "bag": ["x", "y"]}, {"id": 1, "bag": ["y", "z"]}],
+    "edges": [[0, 1]],
 }
 
 
@@ -462,12 +487,68 @@ class TestCheckDecompCommand:
         code, _ = run_main(["check-decomp", str(path)])
         assert code == 3
 
+    def test_reports_the_bags_solve_attaches(self, tmp_path):
+        prog = tmp_path / "bench.lpcq"
+        prog.write_text(BENCH_PROGRAM)
+        decomp = tmp_path / "d.json"
+        decomp.write_text(json.dumps(BENCH_DECOMP))
+        code, out = run_main(["check-decomp", str(decomp), "--program", str(prog)])
+        assert code == 0
+        # a leaf {w'} and a three-bag chain up to an empty root
+        assert "compatible with query 'dlr'" in out
+        assert "solve attaches 4 bags" in out
+
+    def test_unfittable_target_fails_like_solve(self, tmp_path, capsys):
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "R.csv").write_text("a,b\nc,d\n")
+        (db / "S.csv").write_text("b,e\n")
+        prog = tmp_path / "q.lpcq"
+        prog.write_text(UNFITTABLE)
+        decomp = tmp_path / "d.json"
+        decomp.write_text(json.dumps(UNFITTABLE_DECOMP))
+        message = "target set ['x', 'z'] fits inside no bag"
+
+        code, out = run_main(["check-decomp", str(decomp), "--program", str(prog)])
+        assert code == 3
+        assert "compatible" not in out
+        assert message in capsys.readouterr().err
+
+        code, _ = run_main(
+            ["solve", str(prog), str(db), "--mode", "factorized", "--decomp", str(decomp)]
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     def test_program_not_utf8_is_named(self, tmp_path, worked_dir, capsys):
         prog, _, decomp = worked_dir
         prog.write_bytes(b"\xff" + WORKED.encode())
         code, _ = run_main(["check-decomp", str(decomp), "--program", str(prog)])
         assert code == 3
         assert str(prog) in capsys.readouterr().err
+
+
+class TestHeuristicTreesAsBuilt:
+    @pytest.mark.parametrize("demo", ["privacy", "smeasure"])
+    def test_one_bag_variable_per_projection_row(self, demo):
+        # the heuristic tree is factorized as built, with no normal-form
+        # extend or project bags in between
+        program = parse((DEMOS / demo / f"{demo}.lpcq").read_text(encoding="utf-8"))
+        db = load_database(DEMOS / demo / "data")
+        *_, factorized = run_pipeline(program, db, "factorized", use_heuristic=True)
+        *_, natural = run_pipeline(program, db, "natural")
+
+        cp = quantifier_eliminate(close(normal_form(program), db))
+        targets: dict = {}
+        for w in cp.weight_exprs():
+            targets.setdefault(w.query, []).append(w.target_vars())
+        rows = 0
+        for query, sets in targets.items():
+            tree = heuristic_decompose(query, sets)
+            rows += sum(len(p) for p in bag_projections(query, tree, db).values())
+        assert factorized.xi_vars == rows
+        assert factorized.status == natural.status == "optimal"
+        assert math.isclose(factorized.value, natural.value, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_module_entry_point_runs_without_warnings():

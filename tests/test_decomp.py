@@ -1,11 +1,12 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
 from lpcq import queries
-from lpcq.cli import BENCH_DECOMP
+from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM
 from lpcq.decomp import (
     DecompTree,
     attach_target_bags,
@@ -28,6 +29,8 @@ from lpcq.errors import (
     UncoveredVariableError,
     DisconnectedVariableError,
 )
+from lpcq.interpret import quantifier_eliminate
+from lpcq.language import close, normal_form, parse
 from lpcq.queries import evaluate, free_vars, parse_query, qf
 from lpcq.relations import Database, Relation, Value
 from lpcq.synth import GenSpec, generate_delivery
@@ -230,6 +233,53 @@ class TestCompatibility:
         with pytest.raises(IncompatibleTargetError):
             attach_target_bags(t, [{"x", "z"}])
 
+    def test_attach_names_the_uncovered_target(self):
+        q = parse_query("R(x, y) /\\ S(y, z)")
+        t = DecompTree(0, {0: ["x", "y"], 1: ["y", "z"]}, [(0, 1)], query=q)
+        message = re.escape("target set ['x', 'z'] fits inside no bag")
+        with pytest.raises(IncompatibleTargetError, match=message):
+            attach_target_bags(t, [set(), {"x", "z"}])
+
+    def test_attach_fits_bench_tree_for_its_program(self):
+        # the benchmark program's targets are {}, {f', o'}, {b', o'} and
+        # {w'}: a leaf {w'} under node 2, then a project chain to an empty
+        # root, with the ids and order the factorized program's names use
+        db = generate_delivery(GenSpec(size=20, seed=1))
+        cp = quantifier_eliminate(close(normal_form(parse(BENCH_PROGRAM)), db))
+        targets = [w.target_vars() for w in cp.weight_exprs()]
+        assert set(targets) == {
+            frozenset(), frozenset({"f'", "o'"}), frozenset({"b'", "o'"}), frozenset({"w'"})
+        }
+        tree = DecompTree(
+            BENCH_DECOMP["root"],
+            {n["id"]: n["bag"] for n in BENCH_DECOMP["nodes"]},
+            BENCH_DECOMP["edges"],
+        )
+        fitted = attach_target_bags(tree, targets)
+        assert fitted.root == 14
+        assert {n: sorted(b) for n, b in fitted.bags.items() if n not in tree.bags} == {
+            11: ["w'"], 12: ["f'", "o'"], 13: ["o'"], 14: [],
+        }
+        assert {n: fitted.bags[n] for n in tree.bags} == tree.bags
+        assert sorted(fitted.edges) == sorted(
+            tree.edges + [(2, 11), (12, 1), (13, 12), (14, 13)]
+        )
+        # fitting is idempotent
+        again = attach_target_bags(fitted, targets)
+        assert (again.root, again.bags, sorted(again.edges)) == (
+            fitted.root, fitted.bags, sorted(fitted.edges)
+        )
+
+    def test_attach_keeps_an_existing_empty_bag(self, f1_tree):
+        t, _ = f1_tree
+        fitted = attach_target_bags(t, [set(), {"x"}, {"y"}])
+        assert (fitted.root, fitted.bags, fitted.edges) == (t.root, t.bags, t.edges)
+        # an empty bag below the root serves as well
+        q = parse_query("R1(x) /\\ R2(y)")
+        low = DecompTree(0, {0: ["x"], 1: [], 2: ["y"]}, [(0, 1), (1, 2)], query=q)
+        fitted = attach_target_bags(low, [()])
+        assert (fitted.root, fitted.bags, fitted.edges) == (low.root, low.bags, low.edges)
+
 
 class TestBagProjections:
     def test_f1_projections(self, f1, f1_tree):
@@ -348,6 +398,18 @@ class TestHeuristic:
             validate(t, q)
             n = normalize(t)
             check_compatible(n, targets)
+
+    def test_targets_are_bags_as_built(self, rng):
+        for _ in range(20):
+            db, q, _ = _random_decomposed(rng)
+            fv = sorted(free_vars(q))
+            targets = [set(rng.sample(fv, k=rng.randint(0, len(fv)))) for _ in range(3)]
+            targets.append(set())
+            t = heuristic_decompose(q, targets)
+            validate(t, q)
+            check_compatible(t, targets)
+            fitted = attach_target_bags(t, targets)
+            assert (fitted.root, fitted.bags, fitted.edges) == (t.root, t.bags, t.edges)
 
     def test_random_queries_valid(self, rng):
         for _ in range(30):

@@ -361,6 +361,25 @@ class TestReconstructAnyTree:
         reconstruct_point(col, next(iter(answers.assignments())))
         assert len(calls) == 2 * edges
 
+    def test_point_lift_is_built_once(self, bench_collection, monkeypatch):
+        col, answers = bench_collection
+        calls = []
+
+        def counting(w, variables):
+            calls.append(w)
+            return project_weighting(w, variables)
+
+        monkeypatch.setattr(weightings, "project_weighting", counting)
+        alphas = random.Random(9).sample(list(answers.assignments()), 10)
+        points = [reconstruct_point(col, alphas[0])]
+        assert len(col.tree.edges) == 13
+        assert len(calls) == 26
+        del calls[:]
+        points += [reconstruct_point(col, alpha) for alpha in alphas[1:]]
+        assert calls == []
+        full = reconstruct(col, answers)
+        assert points == [full[alpha] for alpha in alphas]
+
 
 WORKED = """
 let Q(x, y) = R1(x) /\\ R2(y)
