@@ -1,9 +1,10 @@
 """Command-line driver: solve, gen, bench, width, check-decomp.
 
 Exit codes: 0 solved (or command succeeded), 1 infeasible, 2 unbounded,
-3 input error, usage errors included.  ``LPCQ_TOL`` overrides the 1e-6
-tolerance used when the benchmark asserts that both interpretations agree;
-it must be a positive finite number.
+3 input error, usage errors included, 4 the solver's optimum failed its
+primal certificate (``linprog.certify``), so no optimum is printed.
+``LPCQ_TOL`` overrides the 1e-6 tolerance used when the benchmark asserts
+that both interpretations agree; it must be a positive finite number.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from .decomp import (
     tree_width,
     validate,
 )
-from .errors import IncompatibleTargetError, LpcqError, MissingDecompositionError, ParseError
+from .errors import (
+    CertificateError,
+    IncompatibleTargetError,
+    LpcqError,
+    MissingDecompositionError,
+    ParseError,
+)
 from .interpret import InterpretedLp, factorized, natural, quantifier_eliminate, replacement
 from .language import ClosedProgram, LpcqProgram, SWeight, close, normal_form, parse
 from .lpformat import export_lp
@@ -72,6 +79,7 @@ class RunReport:
     nonzeros: int = 0
     seconds: dict = field(default_factory=dict)
     projection_sizes: dict = field(default_factory=dict)
+    solver: dict | None = None  # linprog.SolverReport.as_dict(); --json only
 
     @property
     def total_vars(self) -> int:
@@ -128,6 +136,7 @@ class RunReport:
             "projections": {
                 name: dict(sizes) for name, sizes in self.projection_sizes.items()
             },
+            "solver": self.solver,
         }
 
 
@@ -145,6 +154,7 @@ def _report_from(ilp: InterpretedLp, solution, value, seconds) -> RunReport:
         soundness_constraints=counts["soundness"],
         nonzeros=solution.nonzeros,
         seconds=seconds,
+        solver=solution.solver.as_dict() if solution.solver else None,
     )
     for (name, _), nodes in ilp.xi.items():
         report.projection_sizes[name] = {
@@ -272,6 +282,9 @@ def cmd_solve(args) -> int:
             decomp_path=args.decomp,
             use_heuristic=args.heuristic_decomp,
         )
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (LpcqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -439,6 +452,9 @@ def cmd_bench(args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except LpcqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -91,6 +91,15 @@ class NumericalFailureError(LpcqError):
     verdict, e.g. on an iteration limit or numerical trouble."""
 
 
+class CertificateError(LpcqError):
+    """The optimum the LP solver returned violates a row or a bound beyond
+    tolerance, so it is not reported.  ``certificate`` holds the figures."""
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
+
+
 class IoError(LpcqError):
     """An LP-format file could not be written or parsed."""
 

@@ -26,12 +26,16 @@ bag rows.  No row is built as a name-keyed dict.
 
 Names are still generated, once per block, because they fix the column
 order: ``LpBuilder.build`` sorts them once and puts every column at its
-name's place.  HiGHS is sensitive to that order.  Handed the same LPs
-with columns in block order (one run each on a 2-core VM), it took 4,290
-simplex iterations instead of 3,675 on the factorized delivery benchmark
-(m=300, seed 1), and 1,250 instead of 1,210 on the natural one, and
-returned optimal vertices that differ by up to 203 and 49 in a
-coordinate, which would change the lifted weights.  So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
+name's place.  The optimal vertex HiGHS returns depends on that order.
+Handed the same LPs with columns in block order (one run each on a 2-core
+VM), dual simplex took 4,290 iterations instead of 3,675 on the
+factorized delivery benchmark (m=300, seed 1), and 1,250 instead of 1,210
+on the natural one, and returned optimal vertices that differ by up to
+203 and 49 in a coordinate.  The interior point solver with crossover,
+which the factorized LPs go to, took the same 12 to 16 iterations in
+either order, but its vertex moved too: by up to 38 in a coordinate at
+m=100 and 17 at m=500 (seed 1; not at all at m=300).  Either would change
+the lifted weights.  So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
 ``InterpretedLp.lp``, the program as a name-keyed ``LinearProgram``, is
 built only when asked for (``--emit-lp``, ``--explain``, tests).
 """

@@ -8,12 +8,16 @@ name; the interpretations compile to it directly through ``LpBuilder``.
 Every program is solved by HiGHS through ``scipy.optimize.linprog`` from
 a ``SparseLp``: a ``LinearProgram`` is converted first (``normalized``
 moves each row's terms left), so there is one path to the solver.  The
-tests cross-check it against a vertex enumeration oracle.
+method follows the LP's shape (``choose_method``), and every optimum is
+checked against the rows and bounds sent (``certify``) before it is
+returned.  The tests cross-check the solver against a vertex enumeration
+oracle.
 
 Conventions: every variable is implicitly >= 0; ``maximize`` is handed to
 the solver as ``minimize -objective`` with the reported value negated back.
 
 Tolerance: 1e-7 for constant rows and for ``LinConstraint.satisfied_by``,
+and 1e-7 times max(1, the largest right-hand side) for the certificate,
 fixed here so results are reproducible.
 """
 
@@ -21,12 +25,12 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping as MappingABC
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericalFailureError, UnboundVariableError
+from .errors import CertificateError, NumericalFailureError, UnboundVariableError
 
 FEAS_TOL = 1e-7
 
@@ -206,9 +210,10 @@ class SparseLp:
     """A linear program over integer columns, in flat arrays: the form that
     ``solve`` hands to HiGHS.
 
-    Column j is the variable ``names[j]``, and the names are sorted: HiGHS's
-    simplex path, and with it the optimal vertex it returns, depends on the
-    column order, so the order is fixed by name however a program was built.
+    Column j is the variable ``names[j]``, and the names are sorted: the
+    optimal vertex HiGHS returns depends on the column order, with dual
+    simplex and with the interior point solver's crossover alike, so the
+    order is fixed by name however a program was built.
     Row r owns the entries ``indptr[r]:indptr[r + 1]`` of ``cols`` and
     ``vals``: the terms of its left side up to ``split[r]``, then those of
     its right side negated, so a row's entries add up to lhs - rhs.
@@ -381,14 +386,126 @@ class ArrayAssignment(MappingABC):
         return len(self._names)
 
 
-class LpSolution:
-    __slots__ = ("status", "value", "assignment", "nonzeros")
+@dataclass(frozen=True, slots=True)
+class HighsCall:
+    """One call to HiGHS: the method, and how it ended (scipy's status code
+    and message, its iteration count, and crossover's for ``highs-ipm``)."""
 
-    def __init__(self, status: str, value=None, assignment=None, nonzeros: int = 0):
+    method: str
+    status: int
+    message: str
+    nit: int
+    crossover_nit: int | None
+
+    @classmethod
+    def of(cls, method: str, res) -> "HighsCall":
+        crossover = res.get("crossover_nit") if method == "highs-ipm" else None
+        return cls(
+            method,
+            int(res.status),
+            str(res.message),
+            int(res.get("nit") or 0),
+            None if crossover is None else int(crossover),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Certificate:
+    """How far an optimal point is from feasible, in the rows ``solve``
+    handed to HiGHS and in the bounds x >= 0.
+
+    ``ub_violation`` is max((A_ub x - b_ub)+), ``eq_violation`` is
+    max|A_eq x - b_eq|, ``most_negative`` is the smallest coordinate below
+    0 (else 0), and ``clipped_mass`` is the total that reading values
+    through ``ArrayAssignment`` or ``LpSolution.values`` clips away from
+    negative coordinates.  The point passes when ``violation``, the largest
+    of the row violations and ``-most_negative``, is within ``tolerance``:
+    ``FEAS_TOL * max(1, |b|_inf)`` over the right-hand sides sent.
+    """
+
+    ub_violation: float
+    eq_violation: float
+    most_negative: float
+    clipped_mass: float
+    tolerance: float
+
+    @property
+    def violation(self) -> float:
+        return max(self.ub_violation, self.eq_violation, -self.most_negative)
+
+    @property
+    def ok(self) -> bool:
+        return self.violation <= self.tolerance
+
+    def as_dict(self) -> dict:
+        return {"violation": self.violation, **asdict(self)}
+
+
+def certify(x: np.ndarray, A_ub, b_ub, A_eq, b_eq) -> Certificate:
+    """The primal certificate of *x* for ``A_ub x <= b_ub, A_eq x = b_eq,
+    x >= 0``; a matrix and its bound may be None for no rows."""
+    ub_violation = eq_violation = 0.0
+    scale = 1.0
+    if A_ub is not None:
+        ub_violation = max(0.0, float((A_ub @ x - b_ub).max()))
+        scale = max(scale, float(np.abs(b_ub).max()))
+    if A_eq is not None:
+        eq_violation = float(np.abs(A_eq @ x - b_eq).max())
+        scale = max(scale, float(np.abs(b_eq).max()))
+    negative = x[x < 0]
+    return Certificate(
+        ub_violation=ub_violation,
+        eq_violation=eq_violation,
+        most_negative=float(negative.min()) if negative.size else 0.0,
+        clipped_mass=abs(float(negative.sum())),
+        tolerance=FEAS_TOL * scale,
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class SolverReport:
+    """How ``solve`` reached its verdict: why the rule chose the method of
+    ``call``, that call, the ``highs`` re-solve when it ended without a
+    verdict, and the certificate of an optimum.  ``call`` is None when
+    ``solve`` decided without HiGHS."""
+
+    reason: str
+    call: HighsCall | None = None
+    fallback: HighsCall | None = None
+    certificate: Certificate | None = None
+
+    @property
+    def method(self) -> str | None:
+        return self.call.method if self.call else None
+
+    def as_dict(self) -> dict:
+        """The report as ``lpcq solve --json`` prints it, with the call's
+        fields at the top level."""
+        call = asdict(self.call) if self.call else dict.fromkeys(f.name for f in fields(HighsCall))
+        return {
+            **call,
+            "reason": self.reason,
+            "fallback": asdict(self.fallback) if self.fallback else None,
+            "certificate": self.certificate.as_dict() if self.certificate else None,
+        }
+
+
+class LpSolution:
+    __slots__ = ("status", "value", "assignment", "nonzeros", "solver")
+
+    def __init__(
+        self,
+        status: str,
+        value=None,
+        assignment=None,
+        nonzeros: int = 0,
+        solver: SolverReport | None = None,
+    ):
         self.status = status  # optimal | infeasible | unbounded
         self.value = value
         self.assignment = assignment if assignment is not None else {}
         self.nonzeros = nonzeros  # of the matrix rows, as handed to HiGHS
+        self.solver = solver
 
     def values(self, names: Sequence[str], cols) -> list[float]:
         """Values of the variables *names*, at column positions *cols* of
@@ -403,12 +520,38 @@ class LpSolution:
         return f"LpSolution({self.status})"
 
 
+# scipy's linprog status codes that are a verdict: optimal, infeasible, unbounded
+_VERDICTS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def choose_method(equality_rows: int) -> tuple[str, str]:
+    """The HiGHS method for an LP with *equality_rows* equality rows sent to
+    the solver, and why.
+
+    An LP with equality rows goes to the interior point solver with
+    crossover (``highs-ipm``); any other LP to ``highs``, which runs dual
+    simplex on these LPs.  On the factorized LPs, which are mostly
+    per-edge marginal equalities, dual simplex takes thousands of
+    iterations where the interior point solver takes about ten; crossover
+    still returns a basic optimal solution.  The natural LPs have only
+    inequality rows and keep the simplex call.
+    """
+    if equality_rows:
+        return "highs-ipm", f"{equality_rows} equality rows sent"
+    return "highs", "no equality rows sent"
+
+
 def solve(lp: LinearProgram | SparseLp) -> LpSolution:
     """Solve a finite LP with HiGHS through ``scipy.optimize.linprog``.
 
     A ``LinearProgram`` is converted to its ``SparseLp`` first, so every
     program reaches HiGHS the same way.  A row left without terms is
-    checked against its bound and not sent.
+    checked against its bound and not sent.  The method is chosen by
+    ``choose_method``.  When ``highs-ipm`` ends without a verdict (say,
+    status 4 on a small infeasible LP), the same matrices are solved again
+    with ``highs`` before ``NumericalFailureError`` is raised.  An optimum is
+    checked against the rows and bounds sent (``certify``); one beyond
+    tolerance raises ``CertificateError``.
     """
     if isinstance(lp, LinearProgram):
         lp = SparseLp.from_program(lp)
@@ -424,9 +567,17 @@ def solve(lp: LinearProgram | SparseLp) -> LpSolution:
     empty = A.indptr[1:] == A.indptr[:-1]
     ok = np.where(lp.eq, np.abs(bound) <= FEAS_TOL, bound >= -FEAS_TOL)
     if not ok[empty].all():
-        return LpSolution("infeasible", nonzeros=A.nnz)
+        return LpSolution(
+            "infeasible", nonzeros=A.nnz,
+            solver=SolverReport("a row without terms violates its bound"),
+        )
     if not n:
-        return LpSolution("optimal", value=lp.obj_const, assignment=ArrayAssignment([], np.zeros(0)))
+        return LpSolution(
+            "optimal", value=lp.obj_const, assignment=ArrayAssignment([], np.zeros(0)),
+            solver=SolverReport(
+                "no variables", certificate=certify(np.zeros(0), None, None, None, None)
+            ),
+        )
 
     # looked up per call, so a wrapper installed on scipy.optimize.linprog
     # after this module was imported still sees every solve
@@ -439,25 +590,40 @@ def solve(lp: LinearProgram | SparseLp) -> LpSolution:
     ub = np.flatnonzero(~empty & ~lp.eq)
     eq = np.flatnonzero(~empty & lp.eq)
     A_ub = A[ub] if ub.size else None
+    b_ub = bound[ub] if ub.size else None
     A_eq = A[eq] if eq.size else None
+    b_eq = bound[eq] if eq.size else None
     nonzeros = A.nnz
     del A  # the row selections are copies; HiGHS sets the peak memory
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=bound[ub] if ub.size else None,
-        A_eq=A_eq,
-        b_eq=bound[eq] if eq.size else None,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status == 2:
-        return LpSolution("infeasible", nonzeros=nonzeros)
-    if res.status == 3:
-        return LpSolution("unbounded", nonzeros=nonzeros)
-    if res.status != 0:
-        raise NumericalFailureError(f"HiGHS failed: {res.message}")
+
+    def call(method: str):
+        res = linprog(
+            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method
+        )
+        return res, HighsCall.of(method, res)
+
+    method, reason = choose_method(eq.size)
+    res, first = call(method)
+    fallback = None
+    if first.status not in _VERDICTS and method != "highs":
+        res, fallback = call("highs")
+    final = fallback or first
+    if final.status not in _VERDICTS:
+        raise NumericalFailureError(f"HiGHS failed: {final.message}")
+    status = _VERDICTS[final.status]
+    if status != "optimal":
+        return LpSolution(status, nonzeros=nonzeros, solver=SolverReport(reason, first, fallback))
+
+    x = res.x
+    certificate = certify(x, A_ub, b_ub, A_eq, b_eq)
+    if not certificate.ok:
+        raise CertificateError(
+            f"the optimum HiGHS returned violates a row or bound by "
+            f"{certificate.violation:.3g} (tolerance {certificate.tolerance:.3g})",
+            certificate,
+        )
     value = sign * float(res.fun) + lp.obj_const
     return LpSolution(
-        "optimal", value=value, assignment=ArrayAssignment(lp.names, res.x), nonzeros=nonzeros
+        "optimal", value=value, assignment=ArrayAssignment(lp.names, x),
+        nonzeros=nonzeros, solver=SolverReport(reason, first, fallback, certificate),
     )

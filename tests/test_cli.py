@@ -15,17 +15,22 @@ from lpcq.cli import (
     BENCH_DECOMP,
     BENCH_DECOMP_COARSE,
     BENCH_PROGRAM,
+    BENCH_SELECTIVITY,
     bench_rows,
     main,
     run_pipeline,
 )
 from lpcq.decomp import bag_projections, heuristic_decompose
 from lpcq.errors import InfeasibleSpecError
-from lpcq.interpret import quantifier_eliminate
+from lpcq.interpret import VarNaming, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
+from lpcq.linprog import FEAS_TOL, eval_sum
 from lpcq.lpformat import parse_lp
+from lpcq.queries import evaluate
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
+
+from oracles import dict_assembly
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DELIVERY = DEMOS / "delivery"
@@ -362,6 +367,125 @@ class TestSolveCommand:
             assert code == 0 and "value: 8\n" in out, mode
             if mode != "factorized":
                 assert "variables: theta=3 " in out, mode
+
+
+class TestCertificate:
+    def test_broken_optimum_exits_4_without_a_value(self, worked_dir, monkeypatch, capsys):
+        import scipy.optimize
+
+        prog, db, _ = worked_dir
+        real = scipy.optimize.linprog
+
+        def moved(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = res.x.copy()
+            res.x[0] += 0.5  # breaks the row weight[x == 0] <= 1, which is tight
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", moved)
+        for extra in ([], ["--json"]):
+            code, out = run_main(["solve", str(prog), str(db), *extra])
+            assert code == 4 and out == ""
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "violates a row or bound" in err
+
+    @pytest.mark.parametrize(
+        "argv, method",
+        [([], "highs"), (["--mode", "factorized", "--decomp", str(DELIVERY / "decomp.json")],
+                         "highs-ipm")],
+    )
+    def test_json_carries_the_solver_block(self, argv, method):
+        code, out = run_main(
+            ["solve", str(DELIVERY / "delivery.lpcq"), str(DELIVERY / "data"), "--json", *argv]
+        )
+        assert code == 0
+        solver = json.loads(out)["solver"]
+        assert solver["method"] == method and solver["status"] == 0
+        assert solver["reason"].endswith("equality rows sent")
+        assert solver["fallback"] is None
+        assert solver["nit"] >= 0
+        assert (solver["crossover_nit"] is None) == (method == "highs")
+        cert = solver["certificate"]
+        assert 0.0 <= cert["violation"] <= cert["tolerance"]
+        assert cert["tolerance"] >= FEAS_TOL
+        assert cert["clipped_mass"] == 0.0 and cert["most_negative"] == 0.0
+        # the text report is unchanged
+        code, text = run_main(
+            ["solve", str(DELIVERY / "delivery.lpcq"), str(DELIVERY / "data"), *argv]
+        )
+        assert code == 0 and "solver" not in text and "certificate" not in text
+
+    def test_clipped_mass_reaches_the_json_report(self, worked_dir, monkeypatch):
+        import scipy.optimize
+
+        prog, db, _ = worked_dir
+        real = scipy.optimize.linprog
+
+        def nudged(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = res.x.copy()
+            res.x[res.x.argmin()] = -3e-8
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", nudged)
+        weights = prog.parent / "w.csv"
+        code, out = run_main(["solve", str(prog), str(db), "--json", "--weights", str(weights)])
+        assert code == 0
+        cert = json.loads(out)["solver"]["certificate"]
+        assert cert["clipped_mass"] == 3e-8 and cert["most_negative"] == -3e-8
+        assert cert["violation"] <= cert["tolerance"]
+        # the weights file reads the clipped value
+        masses = [float(line.rsplit(",", 1)[1]) for line in weights.read_text().splitlines()[1:]]
+        assert min(masses) == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
+    # the factorized vertex comes from the interior point solver with
+    # crossover; its lift must still be an optimal plan of the natural LP
+    db_dir = tmp_path / "db"
+    code, _ = run_main(
+        ["gen", "--out", str(db_dir), "--size", "100", "--seed", str(seed),
+         "--selectivity", str(BENCH_SELECTIVITY)]
+    )
+    assert code == 0
+    prog = tmp_path / "bench.lpcq"
+    prog.write_text(BENCH_PROGRAM)
+    decomp = tmp_path / "decomp.json"
+    decomp.write_text(json.dumps(BENCH_DECOMP))
+    weights = tmp_path / "w.csv"
+    code, out = run_main(["solve", str(prog), str(db_dir), "--json"])
+    assert code == 0
+    nat = json.loads(out)
+    code, out = run_main(
+        ["solve", str(prog), str(db_dir), "--json", "--mode", "factorized",
+         "--decomp", str(decomp), "--weights", str(weights)]
+    )
+    assert code == 0
+    fac = json.loads(out)
+    assert nat["solver"]["method"] == "highs" and fac["solver"]["method"] == "highs-ipm"
+    assert nat["status"] == fac["status"] == "optimal"
+    assert math.isclose(nat["value"], fac["value"], rel_tol=1e-6, abs_tol=1e-6)
+
+    db = load_database(db_dir)
+    cp = quantifier_eliminate(close(normal_form(parse(BENCH_PROGRAM)), db))
+    lp, provenance = dict_assembly("natural", cp, db)
+    (key,) = cp.queries_w()
+    answers = evaluate(key[1], db)
+    name_of = {
+        tuple(v.text for v in row): name
+        for row, name in zip(answers.rows, VarNaming().theta_names(key, answers))
+    }
+    point = {}
+    for line in weights.read_text(encoding="utf-8").splitlines()[1:]:
+        cells = next(csv.reader([line]))
+        row = tuple(cell.split("=", 1)[1] for cell in cells[:-1])
+        point[name_of[row]] = float(cells[-1])
+    assert len(point) == len(name_of) == len(answers)
+    assert min(point.values()) >= 0.0
+    user = [con for con, tag in zip(lp.constraints, provenance) if tag == "user"]
+    assert user and all(con.satisfied_by(point, tol=1e-6) for con in user)
+    assert math.isclose(eval_sum(lp.objective, point), nat["value"], rel_tol=1e-6)
 
 
 class TestGenCommand:

@@ -19,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, BENCH_SELECTIVITY, build_decompositions
+from lpcq.decomp import load_decompositions, tree_width
 from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
 from lpcq.language import close, normal_form, parse
 from lpcq.linprog import SparseLp, solve
 from lpcq.lpformat import export_lp, parse_lp
+from lpcq.queries import qf
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
@@ -152,6 +154,34 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path):
         export_lp(ilp.lp, path)
         parsed, _ = highs_input(parse_lp(path))
         assert_same_input(parsed, got)
+
+
+def test_method_rule_on_the_throughput_lps(tmp_path):
+    # the natural LP has no equality rows and gets exactly the keywords it
+    # always got; the factorized LP's marginal rows send it to interior point
+    program, db, decomp_path = delivery_case(tmp_path)
+    cp = close(normal_form(program), db)
+    cp_qf = quantifier_eliminate(cp)
+    decomps = build_decompositions(cp, cp_qf, decomp_path, False)
+    nat, nat_sol = highs_input(natural(cp_qf, db).program)
+    assert set(nat) == {"c", *MATRICES, "bounds", "method"}
+    assert nat["A_eq"] is None and nat["b_eq"] is None
+    assert nat["bounds"] == (0, None) and nat["method"] == "highs"
+    fac, fac_sol = highs_input(factorized(cp_qf, decomps, db).program)
+    assert fac["A_eq"].shape[0] > 0 and fac["method"] == "highs-ipm"
+    assert fac_sol.solver.fallback is None
+    assert abs(fac_sol.value - nat_sol.value) <= 1e-6 * max(1.0, abs(nat_sol.value))
+
+
+def test_fractional_widths_stay_on_simplex(tmp_path):
+    # a cover LP has only <= rows
+    _, _, decomp_path = delivery_case(tmp_path)
+    (tree,) = load_decompositions(decomp_path)
+    with highs_calls() as calls:
+        assert tree_width(tree, qf(tree.query)) == 2.0
+    assert len(calls) == len(tree.bags) and all(
+        call["A_eq"] is None and call["method"] == "highs" for call in calls
+    )
 
 
 def random_program(seed: int):

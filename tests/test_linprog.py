@@ -1,13 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from lpcq.errors import IoError, UnboundVariableError
+from lpcq.errors import CertificateError, IoError, NumericalFailureError, UnboundVariableError
 from lpcq.linprog import (
+    FEAS_TOL,
     LinConstraint,
     LinearProgram,
     LinSum,
+    certify,
     eval_sum,
     solve,
 )
@@ -130,6 +134,148 @@ class TestSolveSmall:
         assert len(calls) == 1
         assert calls[0]["A_ub"].shape == (1, 2)
         assert calls[0]["method"] == "highs"
+        assert sol.solver.method == "highs" and sol.solver.fallback is None
+
+    def test_equality_rows_go_to_interior_point(self, monkeypatch):
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        lp = LinearProgram(
+            "maximize",
+            S(x=1.0, y=2.0),
+            [
+                LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0)),
+                LinConstraint(S(x=1.0), "=", S(1.0)),
+            ],
+        )
+        sol = solve(lp)
+        assert sol.status == "optimal" and abs(sol.value - 7.0) < 1e-9
+        assert [call["method"] for call in calls] == ["highs-ipm"]
+        assert sol.solver.method == "highs-ipm"
+        assert sol.solver.call.status == 0 and sol.solver.call.crossover_nit is not None
+        assert sol.solver.certificate.ok
+
+    def test_row_without_terms_never_reaches_highs(self):
+        # the equality row 0 = 1 decides the LP before any method is chosen
+        lp = LinearProgram("maximize", S(x=1.0), [LinConstraint(S(), "=", S(1.0))])
+        sol = solve(lp)
+        assert sol.status == "infeasible"
+        assert sol.solver.method is None and sol.solver.call is None
+
+
+# -a + b + 2c + 2d = 7 and -a + b + 3c + 2d = 3 force c = -4; HiGHS's
+# interior point solver stops on this LP with status 4 (solve error)
+IPM_SOLVE_ERROR = LinearProgram(
+    "minimize",
+    S(a=1.0, c=1.0, d=-2.0),
+    [
+        LinConstraint(S(a=-3.0, b=2.0, c=-1.0, d=3.0), "<=", S(-2.0)),
+        LinConstraint(S(a=3.0, b=-3.0, c=-1.0, d=1.0), "<=", S(1.0)),
+        LinConstraint(S(a=-1.0, b=1.0, c=2.0, d=2.0), "=", S(7.0)),
+        LinConstraint(S(a=-1.0, b=1.0, c=3.0, d=2.0), "=", S(3.0)),
+    ],
+    declared={"b"},
+)
+
+
+class TestFallback:
+    def test_interior_point_solve_error_falls_back_to_simplex(self):
+        sol = solve(IPM_SOLVE_ERROR)
+        assert sol.status == "infeasible"
+        assert sol.solver.method == "highs-ipm"
+        assert sol.solver.fallback is not None
+        assert sol.solver.fallback.method == "highs"
+        assert sol.solver.fallback.status == 2
+
+    @pytest.mark.parametrize("resolve_fails", [False, True])
+    def test_re_solve_uses_simplex_and_only_its_failure_raises(
+        self, monkeypatch, resolve_fails
+    ):
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+        methods = []
+
+        def failing_ipm(*args, **kwargs):
+            methods.append(kwargs["method"])
+            res = real(*args, **kwargs)
+            if kwargs["method"] == "highs-ipm" or resolve_fails:
+                res.status, res.message = 4, "(HiGHS Status 4: Solve error)"
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_ipm)
+        lp = LinearProgram(
+            "maximize", S(x=1.0, y=1.0), [LinConstraint(S(x=1.0, y=1.0), "=", S(3.0))]
+        )
+        if resolve_fails:
+            with pytest.raises(NumericalFailureError, match="Status 4"):
+                solve(lp)
+        else:
+            sol = solve(lp)
+            assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
+            assert sol.solver.call.status == 4 and sol.solver.fallback.status == 0
+        assert methods == ["highs-ipm", "highs"]
+
+
+class TestCertificate:
+    def test_clipped_negative_is_reported(self, monkeypatch):
+        # a coordinate HiGHS returns slightly below 0 reads as 0, and the
+        # certificate says how much was clipped
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+
+        def nudged(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = res.x.copy()
+            res.x[1] = -2e-8  # y, whose optimum is 0
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", nudged)
+        lp = LinearProgram(
+            "maximize", S(x=1.0), [LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0))]
+        )
+        sol = solve(lp)
+        assert sol.assignment["y"] == 0.0
+        cert = sol.solver.certificate
+        assert cert.ok
+        assert cert.most_negative == -2e-8 and cert.clipped_mass == 2e-8
+
+    def test_violated_row_raises(self, monkeypatch):
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+
+        def broken(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = res.x + 1e-3
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", broken)
+        lp = LinearProgram(
+            "maximize", S(x=1.0), [LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0))]
+        )
+        with pytest.raises(CertificateError) as exc:
+            solve(lp)
+        assert exc.value.certificate.ub_violation == pytest.approx(2e-3)
+
+    def test_tolerance_scales_with_the_largest_bound(self):
+        x = np.array([1.0, 2.0])
+        A = csr_matrix(np.array([[1.0, 1.0]]))
+        cert = certify(x, A, np.array([3.0 - 5e-5]), A, np.array([1e3]))
+        assert cert.tolerance == pytest.approx(FEAS_TOL * 1e3)
+        assert cert.ub_violation == pytest.approx(5e-5)
+        assert cert.eq_violation == pytest.approx(997.0)
+        assert not cert.ok
+        assert certify(x, A, np.array([3.0 - 5e-5]), None, None).ok is False
+        assert certify(x, None, None, A, np.array([3.0])).ok
 
 
 def _random_lp(rng, n_vars, n_rows, with_eq=True):
