@@ -35,20 +35,15 @@ from .decomp import (
     DecompTree,
     attach_target_bags,
     bag_projections,
-    check_compatible,
     fractional_bag_width,
     heuristic_decompose,
     load_decompositions,
     match_tree_to_query,
-    normalize,
     save_decompositions,
     tree_width,
     validate,
 )
 from .linprog import (
-    LinConstraint,
-    LinearProgram,
-    LinSum,
     LpSolution,
     solve,
 )

@@ -291,15 +291,15 @@ def cmd_solve(args) -> int:
 
     try:
         if args.emit_lp:
-            export_lp(ilp.lp, args.emit_lp)
+            export_lp(ilp.program, args.emit_lp)
         if args.weights and solution.status == "optimal":
             _write_weights(args.weights, cp_qf, ilp, solution, db)
     except (LpcqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.explain:
-        for i, (con, tag) in enumerate(zip(ilp.lp.constraints, ilp.provenance)):
-            print(f"[{tag}] c{i + 1}: {con!r}")
+        for i, (row, tag) in enumerate(zip(ilp.program.row_texts(), ilp.provenance)):
+            print(f"[{tag}] c{i + 1}: {row}")
 
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))

@@ -13,16 +13,14 @@ which is what the factorized interpretation needs.  ``bag_projections``
 computes the restriction of the query's answer set to every bag with the
 classic two-phase semi-join reduction, never materializing the full answer
 set.  ``heuristic_decompose`` provides a min-fill fallback when no tree is
-supplied.  ``normalize`` rewrites any valid tree into the textbook normal
-form (leaf, extend, project and join nodes under an empty root); the
-factorized program does not need it.
+supplied.  Trees are factorized as they stand: no step rewrites them into
+the textbook normal form of leaf, extend, project and join nodes.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -35,7 +33,7 @@ from .errors import (
     UncoveredAtomError,
     UncoveredVariableError,
 )
-from .linprog import LinConstraint, LinearProgram, LinSum, solve
+from .linprog import LpBuilder, solve
 from .queries import (
     AnswerSet,
     Atom,
@@ -54,20 +52,6 @@ from .queries import (
     _Factor,
 )
 from .relations import Database
-
-
-@dataclass(frozen=True)
-class NodeKind:
-    kind: str                 # leaf | extend | project | join
-    var: str | None = None    # for extend/project
-    child_count: int = 0      # for join
-
-    def __repr__(self):
-        if self.kind in ("extend", "project"):
-            return f"{self.kind}({self.var})"
-        if self.kind == "join":
-            return f"join({self.child_count})"
-        return self.kind
 
 
 class DecompTree:
@@ -138,27 +122,6 @@ class DecompTree:
     def post_order(self) -> list[int]:
         return list(reversed(self.bfs_order()))
 
-    def classify(self, node: int) -> NodeKind | None:
-        """Node kind when the node fits the normalized-tree taxonomy, else None."""
-        kids = self.children[node]
-        bag = self.bags[node]
-        if not kids:
-            return NodeKind("leaf")
-        if all(self.bags[c] == bag for c in kids):
-            return NodeKind("join", child_count=len(kids))
-        if len(kids) == 1:
-            child_bag = self.bags[kids[0]]
-            if len(bag) == len(child_bag) + 1 and child_bag < bag:
-                (added,) = bag - child_bag
-                return NodeKind("extend", var=added)
-            if len(bag) == len(child_bag) - 1 and bag < child_bag:
-                (removed,) = child_bag - bag
-                return NodeKind("project", var=removed)
-        return None
-
-    def is_normalized(self) -> bool:
-        return all(self.classify(n) is not None for n in self.bags)
-
     def __repr__(self):
         return f"DecompTree({len(self.bags)} nodes, root={self.root})"
 
@@ -215,70 +178,6 @@ def validate(tree: DecompTree, q: Query) -> None:
             raise UncoveredAtomError(f"{label} fits in no bag")
 
 
-# --- normalization -----------------------------------------------------------
-
-
-def normalize(tree: DecompTree) -> DecompTree:
-    """Rewrite into a tree where every node classifies as leaf, extend,
-    project, or join, with an empty root bag.
-
-    Every original bag survives and new bags are subsets of adjacent
-    original bags, so the fractional width is unchanged.
-    """
-    bags: dict[int, frozenset[str]] = {}
-    children: dict[int, list[int]] = {}
-    counter = [0]
-
-    def fresh(bag: frozenset[str]) -> int:
-        nid = counter[0]
-        counter[0] += 1
-        bags[nid] = bag
-        children[nid] = []
-        return nid
-
-    def chain_to(parent_bag: frozenset[str], child_id: int) -> int:
-        """Stack project/extend steps above child_id until its bag equals parent_bag."""
-        cur = child_id
-        cur_bag = bags[child_id]
-        for var in sorted(cur_bag - parent_bag):
-            nid = fresh(cur_bag - {var})
-            children[nid].append(cur)
-            cur = nid
-            cur_bag = bags[nid]
-        for var in sorted(parent_bag - cur_bag):
-            nid = fresh(cur_bag | {var})
-            children[nid].append(cur)
-            cur = nid
-            cur_bag = bags[nid]
-        return cur
-
-    def build(node: int) -> int:
-        bag = tree.bags[node]
-        kids = sorted(tree.children[node])
-        if not kids:
-            return fresh(bag)
-        tops = []
-        for child in kids:
-            built = build(child)
-            tops.append(chain_to(bag, built))
-        if len(tops) == 1 and bags[tops[0]] == bag and tree.bags[kids[0]] != bag:
-            # the chain's top already realizes this node's bag
-            return tops[0]
-        join = fresh(bag)
-        children[join].extend(tops)
-        return join
-
-    top = build(tree.root)
-    cur = top
-    for var in sorted(bags[top]):
-        nid = fresh(bags[cur] - {var})
-        children[nid].append(cur)
-        cur = nid
-
-    edges = [(p, c) for p, kids in children.items() for c in kids]
-    return DecompTree(cur, bags, edges, query=tree.query)
-
-
 # --- widths -------------------------------------------------------------------
 
 
@@ -300,15 +199,12 @@ def fractional_bag_width(bag: Iterable[str], q: Query) -> float:
         if not owners:
             raise UncoverableVariableError(f"variable {v!r} occurs in no atom")
 
-    names = [f"c{i}" for i in range(len(atoms))]
-    constraints = []
-    for v in sorted(bag):
-        row = LinSum(0.0, {names[i]: -1.0 for i in cover_of[v]})
-        constraints.append(LinConstraint(row, "<=", LinSum(-1.0)))
-    lp = LinearProgram(
-        "minimize", LinSum(0.0, {n: 1.0 for n in names}), constraints
-    )
-    sol = solve(lp)
+    builder = LpBuilder()
+    builder.block([f"c{i}" for i in range(len(atoms))])
+    for v in sorted(bag):  # -sum of the covering atoms' weights <= -1
+        owners = cover_of[v]
+        builder.row((0.0, owners, [-1.0] * len(owners)), "<=", (-1.0, (), ()))
+    sol = solve(builder.build("minimize", (0.0, range(len(atoms)), [1.0] * len(atoms))))
     assert sol.status == "optimal"
     return sol.value
 
@@ -317,29 +213,6 @@ def tree_width(tree: DecompTree, q: Query) -> float:
     return max(
         (fractional_bag_width(bag, q) for bag in tree.bags.values()), default=0.0
     )
-
-
-# --- compatibility -------------------------------------------------------------
-
-
-def check_compatible(
-    tree: DecompTree, weight_targets: Iterable[Iterable[str]]
-) -> dict[frozenset[str], int]:
-    """Witness node per target set; every target must equal some bag exactly.
-
-    The witness is the matching node closest to the root, ties broken by the
-    smallest node id, so reruns pick the same variables.
-    """
-    witnesses: dict[frozenset[str], int] = {}
-    for target in weight_targets:
-        target = frozenset(target)
-        if target in witnesses:
-            continue
-        matches = [n for n, bag in tree.bags.items() if bag == target]
-        if not matches:
-            raise IncompatibleTargetError(target)
-        witnesses[target] = min(matches, key=lambda n: (tree.depth(n), n))
-    return witnesses
 
 
 def attach_target_bags(
@@ -365,9 +238,7 @@ def attach_target_bags(
     for target in sorted(targets - existing - {frozenset()}, key=sorted):
         hosts = [n for n, bag in tree.bags.items() if target <= bag]
         if not hosts:
-            raise IncompatibleTargetError(
-                target, f"target set {sorted(target)!r} fits inside no bag"
-            )
+            raise IncompatibleTargetError(f"target set {sorted(target)!r} fits inside no bag")
         host = min(hosts, key=lambda n: (tree.depth(n), n))
         bags[next_id] = target
         edges.append((host, next_id))

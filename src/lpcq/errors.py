@@ -72,19 +72,10 @@ class UncoverableVariableError(LpcqError):
 
 
 class IncompatibleTargetError(LpcqError):
-    """A weight-expression target set equals no bag of the tree, or fits
-    inside none."""
-
-    def __init__(self, target, msg=None):
-        super().__init__(msg or f"no bag equals target set {sorted(target)!r}")
-        self.target = frozenset(target)
+    """A weight-expression target set fits inside no bag of the tree."""
 
 
 # --- linear programs -------------------------------------------------------
-
-class UnboundVariableError(LpcqError):
-    """A linear sum was evaluated under a point missing one of its variables."""
-
 
 class NumericalFailureError(LpcqError):
     """The LP solver stopped without an optimum, infeasibility or unboundedness
@@ -101,7 +92,7 @@ class CertificateError(LpcqError):
 
 
 class IoError(LpcqError):
-    """An LP-format file could not be written or parsed."""
+    """An LP-format file or its names sidecar could not be written or read."""
 
 
 # --- surface language ------------------------------------------------------

@@ -36,27 +36,20 @@ which the factorized LPs go to, took the same 12 to 16 iterations in
 either order, but its vertex moved too: by up to 38 in a coordinate at
 m=100 and 17 at m=500 (seed 1; not at all at m=300).  Either would change
 the lifted weights.  So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
-``InterpretedLp.lp``, the program as a name-keyed ``LinearProgram``, is
-built only when asked for (``--emit-lp``, ``--explain``, tests).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .decomp import DecompTree, bag_projections, check_compatible, validate
-from .errors import (
-    IncompatibleDecompositionError,
-    IncompatibleTargetError,
-    MissingDecompositionError,
-)
+from .decomp import DecompTree, bag_projections, validate
+from .errors import IncompatibleDecompositionError, MissingDecompositionError
 from .language import ClosedProgram, ClosedSum, WeightExprClosed
-from .linprog import LinearProgram, LpBuilder, Side, SparseLp
+from .linprog import LpBuilder, Side, SparseLp
 from .queries import AnswerSet, Query, evaluate, is_quantifier_free, qf
 from .relations import Database, Value
 
@@ -142,11 +135,6 @@ class InterpretedLp:
     trees: dict[QueryKey, DecompTree] = field(default_factory=dict)
     theta_columns: dict[QueryKey, np.ndarray] = field(default_factory=dict)
     xi_columns: dict[QueryKey, dict[int, np.ndarray]] = field(default_factory=dict)
-
-    @cached_property
-    def lp(self) -> LinearProgram:
-        """The program as a ``LinearProgram``, built on first use."""
-        return self.program.program()
 
     @property
     def theta_count(self) -> int:
@@ -333,12 +321,17 @@ def factorized(
             raise MissingDecompositionError(f"no decomposition for query {name!r}")
         validate(tree, query)
         weights = targets_by_query.get(key, [])
-        try:
-            witnesses[key] = check_compatible(tree, [w.target_vars() for w in weights])
-        except IncompatibleTargetError as exc:
+        # a target's witness is the bag equal to it closest to the root, the
+        # smallest id on ties, so that reruns pick the same variables
+        witnesses[key] = witness = {}
+        for node in sorted(tree.bags, key=lambda n: (tree.depth(n), n)):
+            witness.setdefault(tree.bags[node], node)
+        missing = [w.target_vars() for w in weights if w.target_vars() not in witness]
+        if missing:
             raise IncompatibleDecompositionError(
-                f"decomposition of {name!r} is incompatible: {exc}"
-            ) from exc
+                f"decomposition of {name!r} is incompatible: "
+                f"no bag equals target set {sorted(missing[0])!r}"
+            )
 
         proj = bag_projections(query, tree, db)
         xi[key] = {}

@@ -1,24 +1,21 @@
 """Linear programs over nonnegative variables, and their solver.
 
-Two forms of one program.  ``LinearProgram`` holds rows of ``LinSum``
-dicts keyed by variable name: the API for small hand-built programs, the
-LP-format reader and writer, and fractional bag widths.  ``SparseLp``
-holds the rows as flat arrays over integer columns, ordered by variable
-name; the interpretations compile to it directly through ``LpBuilder``.
-Every program is solved by HiGHS through ``scipy.optimize.linprog`` from
-a ``SparseLp``: a ``LinearProgram`` is converted first (``normalized``
-moves each row's terms left), so there is one path to the solver.  The
-method follows the LP's shape (``choose_method``), and every optimum is
-checked against the rows and bounds sent (``certify``) before it is
-returned.  The tests cross-check the solver against a vertex enumeration
-oracle.
+``SparseLp`` is the one form of a linear program: its rows as flat arrays
+over integer columns, ordered by variable name.  The interpretations,
+fractional bag widths and the LP-format reader build it through
+``LpBuilder``; the LP-format writer and ``--explain`` read it back row by
+row.  Every program is solved by HiGHS through ``scipy.optimize.linprog``,
+from the matrices ``SparseLp.matrices`` builds.  The method follows the
+LP's shape (``choose_method``), and every optimum is checked against the
+rows and bounds sent (``certify``) before it is returned.  The tests
+cross-check the solver against a vertex enumeration oracle.
 
 Conventions: every variable is implicitly >= 0; ``maximize`` is handed to
 the solver as ``minimize -objective`` with the reported value negated back.
 
-Tolerance: 1e-7 for constant rows and for ``LinConstraint.satisfied_by``,
-and 1e-7 times max(1, the largest right-hand side) for the certificate,
-fixed here so results are reproducible.
+Tolerance: 1e-7 for rows without terms, and 1e-7 times max(1, the largest
+right-hand side) for the certificate, fixed here so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -26,178 +23,13 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping as MappingABC
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, NumericalFailureError, UnboundVariableError
+from .errors import CertificateError, NumericalFailureError
 
 FEAS_TOL = 1e-7
-
-
-class LinSum:
-    """constant + sum of coefficient * variable, in canonical flat form.
-
-    Zero coefficients are never stored.  Instances are treated as immutable;
-    arithmetic returns fresh sums.
-    """
-
-    __slots__ = ("constant", "terms")
-
-    def __init__(self, constant: float = 0.0, terms: Mapping[str, float] | None = None):
-        self.constant = float(constant)
-        self.terms: dict[str, float] = {}
-        if terms:
-            for var, coeff in terms.items():
-                if coeff != 0.0:
-                    self.terms[var] = float(coeff)
-
-    @classmethod
-    def variable(cls, name: str, coeff: float = 1.0) -> "LinSum":
-        return cls(0.0, {name: coeff})
-
-    def __add__(self, other: "LinSum | float") -> "LinSum":
-        if isinstance(other, (int, float)):
-            return LinSum(self.constant + other, self.terms)
-        merged = dict(self.terms)
-        for var, coeff in other.terms.items():
-            new = merged.get(var, 0.0) + coeff
-            if new == 0.0:
-                merged.pop(var, None)
-            else:
-                merged[var] = new
-        return LinSum(self.constant + other.constant, merged)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LinSum | float") -> "LinSum":
-        if isinstance(other, (int, float)):
-            return LinSum(self.constant - other, self.terms)
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "LinSum":
-        if factor == 0.0:
-            return LinSum(0.0)
-        return LinSum(
-            self.constant * factor,
-            {var: coeff * factor for var, coeff in self.terms.items()},
-        )
-
-    def variables(self) -> set[str]:
-        return set(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinSum)
-            and self.constant == other.constant
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.constant, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        parts = [f"{c:g}*{v}" for v, c in sorted(self.terms.items())]
-        if self.constant or not parts:
-            parts.append(f"{self.constant:g}")
-        return " + ".join(parts)
-
-
-def eval_sum(s: LinSum, point: Mapping[str, float]) -> float:
-    """Value of a linear sum under a variable valuation."""
-    total = s.constant
-    for var, coeff in s.terms.items():
-        if var not in point:
-            raise UnboundVariableError(f"no value for variable {var!r}")
-        total += coeff * point[var]
-    return total
-
-
-class LinConstraint:
-    """lhs REL rhs with REL one of '<=' or '='.
-
-    Equalities are kept as single rows; they are semantically the pair of
-    opposite inequalities.
-    """
-
-    __slots__ = ("lhs", "rel", "rhs")
-
-    def __init__(self, lhs: LinSum, rel: str, rhs: LinSum):
-        if rel in ("==", "="):
-            rel = "="
-        elif rel != "<=":
-            raise ValueError(f"unsupported relation {rel!r}")
-        self.lhs = lhs
-        self.rel = rel
-        self.rhs = rhs
-
-    def normalized(self) -> tuple[dict[str, float], str, float]:
-        """(coefficients, rel, bound) with all variables moved left.
-
-        When one side carries no variables the other side's term dict is
-        returned as-is (sums are immutable), which keeps large programs from
-        being duplicated during solving.
-        """
-        if not self.rhs.terms:
-            return self.lhs.terms, self.rel, self.rhs.constant - self.lhs.constant
-        diff = self.lhs - self.rhs
-        return diff.terms, self.rel, -diff.constant
-
-    def variables(self) -> set[str]:
-        return self.lhs.variables() | self.rhs.variables()
-
-    def satisfied_by(self, point: Mapping[str, float], tol: float = FEAS_TOL) -> bool:
-        lhs = eval_sum(self.lhs, point)
-        rhs = eval_sum(self.rhs, point)
-        if self.rel == "=":
-            return abs(lhs - rhs) <= tol
-        return lhs <= rhs + tol
-
-    def __repr__(self) -> str:
-        return f"{self.lhs!r} {self.rel} {self.rhs!r}"
-
-
-class LinearProgram:
-    """maximize/minimize a linear sum subject to a constraint list.
-
-    ``declared`` lets callers register variables that appear in no row yet
-    still belong to the program (they solve to 0 and are reported).
-    """
-
-    __slots__ = ("sense", "objective", "constraints", "declared", "_variables")
-
-    def __init__(
-        self,
-        sense: str,
-        objective: LinSum,
-        constraints: Iterable[LinConstraint] = (),
-        declared: Iterable[str] = (),
-    ):
-        if sense not in ("maximize", "minimize"):
-            raise ValueError(f"bad sense {sense!r}")
-        self.sense = sense
-        self.objective = objective
-        self.constraints = list(constraints)
-        self.declared = set(declared)
-        self._variables: list[str] | None = None
-
-    def variables(self) -> list[str]:
-        """Sorted variable universe; cached, so treat programs as frozen
-        once they are being solved or exported."""
-        if self._variables is None:
-            names = set(self.declared)
-            names.update(self.objective.terms)
-            for con in self.constraints:
-                names.update(con.lhs.terms)
-                names.update(con.rhs.terms)
-            self._variables = sorted(names)
-        return self._variables
-
-    def __repr__(self) -> str:
-        return (
-            f"LinearProgram({self.sense}, {len(self.variables())} vars, "
-            f"{len(self.constraints)} constraints)"
-        )
 
 
 Side = tuple[float, Sequence[int], Sequence[float]]
@@ -218,8 +50,8 @@ class SparseLp:
     ``vals``: the terms of its left side up to ``split[r]``, then those of
     its right side negated, so a row's entries add up to lhs - rhs.
     ``lconst`` and ``rconst`` hold the sides' constants, and ``eq[r]`` is
-    true for an equality row.  Only ``program`` reads the split, to give
-    back each side as it was written.
+    true for an equality row.  ``rows`` reads the split, to give back each
+    side as it was written.
     """
 
     sense: str
@@ -239,51 +71,56 @@ class SparseLp:
     def row_count(self) -> int:
         return len(self.eq)
 
-    @classmethod
-    def from_program(cls, lp: LinearProgram) -> "SparseLp":
-        """*lp* with every row's terms moved to the left by ``normalized``."""
-        builder = LpBuilder()
-        names = lp.variables()
-        builder.block(names)
-        index = {v: i for i, v in enumerate(names)}
-        for con in lp.constraints:
-            coeffs, rel, bound = con.normalized()
-            builder.row(
-                (0.0, [index[v] for v in coeffs], list(coeffs.values())),
-                rel,
-                (bound, (), ()),
+    def rows(self) -> Iterator[tuple[Side, str, Side]]:
+        """Each row as it was written, ``(lhs, rel, rhs)``, over the
+        columns' sorted places."""
+        cols, vals, bounds = self.cols.tolist(), self.vals.tolist(), self.indptr.tolist()
+        for lc, rc, eq, lo, mid, hi in zip(
+            self.lconst.tolist(), self.rconst.tolist(), self.eq.tolist(),
+            bounds, self.split.tolist(), bounds[1:],
+        ):
+            yield (
+                (lc, cols[lo:mid], vals[lo:mid]),
+                "=" if eq else "<=",
+                (rc, cols[mid:hi], [-v for v in vals[mid:hi]]),
             )
-        obj = lp.objective
-        return builder.build(
-            lp.sense,
-            (obj.constant, [index[v] for v in obj.terms], list(obj.terms.values())),
+
+    def row_texts(self) -> Iterator[str]:
+        """Each row as ``lhs rel rhs``, a side written ``1*x + -2*y + 3``:
+        its terms in column order without zero coefficients, then its
+        constant unless that is 0 and there are terms."""
+
+        def text(constant, cols, vals):
+            parts = [f"{v:g}*{self.names[c]}" for c, v in sorted(zip(cols, vals)) if v != 0.0]
+            return " + ".join(parts + [f"{constant:g}"] if constant or not parts else parts)
+
+        for lhs, rel, rhs in self.rows():
+            yield f"{text(*lhs)} {rel} {text(*rhs)}"
+
+    def matrices(self) -> Matrices:
+        """The rows as ``solve`` hands them to HiGHS: a row's entries summed
+        per column and exact zeros dropped, each bound ``rconst - lconst``.
+        The full matrix is freed on return, before HiGHS runs."""
+        from scipy.sparse import csr_matrix
+
+        A = csr_matrix(
+            (self.vals, self.cols, self.indptr),
+            shape=(self.row_count, len(self.names)), dtype=float, copy=True,
         )
+        A.sum_duplicates()  # a column on both sides of a row
+        A.eliminate_zeros()  # ... whose terms cancel
+        bound = self.rconst - self.lconst
+        empty = A.indptr[1:] == A.indptr[:-1]
+        holds = np.where(self.eq, np.abs(bound) <= FEAS_TOL, bound >= -FEAS_TOL)
 
-    def program(self) -> LinearProgram:
-        """The same program as a ``LinearProgram`` over the column names."""
-        names = self.names
-        cols = self.cols.tolist()
-        vals = self.vals.tolist()
-        bounds = self.indptr.tolist()
-        splits = self.split.tolist()
+        def select(mask):
+            rows = np.flatnonzero(mask)
+            return (A[rows], bound[rows]) if rows.size else (None, None)
 
-        def side(constant, lo, hi, sign):
-            return LinSum(constant, {names[cols[k]]: sign * vals[k] for k in range(lo, hi)})
-
-        constraints = [
-            LinConstraint(
-                side(lc, lo, mid, 1.0), "=" if eq else "<=", side(rc, mid, hi, -1.0)
-            )
-            for lc, rc, eq, lo, mid, hi in zip(
-                self.lconst.tolist(), self.rconst.tolist(), self.eq.tolist(),
-                bounds, splits, bounds[1:],
-            )
-        ]
-        objective = LinSum(
-            self.obj_const,
-            {names[c]: v for c, v in zip(self.obj_cols.tolist(), self.obj_vals.tolist())},
+        return Matrices(
+            *select(~empty & ~self.eq), *select(~empty & self.eq),
+            nonzeros=A.nnz, constants_hold=bool(holds[empty].all()),
         )
-        return LinearProgram(self.sense, objective, constraints, declared=names)
 
     def __repr__(self) -> str:
         return f"SparseLp({self.sense}, {len(self.names)} columns, {self.row_count} rows)"
@@ -463,6 +300,26 @@ def certify(x: np.ndarray, A_ub, b_ub, A_eq, b_eq) -> Certificate:
 
 
 @dataclass(frozen=True, slots=True)
+class Matrices:
+    """A program's rows as HiGHS gets them (``SparseLp.matrices``):
+    ``A_ub x <= b_ub`` and ``A_eq x = b_eq`` in CSR form, a pair None when
+    it has no rows.  Rows without terms are not among them;
+    ``constants_hold`` says whether each of those meets its bound within
+    ``FEAS_TOL``.  ``nonzeros`` counts the entries of both matrices."""
+
+    A_ub: object
+    b_ub: np.ndarray | None
+    A_eq: object
+    b_eq: np.ndarray | None
+    nonzeros: int
+    constants_hold: bool
+
+    def certify(self, x: np.ndarray) -> Certificate:
+        """The primal certificate of *x* against these rows."""
+        return certify(x, self.A_ub, self.b_ub, self.A_eq, self.b_eq)
+
+
+@dataclass(frozen=True, slots=True)
 class SolverReport:
     """How ``solve`` reached its verdict: why the rule chose the method of
     ``call``, that call, the ``highs`` re-solve when it ended without a
@@ -541,42 +398,28 @@ def choose_method(equality_rows: int) -> tuple[str, str]:
     return "highs", "no equality rows sent"
 
 
-def solve(lp: LinearProgram | SparseLp) -> LpSolution:
+def solve(lp: SparseLp) -> LpSolution:
     """Solve a finite LP with HiGHS through ``scipy.optimize.linprog``.
 
-    A ``LinearProgram`` is converted to its ``SparseLp`` first, so every
-    program reaches HiGHS the same way.  A row left without terms is
-    checked against its bound and not sent.  The method is chosen by
-    ``choose_method``.  When ``highs-ipm`` ends without a verdict (say,
-    status 4 on a small infeasible LP), the same matrices are solved again
-    with ``highs`` before ``NumericalFailureError`` is raised.  An optimum is
-    checked against the rows and bounds sent (``certify``); one beyond
-    tolerance raises ``CertificateError``.
+    HiGHS gets the rows as ``lp.matrices()`` builds them; a row left
+    without terms is checked against its bound and not sent.  The method is
+    chosen by ``choose_method``.  When ``highs-ipm`` ends without a verdict
+    (say, status 4 on a small infeasible LP), the same matrices are solved
+    again with ``highs`` before ``NumericalFailureError`` is raised.  An
+    optimum is checked against the rows and bounds sent (``certify``); one
+    beyond tolerance raises ``CertificateError``.
     """
-    if isinstance(lp, LinearProgram):
-        lp = SparseLp.from_program(lp)
-    from scipy.sparse import csr_matrix
-
-    n = len(lp.names)
-    A = csr_matrix(
-        (lp.vals, lp.cols, lp.indptr), shape=(lp.row_count, n), dtype=float, copy=True
-    )
-    A.sum_duplicates()  # a column on both sides of a row
-    A.eliminate_zeros()  # ... whose terms cancel
-    bound = lp.rconst - lp.lconst
-    empty = A.indptr[1:] == A.indptr[:-1]
-    ok = np.where(lp.eq, np.abs(bound) <= FEAS_TOL, bound >= -FEAS_TOL)
-    if not ok[empty].all():
+    rows = lp.matrices()
+    if not rows.constants_hold:
         return LpSolution(
-            "infeasible", nonzeros=A.nnz,
+            "infeasible", nonzeros=rows.nonzeros,
             solver=SolverReport("a row without terms violates its bound"),
         )
+    n = len(lp.names)
     if not n:
         return LpSolution(
             "optimal", value=lp.obj_const, assignment=ArrayAssignment([], np.zeros(0)),
-            solver=SolverReport(
-                "no variables", certificate=certify(np.zeros(0), None, None, None, None)
-            ),
+            solver=SolverReport("no variables", certificate=rows.certify(np.zeros(0))),
         )
 
     # looked up per call, so a wrapper installed on scipy.optimize.linprog
@@ -587,22 +430,14 @@ def solve(lp: LinearProgram | SparseLp) -> LpSolution:
     c = np.zeros(n)
     c[lp.obj_cols] = sign * lp.obj_vals
 
-    ub = np.flatnonzero(~empty & ~lp.eq)
-    eq = np.flatnonzero(~empty & lp.eq)
-    A_ub = A[ub] if ub.size else None
-    b_ub = bound[ub] if ub.size else None
-    A_eq = A[eq] if eq.size else None
-    b_eq = bound[eq] if eq.size else None
-    nonzeros = A.nnz
-    del A  # the row selections are copies; HiGHS sets the peak memory
-
     def call(method: str):
         res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method
+            c, A_ub=rows.A_ub, b_ub=rows.b_ub, A_eq=rows.A_eq, b_eq=rows.b_eq,
+            bounds=(0, None), method=method,
         )
         return res, HighsCall.of(method, res)
 
-    method, reason = choose_method(eq.size)
+    method, reason = choose_method(0 if rows.A_eq is None else rows.A_eq.shape[0])
     res, first = call(method)
     fallback = None
     if first.status not in _VERDICTS and method != "highs":
@@ -612,10 +447,12 @@ def solve(lp: LinearProgram | SparseLp) -> LpSolution:
         raise NumericalFailureError(f"HiGHS failed: {final.message}")
     status = _VERDICTS[final.status]
     if status != "optimal":
-        return LpSolution(status, nonzeros=nonzeros, solver=SolverReport(reason, first, fallback))
+        return LpSolution(
+            status, nonzeros=rows.nonzeros, solver=SolverReport(reason, first, fallback)
+        )
 
     x = res.x
-    certificate = certify(x, A_ub, b_ub, A_eq, b_eq)
+    certificate = rows.certify(x)
     if not certificate.ok:
         raise CertificateError(
             f"the optimum HiGHS returned violates a row or bound by "
@@ -625,5 +462,5 @@ def solve(lp: LinearProgram | SparseLp) -> LpSolution:
     value = sign * float(res.fun) + lp.obj_const
     return LpSolution(
         "optimal", value=value, assignment=ArrayAssignment(lp.names, x),
-        nonzeros=nonzeros, solver=SolverReport(reason, first, fallback, certificate),
+        nonzeros=rows.nonzeros, solver=SolverReport(reason, first, fallback, certificate),
     )

@@ -1,14 +1,15 @@
-"""CPLEX-LP-format export and a matching reader.
+"""CPLEX-LP-format export and a matching reader, both over ``SparseLp``.
 
-The writer emits Maximize/Minimize, Subject To, and End sections; variable
-bounds stay implicit since every variable is nonnegative by convention,
-which is also the LP-format default.  Variable names outside the safe
-charset (or overlong ones) are replaced by v<i>, with the mapping written to
+The writer emits Maximize/Minimize, Subject To, and End sections, each row
+with its terms moved left and its constants right; variable bounds stay
+implicit since every variable is nonnegative by convention, which is also
+the LP-format default.  Variable names outside the safe charset (or
+overlong ones) are replaced by v<i>, with the mapping written to
 ``<path>.names.json`` alongside the program.
 
 The reader accepts what the writer emits, plus the usual small variations
-(>=, implicit 1 coefficients, constants on either side), so files round
-trip up to term ordering.
+(>=, implicit 1 coefficients, constants on either side), and builds the
+program through ``LpBuilder``, so files round trip up to term ordering.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IoError
-from .linprog import LinConstraint, LinearProgram, LinSum
+from .linprog import LpBuilder, Side, SparseLp
 
 _SAFE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MAX_NAME = 200
@@ -60,52 +63,45 @@ def _sanitize(variables: list[str]) -> tuple[dict[str, str], dict[str, str]]:
     return to_lp, renamed
 
 
-def _format_sum(s: LinSum, to_lp: dict[str, str], with_constant: bool) -> str:
+def _format_sum(names: list[str], cols, vals, constant: float = 0.0) -> str:
+    """The terms in column order, a repeated column's coefficients summed and
+    exact zeros dropped, then *constant* unless it is 0; as LP-format text."""
+    acc: dict[int, float] = {}
+    for col, val in zip(cols, vals):
+        acc[col] = acc.get(col, 0.0) + val
+    terms = [(names[col], val) for col, val in sorted(acc.items()) if val != 0.0]
     parts: list[str] = []
-    for var in sorted(s.terms):
-        coeff = s.terms[var]
+    for name, coeff in terms + ([(None, constant)] if constant else []):
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
-        chunk = to_lp[var] if mag == 1.0 else f"{_fmt(mag)} {to_lp[var]}"
-        if not parts and sign == "+":
-            parts.append(chunk)
-        else:
-            parts.append(f"{sign} {chunk}")
-    if with_constant and s.constant != 0.0:
-        sign = "-" if s.constant < 0 else "+"
-        if not parts and sign == "+":
-            parts.append(_fmt(s.constant))
-        else:
-            parts.append(f"{sign} {_fmt(abs(s.constant))}")
-    if not parts:
-        parts.append(_fmt(s.constant) if with_constant else "0")
-    return " ".join(parts)
+        chunk = _fmt(mag) if name is None else name if mag == 1.0 else f"{_fmt(mag)} {name}"
+        parts.append(chunk if not parts and sign == "+" else f"{sign} {chunk}")
+    return " ".join(parts) or _fmt(constant)
 
 
-def export_lp(lp: LinearProgram, path: str | Path) -> None:
-    """Write *lp* in LP format; emits <path>.names.json with renamed variables."""
+def export_lp(lp: SparseLp, path: str | Path) -> None:
+    """Write *lp* in LP format; emits <path>.names.json with renamed variables.
+
+    A row's terms are summed per column and sorted by column, which is name
+    order, and its bound is ``rconst - lconst``."""
     path = Path(path)
-    variables = lp.variables()
-    to_lp, renamed = _sanitize(variables)
+    to_lp, renamed = _sanitize(lp.names)
+    names = [to_lp[name] for name in lp.names]
 
     lines = ["\\ exported linear program"]
     lines.append("Maximize" if lp.sense == "maximize" else "Minimize")
-    lines.append(f" obj: {_format_sum(lp.objective, to_lp, with_constant=True)}")
+    objective = _format_sum(names, lp.obj_cols.tolist(), lp.obj_vals.tolist(), lp.obj_const)
+    lines.append(f" obj: {objective}")
     lines.append("Subject To")
-    for i, con in enumerate(lp.constraints, start=1):
-        coeffs, rel, bound = con.normalized()
-        row = LinSum(0.0, coeffs)
-        op = "=" if rel == "=" else "<="
-        lines.append(f" c{i}: {_format_sum(row, to_lp, with_constant=False)} {op} {_fmt(bound)}")
-    used = set(lp.objective.variables())
-    for con in lp.constraints:
-        used.update(con.variables())
-    unused = [v for v in variables if v not in used]
+    for i, ((lconst, lcols, lvals), rel, (rconst, rcols, rvals)) in enumerate(lp.rows(), start=1):
+        row = _format_sum(names, lcols + rcols, lvals + [-v for v in rvals])
+        lines.append(f" c{i}: {row} {rel} {_fmt(rconst - lconst)}")
+    used = np.concatenate([lp.cols[lp.vals != 0.0], lp.obj_cols[lp.obj_vals != 0.0]])
+    unused = np.setdiff1d(np.arange(len(names)), used).tolist()
     if unused:
         # nonnegativity is implicit; listing keeps unused variables in the file
         lines.append("Bounds")
-        for v in unused:
-            lines.append(f" {to_lp[v]} >= 0")
+        lines.extend(f" {names[c]} >= 0" for c in unused)
     lines.append("End")
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -156,8 +152,9 @@ class _LpReader:
         word = self.low[self.i]
         return _SECTION_WORDS.get(word)
 
-    def expression(self, stop_at_relation: bool) -> LinSum:
-        """Parse tokens into a LinSum until a relation or section keyword."""
+    def expression(self, stop_at_relation: bool) -> tuple[float, dict[str, float]]:
+        """Parse tokens into a constant and ``{name: coefficient}`` terms,
+        without zeros, until a relation or section keyword."""
         constant = 0.0
         terms: dict[str, float] = {}
         sign = 1.0
@@ -217,20 +214,31 @@ class _LpReader:
             sign = 1.0
             self.i += 1
         flush()
-        return LinSum(constant, terms)
+        return constant, terms
 
 
-def parse_lp(path: str | Path) -> LinearProgram:
-    """Parse an LP-format file; names from <path>.names.json are restored."""
+def parse_lp(path: str | Path) -> SparseLp:
+    """Parse an LP-format file; names from <path>.names.json are restored.
+
+    Raises IoError naming the file when it or its sidecar cannot be read,
+    is not UTF-8, or the sidecar is not a JSON object of names.
+    """
     path = Path(path)
     try:
         tokens = _tokenize_lp(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not UTF-8 text: {exc}") from exc
     renamed: dict[str, str] = {}
     sidecar = Path(str(path) + ".names.json")
     if sidecar.exists():
-        renamed = json.loads(sidecar.read_text(encoding="utf-8"))
+        try:
+            renamed = json.loads(sidecar.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            raise IoError(f"{sidecar}: not a names file: {exc}") from exc
+        if not isinstance(renamed, dict) or not all(isinstance(v, str) for v in renamed.values()):
+            raise IoError(f"{sidecar}: not a names file: expected an object of names")
 
     reader = _LpReader(tokens, renamed)
     section = reader.at_section()
@@ -239,7 +247,17 @@ def parse_lp(path: str | Path) -> LinearProgram:
     sense = section
     reader.i += 1
 
-    objective = reader.expression(stop_at_relation=False)
+    builder = LpBuilder()
+    index: dict[str, int] = {}
+
+    def side(expr) -> Side:
+        """*expr* over the builder's columns, one added per new name."""
+        constant, terms = expr
+        for name in terms.keys() - index.keys():
+            index[name] = builder.block([name])
+        return constant, [index[name] for name in terms], list(terms.values())
+
+    objective = side(reader.expression(stop_at_relation=False))
 
     if reader.at_section() != "subject":
         raise IoError("missing Subject To section")
@@ -247,34 +265,29 @@ def parse_lp(path: str | Path) -> LinearProgram:
     if not reader.done() and reader.low[reader.i] == "to":
         reader.i += 1
 
-    constraints: list[LinConstraint] = []
-    declared: set[str] = set()
     while not reader.done() and reader.at_section() is None:
-        lhs = reader.expression(stop_at_relation=True)
+        lhs = side(reader.expression(stop_at_relation=True))
         if reader.done() or reader.tokens[reader.i] not in _REL_OPS:
             raise IoError("constraint missing relation")
         rel = reader.tokens[reader.i]
         reader.i += 1
-        rhs = reader.expression(stop_at_relation=True)
+        rhs = side(reader.expression(stop_at_relation=True))
         if rel in ("<=", "<", "=<"):
-            constraints.append(LinConstraint(lhs, "<=", rhs))
+            builder.row(lhs, "<=", rhs)
         elif rel in (">=", ">", "=>"):
-            constraints.append(LinConstraint(rhs, "<=", lhs))
+            builder.row(rhs, "<=", lhs)
         else:
-            constraints.append(LinConstraint(lhs, "=", rhs))
+            builder.row(lhs, "=", rhs)
 
     while not reader.done() and reader.at_section() != "end":
         if reader.at_section() in ("bounds", "skip"):
             reader.i += 1
             continue
-        lhs = reader.expression(stop_at_relation=True)
-        declared.update(lhs.variables())
+        lhs = side(reader.expression(stop_at_relation=True))
         if not reader.done() and reader.tokens[reader.i] in _REL_OPS:
             reader.i += 1
-            rhs = reader.expression(stop_at_relation=True)
-            declared.update(rhs.variables())
-            for side in (lhs, rhs):
-                if side.constant != 0.0 and not side.terms:
+            rhs = side(reader.expression(stop_at_relation=True))
+            for constant, cols, _ in (lhs, rhs):
+                if constant != 0.0 and not cols:
                     raise IoError("only nonnegativity bounds are supported")
-
-    return LinearProgram(sense, objective, constraints, declared=declared)
+    return builder.build(sense, objective)

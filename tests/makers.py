@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from lpcq.language import (
     CAnd,
     CCompare,
@@ -21,6 +23,7 @@ from lpcq.language import (
     SWeight,
     WeightExprClosed,
 )
+from lpcq.linprog import Certificate, LpBuilder, SparseLp
 from lpcq.queries import And, Atom, Const, Equal, Exists, Query, Var, evaluate, free_vars
 from lpcq.relations import Database, Relation, Value
 
@@ -37,6 +40,40 @@ def make_db(**relations) -> Database:
         tuples = [tuple(Value(str(c)) for c in row) for row in rows]
         rels[name] = Relation(name, arity, tuples)
     return Database(rels)
+
+
+def sparse_lp(sense: str, objective, rows=(), variables=()) -> SparseLp:
+    """A program built with ``LpBuilder`` from plain dicts.
+
+    The objective and each side of a row ``(lhs, rel, rhs)`` are a
+    ``{name: coeff}`` dict, a number, or a ``(number, dict)`` pair.  The
+    columns are the names in any of them, plus *variables*.
+    """
+
+    def parts(side):
+        if isinstance(side, dict):
+            return 0.0, side
+        return side if isinstance(side, tuple) else (float(side), {})
+
+    sides = [parts(objective)] + [parts(side) for lhs, _, rhs in rows for side in (lhs, rhs)]
+    builder = LpBuilder()
+    builder.block(sorted(set(variables).union(*(terms for _, terms in sides))))
+    index = {name: i for i, name in enumerate(builder.names)}
+
+    def side(s):
+        constant, terms = parts(s)
+        return constant, [index[name] for name in terms], [float(c) for c in terms.values()]
+
+    for lhs, rel, rhs in rows:
+        builder.row(side(lhs), rel, side(rhs))
+    return builder.build(sense, side(objective))
+
+
+def certify_point(lp: SparseLp, point) -> tuple[Certificate, float]:
+    """The primal certificate of *point*, a value per column name, against
+    *lp*'s rows as HiGHS gets them, and *lp*'s objective at *point*."""
+    x = np.array([point[name] for name in lp.names])
+    return lp.matrices().certify(x), lp.obj_const + float(lp.obj_vals @ x[lp.obj_cols])
 
 
 def rand_db(rng: random.Random, max_tuples: int = 50, max_relations: int = 4) -> Database:

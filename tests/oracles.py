@@ -4,25 +4,29 @@ Everything here is deliberately naive: brute-force enumeration over the
 domain for query answers, vertex enumeration for linear programs, a natural
 join of assignment sets, a brute-force test of conjunctive decomposition,
 and ``dict_assembly``, which builds an interpretation's LP row by row as
-string-keyed ``LinSum`` dicts.  The decomposition test and the dict
+``{name: coefficient}`` dicts.  The decomposition test and the dict
 assembly read answer sets through the production ``AnswerSet.restrict`` and
 ``group_by``, and the dict assembly names variables with the production
 ``VarNaming``, so it checks the compilation to columns and nothing before
 it; the rest shares no code with the paths it checks.
+
+``normalize`` rewrites a tree into the textbook normal form, which no solve
+path uses: the tests take normalized trees as extra input shapes.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from lpcq.decomp import DecompTree, bag_projections, check_compatible
+from lpcq.decomp import DecompTree, bag_projections
 from lpcq.errors import TooLargeError, UnknownVariableError
 from lpcq.interpret import VarNaming
 from lpcq.language import ClosedProgram, ClosedSum
-from lpcq.linprog import LinConstraint, LinearProgram, LinSum
+from lpcq.linprog import SparseLp
 from lpcq.queries import (
     And,
     AnswerSet,
@@ -257,7 +261,132 @@ def _extensions(restricted: AnswerSet, bag: frozenset[str]) -> dict:
     }
 
 
+# --- the normal form ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NodeKind:
+    kind: str                 # leaf | extend | project | join
+    var: str | None = None    # for extend/project
+    child_count: int = 0      # for join
+
+
+def classify(tree: DecompTree, node: int) -> NodeKind | None:
+    """Node kind when the node fits the normalized-tree taxonomy, else None."""
+    kids = tree.children[node]
+    bag = tree.bags[node]
+    if not kids:
+        return NodeKind("leaf")
+    if all(tree.bags[c] == bag for c in kids):
+        return NodeKind("join", child_count=len(kids))
+    if len(kids) == 1:
+        child_bag = tree.bags[kids[0]]
+        if len(bag) == len(child_bag) + 1 and child_bag < bag:
+            (added,) = bag - child_bag
+            return NodeKind("extend", var=added)
+        if len(bag) == len(child_bag) - 1 and bag < child_bag:
+            (removed,) = child_bag - bag
+            return NodeKind("project", var=removed)
+    return None
+
+
+def is_normalized(tree: DecompTree) -> bool:
+    return all(classify(tree, n) is not None for n in tree.bags)
+
+
+def normalize(tree: DecompTree) -> DecompTree:
+    """Rewrite into a tree where every node classifies as leaf, extend,
+    project, or join, with an empty root bag.
+
+    Every original bag survives and new bags are subsets of adjacent
+    original bags, so the fractional width is unchanged.
+    """
+    bags: dict[int, frozenset[str]] = {}
+    children: dict[int, list[int]] = {}
+
+    def fresh(bag: frozenset[str]) -> int:
+        nid = len(bags)
+        bags[nid] = bag
+        children[nid] = []
+        return nid
+
+    def chain_to(parent_bag: frozenset[str], child_id: int) -> int:
+        """Stack project/extend steps above child_id until its bag equals parent_bag."""
+        cur = child_id
+        for var in sorted(bags[child_id] - parent_bag):
+            nid = fresh(bags[cur] - {var})
+            children[nid].append(cur)
+            cur = nid
+        for var in sorted(parent_bag - bags[cur]):
+            nid = fresh(bags[cur] | {var})
+            children[nid].append(cur)
+            cur = nid
+        return cur
+
+    def build(node: int) -> int:
+        bag = tree.bags[node]
+        kids = sorted(tree.children[node])
+        if not kids:
+            return fresh(bag)
+        tops = [chain_to(bag, build(child)) for child in kids]
+        if len(tops) == 1 and bags[tops[0]] == bag and tree.bags[kids[0]] != bag:
+            # the chain's top already realizes this node's bag
+            return tops[0]
+        join = fresh(bag)
+        children[join].extend(tops)
+        return join
+
+    cur = build(tree.root)
+    for var in sorted(bags[cur]):
+        nid = fresh(bags[cur] - {var})
+        children[nid].append(cur)
+        cur = nid
+
+    edges = [(p, c) for p, kids in children.items() for c in kids]
+    return DecompTree(cur, bags, edges, query=tree.query)
+
+
+# --- programs as dicts ------------------------------------------------------------
+
+
+def written_rows(lp: SparseLp) -> list:
+    """Each row of *lp* as written, ``(lhs, rel, rhs)``: a side is its
+    constant and its ``{name: coefficient}`` terms without zeros."""
+
+    def side(constant, cols, vals):
+        return constant, {lp.names[c]: v for c, v in zip(cols, vals) if v != 0.0}
+
+    return [(side(*lhs), rel, side(*rhs)) for lhs, rel, rhs in lp.rows()]
+
+
+def objective_terms(lp: SparseLp) -> dict[str, float]:
+    return {lp.names[c]: v for c, v in zip(lp.obj_cols.tolist(), lp.obj_vals.tolist()) if v != 0.0}
+
+
+def moved_left(lp: SparseLp):
+    """*lp* as ``vertex_enumeration_optimum`` takes it after the sense: the
+    objective's terms and constant, each row's terms moved left with their
+    bound, and the variables."""
+    rows = []
+    for (lconst, lhs), rel, (rconst, rhs) in written_rows(lp):
+        coeffs = dict(lhs)
+        for name, coeff in rhs.items():
+            coeffs[name] = coeffs.get(name, 0.0) - coeff
+        rows.append(({n: c for n, c in coeffs.items() if c != 0.0}, rel, rconst - lconst))
+    return objective_terms(lp), lp.obj_const, rows, lp.names
+
+
 # --- dict assembly -------------------------------------------------------------
+
+
+class DictLp(NamedTuple):
+    """An interpretation's LP as plain dicts: the objective and each side of
+    a row ``(lhs, rel, rhs)`` are a constant and ``{name: coefficient}``
+    terms without zeros."""
+
+    objective: tuple[float, dict[str, float]]
+    rows: list
+    variables: list[str]
 
 
 class _WeightSums:
@@ -268,7 +397,7 @@ class _WeightSums:
         self.names = names
         self._groups = {}
 
-    def natural_sum(self, w) -> LinSum:
+    def natural_sum(self, w) -> dict[str, float]:
         key = (w.query_name, w.query)
         target_vars = w.target_vars()
         gkey = (key, target_vars)
@@ -276,40 +405,37 @@ class _WeightSums:
             self._groups[gkey] = self.answers[key].group_by(target_vars)
         values = tuple(v for _, v in w.targets)
         members = self._groups[gkey].get(values, ())
-        return LinSum(0.0, {self.names[key][i]: 1.0 for i in members})
+        return {self.names[key][i]: 1.0 for i in members}
 
 
-def _closed_sum_to_linsum(s: ClosedSum, term_of) -> LinSum:
+def _closed_sum(s: ClosedSum, term_of) -> tuple[float, dict[str, float]]:
     acc: dict[str, float] = {}
     for w, coeff in s.ordered_terms():
-        for var, c in term_of(w).terms.items():
+        for var, c in term_of(w).items():
             acc[var] = acc.get(var, 0.0) + c * coeff
-    return LinSum(s.constant, acc)
+    return s.constant, {var: c for var, c in acc.items() if c != 0.0}
 
 
-def _assemble(cp: ClosedProgram, term_of, extra_rows, declared) -> tuple[LinearProgram, list[str]]:
-    objective = _closed_sum_to_linsum(cp.objective, term_of)
-    constraints = []
-    provenance = []
-    for con in cp.constraints:
-        constraints.append(
-            LinConstraint(
-                _closed_sum_to_linsum(con.lhs, term_of),
-                con.rel,
-                _closed_sum_to_linsum(con.rhs, term_of),
-            )
-        )
-        provenance.append("user")
+def _assemble(cp: ClosedProgram, term_of, extra_rows, declared) -> tuple[DictLp, list[str]]:
+    rows = [
+        (_closed_sum(con.lhs, term_of), con.rel, _closed_sum(con.rhs, term_of))
+        for con in cp.constraints
+    ]
+    provenance = ["user"] * len(rows)
     for row, tag in extra_rows:
-        constraints.append(row)
+        rows.append(row)
         provenance.append(tag)
-    return LinearProgram("maximize", objective, constraints, declared=declared), provenance
+    return DictLp(_closed_sum(cp.objective, term_of), rows, sorted(declared)), provenance
+
+
+def _one(var) -> tuple[float, dict[str, float]]:
+    return 0.0, ({var: 1.0} if var is not None else {})
 
 
 def dict_assembly(mode: str, cp: ClosedProgram, db: Database, decomps=None):
-    """(LinearProgram, provenance) of one interpretation, each row built as
-    ``LinSum`` dicts keyed by variable name: user rows, then weight rows,
-    then soundness rows, query by query."""
+    """(DictLp, provenance) of one interpretation, each row built as
+    ``{name: coefficient}`` dicts: user rows, then weight rows, then
+    soundness rows, query by query."""
     naming = VarNaming()
     if mode == "factorized":
         return _dict_factorized(cp, decomps, db, naming)
@@ -320,12 +446,9 @@ def dict_assembly(mode: str, cp: ClosedProgram, db: Database, decomps=None):
     if mode == "natural":
         return _assemble(cp, sums.natural_sum, [], declared)
     nu = {w: naming.nu_name(w) for w in cp.weight_exprs()}
-    rows = [
-        (LinConstraint(LinSum.variable(nu[w]), "=", sums.natural_sum(w)), "weight")
-        for w in cp.weight_exprs()
-    ]
+    rows = [((_one(nu[w]), "=", (0.0, sums.natural_sum(w))), "weight") for w in cp.weight_exprs()]
     declared += list(nu.values())
-    return _assemble(cp, lambda w: LinSum.variable(nu[w]), rows, declared)
+    return _assemble(cp, lambda w: {nu[w]: 1.0}, rows, declared)
 
 
 def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: VarNaming):
@@ -338,7 +461,6 @@ def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: VarNaming
     for key in cp.queries_w():
         tree = decomps[key]
         weights = targets_by_query.get(key, [])
-        witnesses = check_compatible(tree, [w.target_vars() for w in weights])
         proj = bag_projections(key[1], tree, db)
         names = {}
         for node in sorted(tree.bags):
@@ -346,17 +468,20 @@ def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: VarNaming
             declared += names[node]
         for w in weights:
             nu[w] = naming.nu_name(w)
-            witness = witnesses[w.target_vars()]
+            # the bag equal to the target closest to the root, smallest id on ties
+            witness = min(
+                (n for n, bag in tree.bags.items() if bag == w.target_vars()),
+                key=lambda n: (tree.depth(n), n),
+            )
             var = dict(zip(proj[witness].rows, names[witness])).get(tuple(v for _, v in w.targets))
-            rhs = LinSum.variable(var) if var is not None else LinSum(0.0)
-            extra_rows.append((LinConstraint(LinSum.variable(nu[w]), "=", rhs), "weight"))
+            extra_rows.append(((_one(nu[w]), "=", _one(var)), "weight"))
         for parent, child in sorted(tree.edges):
             shared = tree.bags[parent] & tree.bags[child]
             pg = proj[parent].group_by(shared)
             cg = proj[child].group_by(shared)
             for gamma in sorted(set(pg) | set(cg), key=lambda t: tuple(v.text for v in t)):
-                lhs = LinSum(0.0, {names[parent][i]: 1.0 for i in pg.get(gamma, ())})
-                rhs = LinSum(0.0, {names[child][i]: 1.0 for i in cg.get(gamma, ())})
-                extra_rows.append((LinConstraint(lhs, "=", rhs), "soundness"))
+                lhs = {names[parent][i]: 1.0 for i in pg.get(gamma, ())}
+                rhs = {names[child][i]: 1.0 for i in cg.get(gamma, ())}
+                extra_rows.append((((0.0, lhs), "=", (0.0, rhs)), "soundness"))
     declared += list(nu.values())
-    return _assemble(cp, lambda w: LinSum.variable(nu[w]), extra_rows, declared)
+    return _assemble(cp, lambda w: {nu[w]: 1.0}, extra_rows, declared)

@@ -15,7 +15,6 @@ from lpcq.decomp import (
     bag_projections,
     fractional_bag_width,
     heuristic_decompose,
-    normalize,
 )
 from lpcq.errors import UncoverableVariableError
 from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
@@ -30,7 +29,7 @@ from lpcq.language import (
     parse,
     size,
 )
-from lpcq.linprog import eval_sum, solve
+from lpcq.linprog import solve
 from lpcq.queries import AnswerSet, Var, evaluate, free_vars
 from lpcq.relations import Value
 from lpcq.weightings import (
@@ -42,8 +41,10 @@ from lpcq.weightings import (
     solution_to_weights,
 )
 
-from makers import make_db, numeric_db, rand_db, rand_flagship_instance, rand_lpcq_program, rand_query
-from oracles import brute_force_answers, vertex_enumeration_optimum
+from makers import (
+    certify_point, make_db, numeric_db, rand_db, rand_flagship_instance, rand_lpcq_program, rand_query,
+)
+from oracles import brute_force_answers, moved_left, normalize, vertex_enumeration_optimum
 
 REL_TOL = 1e-6
 
@@ -102,13 +103,13 @@ def test_criterion_1_worked_example():
     cp = quantifier_eliminate(close(normal_form(program), db))
 
     values = {}
-    values["natural"] = solve(natural(cp, db).lp)
-    values["replacement"] = solve(replacement(cp, db).lp)
+    values["natural"] = solve(natural(cp, db).program)
+    values["replacement"] = solve(replacement(cp, db).program)
     (key,) = cp.queries_w()
     tree = DecompTree(
         0, {0: [], 1: ["x"], 2: ["y"]}, [(0, 1), (0, 2)], query=key[1]
     )
-    values["factorized"] = solve(factorized(cp, {key: tree}, db).lp)
+    values["factorized"] = solve(factorized(cp, {key: tree}, db).program)
     elapsed = time.perf_counter() - started
 
     ok = all(
@@ -142,13 +143,9 @@ def test_criterion_2_closure_reproduction():
     structural = cp.canonical() == expected.canonical()
 
     ilp = natural(cp, db)
-    sol = solve(ilp.lp)
+    sol = solve(ilp.program)
     # independent oracle for the 1.3 value: vertex enumeration of the LP
-    rows = [c.normalized() for c in ilp.lp.constraints]
-    oracle = vertex_enumeration_optimum(
-        "maximize", ilp.lp.objective.terms, ilp.lp.objective.constant,
-        rows, ilp.lp.variables(),
-    )
+    oracle = vertex_enumeration_optimum("maximize", *moved_left(ilp.program))
     ok = (
         structural
         and sol.status == "optimal"
@@ -182,10 +179,10 @@ def flagship_suite():
         db, _, cp = rand_flagship_instance(rng)
         cpq = quantifier_eliminate(cp)
         nat_ilp = natural(cpq, db)
-        nat = solve(nat_ilp.lp)
-        repl = solve(replacement(cpq, db).lp)
+        nat = solve(nat_ilp.program)
+        repl = solve(replacement(cpq, db).program)
         fac_ilp = factorized(cpq, _heuristic_decomps(cpq, db), db)
-        fac = solve(fac_ilp.lp)
+        fac = solve(fac_ilp.program)
 
         lift_ok = None
         if fac.status == "optimal":
@@ -196,11 +193,8 @@ def flagship_suite():
                 point.update(
                     {name: weighting.values[row] for name, row in zip(names, answers.rows)}
                 )
-            feasible = all(
-                con.satisfied_by(point, tol=1e-6) for con in nat_ilp.lp.constraints
-            )
-            objective = eval_sum(nat_ilp.lp.objective, point)
-            lift_ok = feasible and close_rel(objective, fac.value)
+            certificate, objective = certify_point(nat_ilp.program, point)
+            lift_ok = certificate.violation <= 1e-6 and close_rel(objective, fac.value)
         results.append((nat, repl, fac, lift_ok))
     return results, time.perf_counter() - started
 
@@ -228,8 +222,8 @@ def test_criterion_4_quantifier_elimination():
     bad = 0
     for _ in range(500):
         db, _, cp = rand_flagship_instance(rng, n_exists=rng.randint(1, 2))
-        before = solve(natural(cp, db).lp)
-        after = solve(natural(quantifier_eliminate(cp), db).lp)
+        before = solve(natural(cp, db).program)
+        after = solve(natural(quantifier_eliminate(cp), db).program)
         if before.status != after.status:
             bad += 1
         elif before.status == "optimal" and not close_rel(before.value, after.value):
@@ -262,7 +256,7 @@ def test_criterion_6_counting_gadget():
             continue
         program = _counting_gadget(q)
         cp = close(program, db)
-        sol = solve(natural(quantifier_eliminate(cp), db).lp)
+        sol = solve(natural(quantifier_eliminate(cp), db).program)
         if sol.status != "optimal" or abs(sol.value - len(answers)) > 1e-6:
             bad += 1
         checked += 1

@@ -22,15 +22,14 @@ from lpcq.cli import (
 )
 from lpcq.decomp import bag_projections, heuristic_decompose
 from lpcq.errors import InfeasibleSpecError
-from lpcq.interpret import VarNaming, quantifier_eliminate
+from lpcq.interpret import natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import FEAS_TOL, eval_sum
+from lpcq.linprog import FEAS_TOL
 from lpcq.lpformat import parse_lp
-from lpcq.queries import evaluate
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
-from oracles import dict_assembly
+from makers import certify_point
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DELIVERY = DEMOS / "delivery"
@@ -53,6 +52,61 @@ THREE_NODE_DECOMP = {
     "edges": [[0, 1], [0, 2]],
 }
 
+# the worked example's --explain lines and --emit-lp file, mode by mode
+PINNED = {
+    "natural": ("""\
+[user] c1: 1*th_Q_0_0 + 1*th_Q_0_1 <= 1
+[user] c2: 1*th_Q_1_0 + 1*th_Q_1_1 <= 1
+""", """\
+\\ exported linear program
+Maximize
+ obj: th_Q_0_0 + th_Q_0_1 + th_Q_1_0 + th_Q_1_1
+Subject To
+ c1: th_Q_0_0 + th_Q_0_1 <= 1
+ c2: th_Q_1_0 + th_Q_1_1 <= 1
+End
+"""),
+    "replacement": ("""\
+[user] c1: 1*nu_Q_x_0 <= 1
+[user] c2: 1*nu_Q_x_1 <= 1
+[weight] c3: 1*nu_Q_all = 1*th_Q_0_0 + 1*th_Q_0_1 + 1*th_Q_1_0 + 1*th_Q_1_1
+[weight] c4: 1*nu_Q_x_0 = 1*th_Q_0_0 + 1*th_Q_0_1
+[weight] c5: 1*nu_Q_x_1 = 1*th_Q_1_0 + 1*th_Q_1_1
+""", """\
+\\ exported linear program
+Maximize
+ obj: nu_Q_all
+Subject To
+ c1: nu_Q_x_0 <= 1
+ c2: nu_Q_x_1 <= 1
+ c3: nu_Q_all - th_Q_0_0 - th_Q_0_1 - th_Q_1_0 - th_Q_1_1 = 0
+ c4: nu_Q_x_0 - th_Q_0_0 - th_Q_0_1 = 0
+ c5: nu_Q_x_1 - th_Q_1_0 - th_Q_1_1 = 0
+End
+"""),
+    "factorized": ("""\
+[user] c1: 1*nu_Q_x_0 <= 1
+[user] c2: 1*nu_Q_x_1 <= 1
+[weight] c3: 1*nu_Q_all = 1*xi_Q_n0_all
+[weight] c4: 1*nu_Q_x_0 = 1*xi_Q_n1_0
+[weight] c5: 1*nu_Q_x_1 = 1*xi_Q_n1_1
+[soundness] c6: 1*xi_Q_n0_all = 1*xi_Q_n1_0 + 1*xi_Q_n1_1
+[soundness] c7: 1*xi_Q_n0_all = 1*xi_Q_n2_0 + 1*xi_Q_n2_1
+""", """\
+\\ exported linear program
+Maximize
+ obj: nu_Q_all
+Subject To
+ c1: nu_Q_x_0 <= 1
+ c2: nu_Q_x_1 <= 1
+ c3: nu_Q_all - xi_Q_n0_all = 0
+ c4: nu_Q_x_0 - xi_Q_n1_0 = 0
+ c5: nu_Q_x_1 - xi_Q_n1_1 = 0
+ c6: xi_Q_n0_all - xi_Q_n1_0 - xi_Q_n1_1 = 0
+ c7: xi_Q_n0_all - xi_Q_n2_0 - xi_Q_n2_1 = 0
+End
+"""),
+}
 
 # no y of R occurs in S, so the answer set and every bag projection are empty
 EMPTY_ANSWERS = """
@@ -177,16 +231,17 @@ class TestSolveCommand:
             total += float(cells[-1])
         assert math.isclose(total, 2.0, abs_tol=1e-6)
 
-    def test_explain_prints_provenance(self, worked_dir):
+    def test_explain_prints_provenance(self, worked_dir, tmp_path):
+        # every row with its tag, and the same rows in the LP file
         prog, db, decomp = worked_dir
-        code, out = run_main(
-            [
-                "solve", str(prog), str(db),
-                "--mode", "factorized", "--decomp", str(decomp), "--explain",
-            ]
-        )
-        assert code == 0
-        assert "[user]" in out and "[weight]" in out and "[soundness]" in out
+        lp_path = tmp_path / "out.lp"
+        for mode, (explain, lp_text) in PINNED.items():
+            argv = ["solve", str(prog), str(db), "--mode", mode, "--explain", "--emit-lp", str(lp_path)]
+            code, out = run_main(argv + (["--decomp", str(decomp)] if mode == "factorized" else []))
+            assert code == 0
+            assert [line for line in out.splitlines() if line.startswith("[")] == explain.splitlines()
+            assert lp_path.read_text() == lp_text
+            assert json.loads(Path(f"{lp_path}.names.json").read_text()) == {}
 
     def test_json_report(self, worked_dir):
         prog, db, _ = worked_dir
@@ -468,14 +523,9 @@ def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
     assert math.isclose(nat["value"], fac["value"], rel_tol=1e-6, abs_tol=1e-6)
 
     db = load_database(db_dir)
-    cp = quantifier_eliminate(close(normal_form(parse(BENCH_PROGRAM)), db))
-    lp, provenance = dict_assembly("natural", cp, db)
-    (key,) = cp.queries_w()
-    answers = evaluate(key[1], db)
-    name_of = {
-        tuple(v.text for v in row): name
-        for row, name in zip(answers.rows, VarNaming().theta_names(key, answers))
-    }
+    nat_ilp = natural(quantifier_eliminate(close(normal_form(parse(BENCH_PROGRAM)), db)), db)
+    ((answers, names),) = nat_ilp.theta.values()
+    name_of = {tuple(v.text for v in row): name for row, name in zip(answers.rows, names)}
     point = {}
     for line in weights.read_text(encoding="utf-8").splitlines()[1:]:
         cells = next(csv.reader([line]))
@@ -483,9 +533,10 @@ def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
         point[name_of[row]] = float(cells[-1])
     assert len(point) == len(name_of) == len(answers)
     assert min(point.values()) >= 0.0
-    user = [con for con, tag in zip(lp.constraints, provenance) if tag == "user"]
-    assert user and all(con.satisfied_by(point, tol=1e-6) for con in user)
-    assert math.isclose(eval_sum(lp.objective, point), nat["value"], rel_tol=1e-6)
+    # every natural row is a user row
+    certificate, objective = certify_point(nat_ilp.program, point)
+    assert set(nat_ilp.provenance) == {"user"} and certificate.violation <= 1e-6
+    assert math.isclose(objective, nat["value"], rel_tol=1e-6)
 
 
 class TestGenCommand:

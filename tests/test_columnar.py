@@ -2,9 +2,9 @@
 
 Each interpretation compiles straight to integer columns.  These tests
 capture the arguments ``scipy.optimize.linprog`` receives and compare them,
-exactly, with those of the same program built row by row as ``LinSum``
-dicts (``oracles.dict_assembly``) and sent through the ``LinearProgram``
-conversion.
+exactly, with those of the same program built row by row as
+``{name: coefficient}`` dicts (``oracles.dict_assembly``) and handed to
+``LpBuilder`` as written (``makers.sparse_lp``).
 """
 
 import json
@@ -22,14 +22,14 @@ from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, BENCH_SELECTIVITY, build_decom
 from lpcq.decomp import load_decompositions, tree_width
 from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import SparseLp, solve
+from lpcq.linprog import solve
 from lpcq.lpformat import export_lp, parse_lp
 from lpcq.queries import qf
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
-from makers import make_db, rand_flagship_instance
-from oracles import dict_assembly
+from makers import make_db, rand_flagship_instance, sparse_lp
+from oracles import dict_assembly, objective_terms, written_rows
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 MATRICES = ("A_ub", "b_ub", "A_eq", "b_eq")
@@ -91,13 +91,12 @@ def assert_same_input(got, want) -> None:
 
 
 def same_rows(got, want) -> None:
-    """Two LinearPrograms with the same rows, side by side, and objective."""
-    assert got.sense == want.sense
-    assert got.objective == want.objective
-    assert got.variables() == want.variables()
-    assert len(got.constraints) == len(want.constraints)
-    for a, b in zip(got.constraints, want.constraints):
-        assert (a.lhs, a.rel, a.rhs) == (b.lhs, b.rel, b.rhs), (a, b)
+    """A compiled program with the dict assembly's rows, side by side, and
+    objective."""
+    assert got.sense == "maximize"
+    assert (got.obj_const, objective_terms(got)) == want.objective
+    assert got.names == want.variables
+    assert written_rows(got) == want.rows
 
 
 def delivery_case(tmp_path):
@@ -141,17 +140,16 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path):
         want_lp, want_provenance = dict_assembly(mode, cp_qf, db, decomps)
 
         assert ilp.provenance == want_provenance, label
-        assert ilp.program.names == want_lp.variables(), label
+        same_rows(ilp.program, want_lp)
         got, got_sol = highs_input(ilp.program)
-        want, want_sol = highs_input(want_lp)
+        want, want_sol = highs_input(sparse_lp("maximize", *want_lp))
         assert_same_input(got, want)
         assert got_sol.nonzeros == want_sol.nonzeros > 0
         assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value), label
 
-        # the lazy view: the rows as written, and an LP-format round trip
-        same_rows(ilp.lp, want_lp)
+        # an LP-format round trip
         path = tmp_path / f"{label}_{mode}.lp"
-        export_lp(ilp.lp, path)
+        export_lp(ilp.program, path)
         parsed, _ = highs_input(parse_lp(path))
         assert_same_input(parsed, got)
 
@@ -197,9 +195,8 @@ def test_random_programs_compile_like_the_conversion(seed):
     for mode in MODES:
         ilp = interpret(mode, cp, db, decomps)
         want_lp, _ = dict_assembly(mode, cp, db, decomps)
-        assert ilp.program.names == want_lp.variables()
+        same_rows(ilp.program, want_lp)
         got, got_sol = highs_input(ilp.program)
-        want, want_sol = highs_input(SparseLp.from_program(want_lp))
+        want, want_sol = highs_input(sparse_lp("maximize", *want_lp))
         assert_same_input(got, want)
         assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value)
-        same_rows(ilp.lp, want_lp)

@@ -11,17 +11,16 @@ from lpcq.decomp import (
     DecompTree,
     attach_target_bags,
     bag_projections,
-    check_compatible,
     fractional_bag_width,
     heuristic_decompose,
     load_decompositions,
     match_tree_to_query,
-    normalize,
     save_decompositions,
     tree_width,
     validate,
 )
 from lpcq.errors import (
+    IncompatibleDecompositionError,
     IncompatibleTargetError,
     NotATreeError,
     UncoverableVariableError,
@@ -29,13 +28,13 @@ from lpcq.errors import (
     UncoveredVariableError,
     DisconnectedVariableError,
 )
-from lpcq.interpret import quantifier_eliminate
+from lpcq.interpret import factorized, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
 from lpcq.queries import evaluate, free_vars, parse_query, qf
 from lpcq.relations import Database, Relation, Value
 from lpcq.synth import GenSpec, generate_delivery
 
-from oracles import brute_force_answers
+from oracles import brute_force_answers, classify, is_normalized, normalize
 
 
 def V(x):
@@ -116,25 +115,25 @@ class TestNormalize:
         q = parse_query("R1(x) /\\ R2(y)")
         t = DecompTree(7, {7: ["x", "y"]}, [], query=q)
         n = normalize(t)
-        assert n.is_normalized()
+        assert is_normalized(n)
         assert n.bags[n.root] == frozenset()
-        kinds = [n.classify(v).kind for v in n.bfs_order()]
+        kinds = [classify(n, v).kind for v in n.bfs_order()]
         assert kinds == ["project", "project", "leaf"]
         validate(n, q)
 
     def test_already_normalized_keeps_bags(self, f1_tree):
         t, q = f1_tree
         n = normalize(t)
-        assert n.is_normalized()
+        assert is_normalized(n)
         assert set(n.bags.values()) == set(t.bags.values())
         n2 = normalize(n)
-        assert n2.is_normalized()
+        assert is_normalized(n2)
         assert set(n2.bags.values()) == set(n.bags.values())
 
     def test_path_tree_normalizes(self):
         t = path_tree()
         n = normalize(t)
-        assert n.is_normalized()
+        assert is_normalized(n)
         assert n.bags[n.root] == frozenset()
         validate(n, PATH_Q)
         # original bags survive
@@ -145,7 +144,7 @@ class TestNormalize:
         for _ in range(20):
             db, q, t = _random_decomposed(rng)
             n = normalize(t)
-            assert n.is_normalized()
+            assert is_normalized(n)
             validate(n, q)
             assert math.isclose(tree_width(n, q), tree_width(t, q), abs_tol=1e-9)
 
@@ -205,27 +204,37 @@ class TestWidths:
             assert math.isclose(w, oracle[0], abs_tol=1e-6)
 
 
-class TestCompatibility:
-    def test_witnesses(self, f1_tree):
-        t, _ = f1_tree
-        wit = check_compatible(t, [{"x"}, {"y"}, set()])
-        assert wit[frozenset({"x"})] == 1
-        assert wit[frozenset({"y"})] == 2
-        assert wit[frozenset()] == 0
+def _weights_of(db, tree, *conditions):
+    """(program, decompositions, db) for factorized: the weights of *tree*'s
+    query under each condition, maximized."""
+    objective = " + ".join(f"weight[(x, y): {c}](Q)" for c in conditions)
+    cp = close(parse(f"let Q(x, y) = R1(x) /\\ R2(y)\nmaximize {objective}\nsubject to true"), db)
+    return cp, {cp.queries_w()[0]: tree}, db
 
-    def test_incompatible_target(self):
-        q = parse_query("R(x, y) /\\ S(y, z)")
-        t = DecompTree(0, {0: ["x", "y"], 1: ["y", "z"]}, [(0, 1)], query=q)
-        with pytest.raises(IncompatibleTargetError):
-            check_compatible(t, [{"x", "z"}])
+
+class TestCompatibility:
+    def test_witnesses(self, f1):
+        # {x} is the bag of node 4 and, closer to the root, of nodes 3 and 5:
+        # a weight row reads the bag closest to the root, the smallest id on ties
+        t = DecompTree(
+            0, {0: ["x", "y"], 1: ["x", "y"], 2: ["y"], 3: ["x"], 4: ["x"], 5: ["x"]},
+            [(0, 1), (1, 4), (0, 5), (0, 3), (0, 2)], query=parse_query("R1(x) /\\ R2(y)"),
+        )
+        ilp = factorized(*_weights_of(f1, t, "x == 0", "y == 1"))
+        rows = [text for text, tag in zip(ilp.program.row_texts(), ilp.provenance) if tag == "weight"]
+        assert rows == ["1*nu_Q_x_0 = 1*xi_Q_n3_0", "1*nu_Q_y_1 = 1*xi_Q_n2_1"]
+
+    def test_incompatible_target(self, f1, f1_tree):
+        # an unfitted tree: no bag equals the target {x, y}
+        with pytest.raises(IncompatibleDecompositionError, match=re.escape("['x', 'y']")):
+            factorized(*_weights_of(f1, f1_tree[0], "x == 0 /\\ y == 1"))
 
     def test_attach_target_bags(self):
         q = parse_query("R(x, y) /\\ S(y, z)")
         t = DecompTree(0, {0: ["x", "y"], 1: ["y", "z"]}, [(0, 1)], query=q)
         t2 = attach_target_bags(t, [{"x"}, {"y", "z"}])
-        wit = check_compatible(t2, [{"x"}, {"y", "z"}])
         validate(t2, q)
-        assert wit[frozenset({"x"})] not in t.bags or t2.bags[wit[frozenset({"x"})]] == {"x"}
+        assert {frozenset({"x"}), frozenset({"y", "z"})} <= set(t2.bags.values())
 
     def test_attach_impossible_target(self):
         q = parse_query("R(x, y) /\\ S(y, z)")
@@ -397,7 +406,7 @@ class TestHeuristic:
             t = heuristic_decompose(q, targets)
             validate(t, q)
             n = normalize(t)
-            check_compatible(n, targets)
+            assert {frozenset(x) for x in targets} <= set(n.bags.values())
 
     def test_targets_are_bags_as_built(self, rng):
         for _ in range(20):
@@ -407,7 +416,7 @@ class TestHeuristic:
             targets.append(set())
             t = heuristic_decompose(q, targets)
             validate(t, q)
-            check_compatible(t, targets)
+            assert {frozenset(x) for x in targets} <= set(t.bags.values())
             fitted = attach_target_bags(t, targets)
             assert (fitted.root, fitted.bags, fitted.edges) == (t.root, t.bags, t.edges)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lpcq.decomp import DecompTree, heuristic_decompose, normalize
+from lpcq.decomp import DecompTree, heuristic_decompose
 from lpcq.errors import (
     IncompatibleDecompositionError,
     MissingDecompositionError,
@@ -15,10 +15,11 @@ from lpcq.interpret import (
     replacement,
 )
 from lpcq.language import ClosedProgram, close, parse
-from lpcq.linprog import LinConstraint, LinearProgram, solve
+from lpcq.linprog import LpBuilder, solve
 from lpcq.queries import free_vars, parse_query
 
 from makers import make_db, rand_flagship_instance
+from oracles import normalize
 
 WORKED = """
 let Q(x, y) = R1(x) /\\ R2(y)
@@ -52,9 +53,9 @@ class TestNatural:
         cp = worked_cp()
         ilp = natural(cp, f1_db())
         assert ilp.theta_count == 4
-        assert len(ilp.lp.constraints) == 2
+        assert ilp.program.row_count == 2
         assert all(tag == "user" for tag in ilp.provenance)
-        sol = solve(ilp.lp)
+        sol = solve(ilp.program)
         assert sol.status == "optimal"
         assert abs(sol.value - 2.0) < 1e-9
 
@@ -63,14 +64,14 @@ class TestNatural:
         cp = worked_cp(db)
         ilp = natural(cp, db)
         assert ilp.theta_count == 0
-        sol = solve(ilp.lp)
+        sol = solve(ilp.program)
         assert sol.status == "optimal" and abs(sol.value) < 1e-12
 
     def test_quantified_program(self):
         cp = close(parse(WORKED_QUANTIFIED), f1_db())
         ilp = natural(cp, f1_db())
         assert ilp.theta_count == 2
-        sol = solve(ilp.lp)
+        sol = solve(ilp.program)
         assert abs(sol.value - 2.0) < 1e-9
 
 
@@ -80,7 +81,7 @@ class TestReplacement:
         ilp = replacement(cp, f1_db())
         assert ilp.nu_count == 3
         assert ilp.provenance_counts() == {"user": 2, "weight": 3, "soundness": 0}
-        sol = solve(ilp.lp)
+        sol = solve(ilp.program)
         assert abs(sol.value - 2.0) < 1e-9
 
     def test_no_weight_expressions(self):
@@ -89,7 +90,7 @@ class TestReplacement:
             [],
         )
         ilp = replacement(cp, f1_db())
-        assert ilp.nu_count == 0 and not ilp.lp.constraints
+        assert ilp.nu_count == 0 and not ilp.program.row_count
 
     def test_duplicate_weight_shares_nu(self):
         text = """
@@ -132,8 +133,8 @@ class TestQuantifierElimination:
     def test_preserves_optimum(self):
         db = f1_db()
         cp = close(parse(WORKED_QUANTIFIED), db)
-        a = solve(natural(cp, db).lp)
-        b = solve(natural(quantifier_eliminate(cp), db).lp)
+        a = solve(natural(cp, db).program)
+        b = solve(natural(quantifier_eliminate(cp), db).program)
         assert a.status == b.status == "optimal"
         assert abs(a.value - b.value) < 1e-9
 
@@ -149,7 +150,7 @@ class TestFactorized:
         assert ilp.nu_count == 3
         counts = ilp.provenance_counts()
         assert counts == {"user": 2, "weight": 3, "soundness": 2}
-        sol = solve(ilp.lp)
+        sol = solve(ilp.program)
         assert sol.status == "optimal"
         assert abs(sol.value - 2.0) < 1e-9
 
@@ -164,7 +165,7 @@ class TestFactorized:
         cp = close(parse(text), db)
         (key,) = cp.queries_w()
         ilp = factorized(cp, {key: three_node_tree(key[1])}, db)
-        sol = solve(ilp.lp)
+        sol = solve(ilp.program)
         assert sol.status == "optimal"
         assert abs(sol.value - 3.0) < 1e-9
 
@@ -173,18 +174,13 @@ class TestFactorized:
         cp = worked_cp(db)
         (key,) = cp.queries_w()
         ilp = factorized(cp, {key: three_node_tree(key[1])}, db)
-        keep = [
-            (con, tag)
-            for con, tag in zip(ilp.lp.constraints, ilp.provenance)
-            if tag != "soundness"
-        ]
-        crippled = LinearProgram(
-            "maximize",
-            ilp.lp.objective,
-            [con for con, _ in keep],
-            declared=set(ilp.lp.variables()),
-        )
-        sol = solve(crippled)
+        lp = ilp.program
+        builder = LpBuilder()
+        builder.block(lp.names)
+        for row, tag in zip(lp.rows(), ilp.provenance):
+            if tag != "soundness":
+                builder.row(*row)
+        sol = solve(builder.build(lp.sense, (lp.obj_const, lp.obj_cols, lp.obj_vals)))
         assert sol.status == "unbounded"
 
     def test_missing_decomposition(self):
@@ -233,12 +229,12 @@ class TestFactorized:
             db, _, cp = rand_flagship_instance(rng)
             cpq = quantifier_eliminate(cp)
             nat = natural(cpq, db)
-            assert len(nat.lp.variables()) == nat.variable_count
+            assert len(nat.program.names) == nat.variable_count
             assert nat.theta_count == sum(
                 len(answers) for answers, _ in nat.theta.values()
             )
             fac = _factorize_with_heuristic(cpq, db)
-            assert len(fac.lp.variables()) == fac.variable_count
+            assert len(fac.program.names) == fac.variable_count
 
 
 def _factorize_with_heuristic(cp, db):
@@ -278,8 +274,8 @@ class TestVariableNames:
     def test_names_unique_across_queries(self, interpret):
         db = make_db(R=[("x", "all"), ("y", "z")], S=[("a",)])
         ilp = interpret(quantifier_eliminate(close(parse(COLLIDING_NAMES), db)), db)
-        assert len(ilp.lp.variables()) == ilp.variable_count
-        assert math.isclose(solve(ilp.lp).value, 8.0)
+        assert len(ilp.program.names) == ilp.variable_count
+        assert math.isclose(solve(ilp.program).value, 8.0)
 
     @pytest.mark.parametrize("interpret", [natural, replacement, _factorize_with_heuristic])
     def test_queries_sharing_an_id_get_disjoint_names(self, interpret):
@@ -291,17 +287,17 @@ class TestVariableNames:
             for _, names in family.values()
         ]
         assert all(a.isdisjoint(b) for i, a in enumerate(families) for b in families[i + 1:])
-        assert len(ilp.lp.variables()) == ilp.variable_count
-        assert all(name.startswith(("th_a__", "xi_a__", "nu_a__")) for name in ilp.lp.variables())
-        assert math.isclose(solve(ilp.lp).value, 3.0)
+        assert len(ilp.program.names) == ilp.variable_count
+        assert all(name.startswith(("th_a__", "xi_a__", "nu_a__")) for name in ilp.program.names)
+        assert math.isclose(solve(ilp.program).value, 3.0)
 
 
 class TestEquivalences:
     def test_replacement_matches_natural_randomized(self, rng):
         for _ in range(40):
             db, _, cp = rand_flagship_instance(rng)
-            a = solve(natural(cp, db).lp)
-            b = solve(replacement(cp, db).lp)
+            a = solve(natural(cp, db).program)
+            b = solve(replacement(cp, db).program)
             assert a.status == b.status
             if a.status == "optimal":
                 assert math.isclose(a.value, b.value, rel_tol=1e-6, abs_tol=1e-6)
@@ -310,8 +306,8 @@ class TestEquivalences:
         for _ in range(40):
             db, _, cp = rand_flagship_instance(rng)
             cpq = quantifier_eliminate(cp)
-            a = solve(natural(cpq, db).lp)
-            b = solve(_factorize_with_heuristic(cpq, db).lp)
+            a = solve(natural(cpq, db).program)
+            b = solve(_factorize_with_heuristic(cpq, db).program)
             assert a.status == b.status
             if a.status == "optimal":
                 assert math.isclose(a.value, b.value, rel_tol=1e-6, abs_tol=1e-6)
@@ -319,8 +315,8 @@ class TestEquivalences:
     def test_quantifier_elimination_preserves_optimum_randomized(self, rng):
         for _ in range(25):
             db, _, cp = rand_flagship_instance(rng, n_exists=2)
-            a = solve(natural(cp, db).lp)
-            b = solve(natural(quantifier_eliminate(cp), db).lp)
+            a = solve(natural(cp, db).program)
+            b = solve(natural(quantifier_eliminate(cp), db).program)
             assert a.status == b.status
             if a.status == "optimal":
                 assert math.isclose(a.value, b.value, rel_tol=1e-6, abs_tol=1e-6)

@@ -1,112 +1,65 @@
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from lpcq.errors import CertificateError, IoError, NumericalFailureError, UnboundVariableError
-from lpcq.linprog import (
-    FEAS_TOL,
-    LinConstraint,
-    LinearProgram,
-    LinSum,
-    certify,
-    eval_sum,
-    solve,
-)
+from lpcq.errors import CertificateError, IoError, NumericalFailureError
+from lpcq.linprog import FEAS_TOL, certify, solve
 from lpcq.lpformat import export_lp, parse_lp
 
-from oracles import vertex_enumeration_optimum
-
-
-def S(constant=0.0, **terms):
-    return LinSum(constant, terms)
-
-
-class TestLinSum:
-    def test_eval(self):
-        assert eval_sum(S(2.0, xi=3.0), {"xi": 1.0}) == 5.0
-        assert eval_sum(S(7.0), {}) == 7.0
-        assert eval_sum(S(xi1=1.0, xi2=1.0), {"xi1": 0.5, "xi2": 0.5}) == 1.0
-
-    def test_eval_unbound(self):
-        with pytest.raises(UnboundVariableError):
-            eval_sum(S(x=1.0), {})
-
-    def test_algebra_closed(self):
-        a = S(1.0, x=2.0, y=-1.0)
-        b = S(0.5, y=1.0)
-        assert (a + b) == S(1.5, x=2.0)
-        assert a.scale(2.0) == S(2.0, x=4.0, y=-2.0)
-        assert (a - a) == S()
-
-    def test_zero_coefficients_dropped(self):
-        assert S(x=0.0).terms == {}
-        assert (S(x=1.0) + S(x=-1.0)).terms == {}
+from makers import sparse_lp
+from oracles import moved_left, vertex_enumeration_optimum
 
 
 class TestSolveSmall:
     def test_worked_example(self):
         # max t00+t01+t10+t11 st t00+t01 <= 1, t10+t11 <= 1
-        lp = LinearProgram(
+        lp = sparse_lp(
             "maximize",
-            S(t00=1, t01=1, t10=1, t11=1),
-            [
-                LinConstraint(S(t00=1, t01=1), "<=", S(1.0)),
-                LinConstraint(S(t10=1, t11=1), "<=", S(1.0)),
-            ],
+            dict(t00=1, t01=1, t10=1, t11=1),
+            [(dict(t00=1, t01=1), "<=", 1.0), (dict(t10=1, t11=1), "<=", 1.0)],
         )
         sol = solve(lp)
         assert sol.status == "optimal"
         assert abs(sol.value - 2.0) < 1e-9
 
     def test_unbounded(self):
-        sol = solve(LinearProgram("maximize", S(xi=1.0)))
+        sol = solve(sparse_lp("maximize", dict(xi=1.0)))
         assert sol.status == "unbounded"
 
     def test_infeasible_by_nonnegativity(self):
-        lp = LinearProgram("maximize", S(), [LinConstraint(S(xi=1.0), "<=", S(-1.0))])
+        lp = sparse_lp("maximize", {}, [(dict(xi=1.0), "<=", -1.0)])
         assert solve(lp).status == "infeasible"
 
     def test_minimize_desugars(self):
-        lp = LinearProgram(
-            "minimize",
-            S(x=1.0),
-            [LinConstraint(S(2.0), "<=", S(x=1.0))],
-        )
+        lp = sparse_lp("minimize", dict(x=1.0), [(2.0, "<=", dict(x=1.0))])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert abs(sol.value - 2.0) < 1e-9
 
     def test_equality_constraints(self):
-        lp = LinearProgram(
-            "maximize",
-            S(x=1.0, y=1.0),
-            [
-                LinConstraint(S(x=1.0, y=1.0), "=", S(3.0)),
-                LinConstraint(S(x=1.0), "<=", S(2.0)),
-            ],
+        lp = sparse_lp(
+            "maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=1.0), "=", 3.0), (dict(x=1.0), "<=", 2.0)]
         )
         sol = solve(lp)
         assert abs(sol.value - 3.0) < 1e-9
         assert abs(sol.assignment["x"] + sol.assignment["y"] - 3.0) < 1e-7
 
     def test_declared_variable_reported(self):
-        lp = LinearProgram("maximize", S(), declared={"ghost"})
+        lp = sparse_lp("maximize", {}, variables=["ghost"])
         sol = solve(lp)
         assert sol.assignment["ghost"] == 0.0
 
     def test_no_variables(self):
-        sol = solve(LinearProgram("maximize", S(5.0)))
+        sol = solve(sparse_lp("maximize", 5.0))
         assert sol.status == "optimal" and sol.value == 5.0
 
     def test_negative_rhs_equality(self):
-        lp = LinearProgram(
-            "maximize",
-            S(x=1.0),
-            [LinConstraint(S(x=-1.0), "=", S(-2.0))],
-        )
+        lp = sparse_lp("maximize", dict(x=1.0), [(dict(x=-1.0), "=", -2.0)])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert abs(sol.value - 2.0) < 1e-9
@@ -124,11 +77,7 @@ class TestSolveSmall:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "linprog", spy)
-        lp = LinearProgram(
-            "maximize",
-            S(x=1.0, y=2.0),
-            [LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0))],
-        )
+        lp = sparse_lp("maximize", dict(x=1.0, y=2.0), [(dict(x=1.0, y=1.0), "<=", 4.0)])
         sol = solve(lp)
         assert sol.status == "optimal" and abs(sol.value - 8.0) < 1e-9
         assert len(calls) == 1
@@ -147,13 +96,8 @@ class TestSolveSmall:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "linprog", spy)
-        lp = LinearProgram(
-            "maximize",
-            S(x=1.0, y=2.0),
-            [
-                LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0)),
-                LinConstraint(S(x=1.0), "=", S(1.0)),
-            ],
+        lp = sparse_lp(
+            "maximize", dict(x=1.0, y=2.0), [(dict(x=1.0, y=1.0), "<=", 4.0), (dict(x=1.0), "=", 1.0)]
         )
         sol = solve(lp)
         assert sol.status == "optimal" and abs(sol.value - 7.0) < 1e-9
@@ -164,7 +108,7 @@ class TestSolveSmall:
 
     def test_row_without_terms_never_reaches_highs(self):
         # the equality row 0 = 1 decides the LP before any method is chosen
-        lp = LinearProgram("maximize", S(x=1.0), [LinConstraint(S(), "=", S(1.0))])
+        lp = sparse_lp("maximize", dict(x=1.0), [({}, "=", 1.0)])
         sol = solve(lp)
         assert sol.status == "infeasible"
         assert sol.solver.method is None and sol.solver.call is None
@@ -172,16 +116,15 @@ class TestSolveSmall:
 
 # -a + b + 2c + 2d = 7 and -a + b + 3c + 2d = 3 force c = -4; HiGHS's
 # interior point solver stops on this LP with status 4 (solve error)
-IPM_SOLVE_ERROR = LinearProgram(
+IPM_SOLVE_ERROR = sparse_lp(
     "minimize",
-    S(a=1.0, c=1.0, d=-2.0),
+    dict(a=1.0, c=1.0, d=-2.0),
     [
-        LinConstraint(S(a=-3.0, b=2.0, c=-1.0, d=3.0), "<=", S(-2.0)),
-        LinConstraint(S(a=3.0, b=-3.0, c=-1.0, d=1.0), "<=", S(1.0)),
-        LinConstraint(S(a=-1.0, b=1.0, c=2.0, d=2.0), "=", S(7.0)),
-        LinConstraint(S(a=-1.0, b=1.0, c=3.0, d=2.0), "=", S(3.0)),
+        (dict(a=-3.0, b=2.0, c=-1.0, d=3.0), "<=", -2.0),
+        (dict(a=3.0, b=-3.0, c=-1.0, d=1.0), "<=", 1.0),
+        (dict(a=-1.0, b=1.0, c=2.0, d=2.0), "=", 7.0),
+        (dict(a=-1.0, b=1.0, c=3.0, d=2.0), "=", 3.0),
     ],
-    declared={"b"},
 )
 
 
@@ -211,9 +154,7 @@ class TestFallback:
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", failing_ipm)
-        lp = LinearProgram(
-            "maximize", S(x=1.0, y=1.0), [LinConstraint(S(x=1.0, y=1.0), "=", S(3.0))]
-        )
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=1.0), "=", 3.0)])
         if resolve_fails:
             with pytest.raises(NumericalFailureError, match="Status 4"):
                 solve(lp)
@@ -239,9 +180,7 @@ class TestCertificate:
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", nudged)
-        lp = LinearProgram(
-            "maximize", S(x=1.0), [LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0))]
-        )
+        lp = sparse_lp("maximize", dict(x=1.0), [(dict(x=1.0, y=1.0), "<=", 4.0)])
         sol = solve(lp)
         assert sol.assignment["y"] == 0.0
         cert = sol.solver.certificate
@@ -259,9 +198,7 @@ class TestCertificate:
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", broken)
-        lp = LinearProgram(
-            "maximize", S(x=1.0), [LinConstraint(S(x=1.0, y=1.0), "<=", S(4.0))]
-        )
+        lp = sparse_lp("maximize", dict(x=1.0), [(dict(x=1.0, y=1.0), "<=", 4.0)])
         with pytest.raises(CertificateError) as exc:
             solve(lp)
         assert exc.value.certificate.ub_violation == pytest.approx(2e-3)
@@ -279,8 +216,10 @@ class TestCertificate:
 
 
 def _random_lp(rng, n_vars, n_rows, with_eq=True):
+    """A random bounded LP, and its sense, objective, objective constant and
+    rows as plain dicts."""
     variables = [f"x{i}" for i in range(n_vars)]
-    constraints = []
+    rows = []
     for _ in range(n_rows):
         coeffs = {
             v: rng.randint(-3, 5)
@@ -290,16 +229,22 @@ def _random_lp(rng, n_vars, n_rows, with_eq=True):
         if not coeffs:
             continue
         rel = "=" if (with_eq and rng.random() < 0.25) else "<="
-        rhs = float(rng.randint(0, 8))
-        constraints.append(LinConstraint(S(**coeffs), rel, S(rhs)))
+        rows.append((coeffs, rel, float(rng.randint(0, 8))))
     # a single mass cap keeps the program bounded without bloating the
     # constraint count the vertex oracle has to enumerate over
-    constraints.append(
-        LinConstraint(S(**{v: 1.0 for v in variables}), "<=", S(float(rng.randint(2, 10))))
-    )
-    objective = S(float(rng.randint(-2, 2)), **{v: float(rng.randint(-2, 4)) for v in variables})
+    rows.append(({v: 1.0 for v in variables}, "<=", float(rng.randint(2, 10))))
+    constant = float(rng.randint(-2, 2))
+    objective = {v: float(rng.randint(-2, 4)) for v in variables}
     sense = rng.choice(["maximize", "minimize"])
-    return LinearProgram(sense, objective, constraints)
+    return sparse_lp(sense, (constant, objective), rows), (sense, objective, constant, rows)
+
+
+def _satisfies(rows, point, tol=FEAS_TOL):
+    for coeffs, rel, bound in rows:
+        lhs = sum(c * point[v] for v, c in coeffs.items())
+        if (abs(lhs - bound) if rel == "=" else lhs - bound) > tol:
+            return False
+    return True
 
 
 class TestSolveAgainstOracle:
@@ -307,15 +252,8 @@ class TestSolveAgainstOracle:
         checked = 0
         for trial in range(120):
             n_vars = rng.randint(1, 4)
-            lp = _random_lp(rng, n_vars, rng.randint(0, 3))
-            rows = [c.normalized() for c in lp.constraints]
-            oracle = vertex_enumeration_optimum(
-                lp.sense,
-                lp.objective.terms,
-                lp.objective.constant,
-                [(c, r, b) for c, r, b in rows],
-                lp.variables(),
-            )
+            lp, (sense, objective, constant, rows) = _random_lp(rng, n_vars, rng.randint(0, 3))
+            oracle = vertex_enumeration_optimum(sense, objective, constant, rows, lp.names)
             sol = solve(lp)
             if oracle is None:
                 assert sol.status == "infeasible"
@@ -323,77 +261,60 @@ class TestSolveAgainstOracle:
             value, _ = oracle
             assert sol.status == "optimal"
             assert math.isclose(sol.value, value, rel_tol=0, abs_tol=1e-6), (
-                lp.sense, sol.value, value)
+                sense, sol.value, value)
             checked += 1
         assert checked > 60
 
     def test_wider_instances(self, rng):
         for _ in range(6):
-            lp = _random_lp(rng, rng.randint(8, 12), rng.randint(1, 2), with_eq=False)
+            lp, spec = _random_lp(rng, rng.randint(8, 12), rng.randint(1, 2), with_eq=False)
             sol = solve(lp)
-            rows = [c.normalized() for c in lp.constraints]
-            oracle = vertex_enumeration_optimum(
-                lp.sense, lp.objective.terms, lp.objective.constant, rows, lp.variables()
-            )
+            oracle = vertex_enumeration_optimum(*spec, lp.names)
             assert oracle is not None
             assert math.isclose(sol.value, oracle[0], abs_tol=1e-6)
 
     def test_solution_feasible_and_matches_value(self, rng):
         for _ in range(40):
-            lp = _random_lp(rng, rng.randint(1, 5), rng.randint(0, 4))
+            lp, (_, objective, constant, rows) = _random_lp(rng, rng.randint(1, 5), rng.randint(0, 4))
             sol = solve(lp)
             if sol.status != "optimal":
                 continue
-            for con in lp.constraints:
-                assert con.satisfied_by(sol.assignment)
-            assert math.isclose(eval_sum(lp.objective, sol.assignment), sol.value, abs_tol=1e-7)
+            assert _satisfies(rows, sol.assignment)
+            value = constant + sum(c * sol.assignment[v] for v, c in objective.items())
+            assert math.isclose(value, sol.value, abs_tol=1e-7)
             assert all(v >= 0.0 for v in sol.assignment.values())
 
 
 class TestDuality:
     def test_objective_scaling(self, rng):
         for _ in range(20):
-            lp = _random_lp(rng, rng.randint(1, 4), rng.randint(1, 3))
-            if lp.sense != "maximize":
+            lp, (sense, objective, constant, rows) = _random_lp(rng, rng.randint(1, 4), rng.randint(1, 3))
+            if sense != "maximize":
                 continue
             lam = rng.choice([0.5, 2.0, 3.5])
-            scaled = LinearProgram(
-                "maximize",
-                lp.objective.scale(lam),
-                lp.constraints,
-                declared=lp.declared,
+            scaled = sparse_lp(
+                "maximize", (constant * lam, {v: c * lam for v, c in objective.items()}), rows
             )
             a = solve(lp)
             b = solve(scaled)
             assert a.status == b.status
             if a.status == "optimal":
                 assert math.isclose(b.value, lam * a.value, abs_tol=1e-6)
-                for con in scaled.constraints:
-                    assert con.satisfied_by(b.assignment)
+                assert _satisfies(rows, b.assignment)
 
 
 def _canonical(lp):
-    cons = sorted(
-        (tuple(sorted(c.normalized()[0].items())), c.normalized()[1], round(c.normalized()[2], 9))
-        for c in lp.constraints
-    )
-    return (
-        lp.sense,
-        round(lp.objective.constant, 9),
-        tuple(sorted(lp.objective.terms.items())),
-        cons,
-    )
+    objective, constant, rows, _ = moved_left(lp)
+    cons = sorted((tuple(sorted(c.items())), rel, round(b, 9)) for c, rel, b in rows)
+    return lp.sense, round(constant, 9), tuple(sorted(objective.items())), cons
 
 
 class TestLpFormat:
     def test_round_trip_small(self, tmp_path):
-        lp = LinearProgram(
+        lp = sparse_lp(
             "maximize",
-            S(t00=1, t01=1, t10=1, t11=1),
-            [
-                LinConstraint(S(t00=1, t01=1), "<=", S(1.0)),
-                LinConstraint(S(t10=1, t11=1), "<=", S(1.0)),
-            ],
+            dict(t00=1, t01=1, t10=1, t11=1),
+            [(dict(t00=1, t01=1), "<=", 1.0), (dict(t10=1, t11=1), "<=", 1.0)],
         )
         path = tmp_path / "prog.lp"
         export_lp(lp, path)
@@ -403,16 +324,14 @@ class TestLpFormat:
         assert _canonical(parsed) == _canonical(lp)
 
     def test_objective_only(self, tmp_path):
-        lp = LinearProgram("minimize", S(3.0, x=1.0))
+        lp = sparse_lp("minimize", (3.0, dict(x=1.0)))
         path = tmp_path / "obj.lp"
         export_lp(lp, path)
         parsed = parse_lp(path)
         assert _canonical(parsed) == _canonical(lp)
 
     def test_equality_row_emitted(self, tmp_path):
-        lp = LinearProgram(
-            "maximize", S(x=1.0), [LinConstraint(S(x=1.0, y=-1.0), "=", S(0.0))]
-        )
+        lp = sparse_lp("maximize", dict(x=1.0), [(dict(x=1.0, y=-1.0), "=", 0.0)])
         path = tmp_path / "eq.lp"
         export_lp(lp, path)
         assert " = " in path.read_text()
@@ -420,11 +339,7 @@ class TestLpFormat:
         assert _canonical(parsed) == _canonical(lp)
 
     def test_unsafe_names_mapped(self, tmp_path):
-        lp = LinearProgram(
-            "maximize",
-            S(**{"weird name!": 1.0}),
-            [LinConstraint(S(**{"weird name!": 1.0}), "<=", S(1.0))],
-        )
+        lp = sparse_lp("maximize", {"weird name!": 1.0}, [({"weird name!": 1.0}, "<=", 1.0)])
         path = tmp_path / "san.lp"
         export_lp(lp, path)
         body = path.read_text()
@@ -434,22 +349,45 @@ class TestLpFormat:
 
     def test_random_round_trips(self, rng, tmp_path):
         for k in range(25):
-            lp = _random_lp(rng, rng.randint(1, 5), rng.randint(0, 4))
+            lp, _ = _random_lp(rng, rng.randint(1, 5), rng.randint(0, 4))
             path = tmp_path / f"r{k}.lp"
             export_lp(lp, path)
             parsed = parse_lp(path)
             assert _canonical(parsed) == _canonical(lp)
 
     def test_declared_unused_var_round_trips(self, tmp_path):
-        lp = LinearProgram("maximize", S(x=1.0), [LinConstraint(S(x=1.0), "<=", S(1.0))],
-                           declared={"spare"})
+        lp = sparse_lp("maximize", dict(x=1.0), [(dict(x=1.0), "<=", 1.0)], variables=["spare"])
         path = tmp_path / "decl.lp"
         export_lp(lp, path)
         parsed = parse_lp(path)
-        assert "spare" in parsed.variables()
+        assert "spare" in parsed.names
+
+    def test_both_sides_summed_and_bounds_never_negative_zero(self, tmp_path):
+        # x sits on both sides of the row; equal constants give the bound 0
+        lp = sparse_lp("maximize", dict(x=1.0), [((2.0, dict(x=3.0, y=1.0)), "=", (2.0, dict(x=1.0)))])
+        path = tmp_path / "sides.lp"
+        export_lp(lp, path)
+        assert " c1: 2 x + y = 0\n" in path.read_text()
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.lp"
         path.write_text("Subject To\n x <= 1\nEnd\n")
         with pytest.raises(IoError):
+            parse_lp(path)
+
+    @pytest.mark.parametrize(
+        "case", ["sidecar not json", "sidecar not an object", "lp not utf-8"]
+    )
+    def test_unreadable_input_is_io_error(self, tmp_path, case):
+        path = tmp_path / "in.lp"
+        path.write_text("Maximize\n obj: x\nSubject To\n c1: x <= 1\nEnd\n")
+        bad = path.with_name("in.lp.names.json")
+        if case == "sidecar not json":
+            bad.write_text("{not json")
+        elif case == "sidecar not an object":
+            bad.write_text(json.dumps(["v1", "x"]))
+        else:
+            bad = path
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(IoError, match=re.escape(str(bad))):
             parse_lp(path)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, build_decompositions
-from lpcq.decomp import DecompTree, heuristic_decompose, normalize
+from lpcq.decomp import DecompTree, heuristic_decompose
 from lpcq.errors import (
     BadSubsetError,
     NotAnAnswerError,
@@ -14,7 +14,7 @@ from lpcq.errors import (
 )
 from lpcq.interpret import factorized, natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import LpSolution, eval_sum, solve
+from lpcq.linprog import LpSolution, solve
 from lpcq.queries import AnswerSet, evaluate, parse_query
 from lpcq.relations import Assignment, Value
 from lpcq.synth import GenSpec, generate_delivery
@@ -30,8 +30,8 @@ from lpcq.weightings import (
     solution_to_weights,
 )
 
-from makers import make_db, rand_db, rand_flagship_instance, rand_query
-from oracles import check_conj_decomposed
+from makers import certify_point, make_db, rand_db, rand_flagship_instance, rand_query
+from oracles import check_conj_decomposed, is_normalized, normalize
 
 
 def V(x):
@@ -310,7 +310,7 @@ class TestReconstructAnyTree:
             if not 0 < len(a) <= 150:
                 continue
             t = heuristic_decompose(q)
-            raw += not t.is_normalized()
+            raw += not is_normalized(t)
             w = Weighting(a, {r: rng.random() * 3 for r in a.rows})
             col = collection_from_weighting(w, t)
             assert_projections_match(col, reconstruct(col, a))
@@ -318,7 +318,7 @@ class TestReconstructAnyTree:
 
     def test_benchmark_tree(self, bench_collection):
         col, answers = bench_collection
-        assert not col.tree.is_normalized()
+        assert not is_normalized(col.tree)
         assert_projections_match(col, reconstruct(col, answers))
 
     def test_point_agrees_on_benchmark_tree(self, bench_collection):
@@ -401,7 +401,7 @@ class TestSolutionLifting:
             ]
             decomps[key] = normalize(heuristic_decompose(key[1], targets))
         ilp = factorized(cp, decomps, db)
-        sol = solve(ilp.lp)
+        sol = solve(ilp.program)
         return cp, ilp, sol
 
     def test_worked_example_lift(self):
@@ -414,9 +414,9 @@ class TestSolutionLifting:
         nat = natural(cp, db)
         answers, names = nat.theta[key]
         point = {name: w.values[row] for name, row in zip(names, answers.rows)}
-        for con, tag in zip(nat.lp.constraints, nat.provenance):
-            assert con.satisfied_by(point, tol=1e-6)
-        assert math.isclose(eval_sum(nat.lp.objective, point), sol.value, abs_tol=1e-6)
+        certificate, objective = certify_point(nat.program, point)
+        assert certificate.violation <= 1e-6
+        assert math.isclose(objective, sol.value, abs_tol=1e-6)
 
     def test_solver_drift_allowance(self):
         db = f1_db()
@@ -452,7 +452,7 @@ class TestSolutionLifting:
                 ]
                 decomps[key] = normalize(heuristic_decompose(key[1], targets))
             ilp = factorized(cpq, decomps, db)
-            sol = solve(ilp.lp)
+            sol = solve(ilp.program)
             if sol.status != "optimal":
                 continue
             nat = natural(cpq, db)
@@ -463,10 +463,8 @@ class TestSolutionLifting:
                 point.update(
                     {name: w.values[row] for name, row in zip(names, answers.rows)}
                 )
-            for con in nat.lp.constraints:
-                assert con.satisfied_by(point, tol=1e-6)
-            assert math.isclose(
-                eval_sum(nat.lp.objective, point), sol.value, rel_tol=1e-6, abs_tol=1e-6
-            )
+            certificate, objective = certify_point(nat.program, point)
+            assert certificate.violation <= 1e-6
+            assert math.isclose(objective, sol.value, rel_tol=1e-6, abs_tol=1e-6)
             done += 1
         assert done >= 20
