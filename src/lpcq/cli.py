@@ -3,14 +3,25 @@
 Exit codes: 0 solved (or command succeeded), 1 infeasible, 2 unbounded,
 3 input error, usage errors included, 4 the solver's optimum failed its
 primal certificate (``linprog.certify``), so no optimum is printed.
-``LPCQ_TOL`` overrides the 1e-6 tolerance used when the benchmark asserts
-that both interpretations agree; it must be a positive finite number.
+``--decomp`` and ``--heuristic-decomp`` outside factorized mode are input
+errors.  ``LPCQ_TOL`` overrides the 1e-6 tolerance used when the benchmark
+asserts that both interpretations agree; it must be a positive finite
+number.
+
+``solve --weights`` writes one CSV row per answer, in every mode from
+integer columns (``weightings.AnswerColumns``): the answers and masses of
+a natural or replacement run, or the answers a factorized run enumerates
+from its bag projections with their lifted masses
+(``weightings.lift_answers``).  Each ``var=value`` cell is quoted by the
+``csv`` module once per distinct value and each distinct mass is formatted
+once; the rows go out in blocks, so any number of answers can be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -18,6 +29,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .decomp import (
     attach_target_bags,
@@ -42,7 +55,10 @@ from .linprog import solve
 from .queries import qf
 from .relations import Database, load_database
 from .synth import DEFAULT_SELECTIVITY, GenSpec, generate_delivery, write_delivery
-from .weightings import solution_to_weights
+from .weightings import AnswerColumns, lift_answers
+# not called here; it stays importable because the benchmark's tracer
+# (perfbench/tracer.py) wraps lpcq.cli.solution_to_weights
+from .weightings import solution_to_weights  # noqa: F401
 
 DEFAULT_TOL = 1e-6
 
@@ -209,7 +225,17 @@ def run_pipeline(
     decomp_path: str | None = None,
     use_heuristic: bool = False,
 ):
-    """parse -> normal form -> close -> eliminate quantifiers -> interpret -> solve."""
+    """parse -> normal form -> close -> eliminate quantifiers -> interpret -> solve.
+
+    A decomposition asked for outside factorized mode is an input error,
+    since no other mode would read it.
+    """
+    if mode != "factorized":
+        given = [flag for flag, on in (("--decomp", decomp_path),
+                                       ("--heuristic-decomp", use_heuristic)) if on]
+        if given:
+            raise LpcqError(f"{' and '.join(given)}: only factorized mode reads a "
+                            f"decomposition, not {mode} mode")
     seconds: dict[str, float] = {}
     t0 = time.perf_counter()
     cp = close(normal_form(program), db)
@@ -239,28 +265,59 @@ def run_pipeline(
     return cp_qf, ilp, solution, report
 
 
-def _write_weights(path: str, cp_qf, ilp: InterpretedLp, solution, db) -> None:
+# rows of a weights CSV formatted and written at a time
+_BLOCK_ROWS = 1 << 16
+
+
+def _csv_fields(texts) -> list[str]:
+    """Each text as the ``csv`` module writes it as one field of a row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    end = len(writer.dialect.lineterminator)
+    fields = []
+    for text in texts:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([text])
+        fields.append(buffer.getvalue()[:-end])
+    return fields
+
+
+def _write_rows(handle, answers: AnswerColumns) -> None:
+    """``var=value,...,mass`` rows as ``csv.writer`` writes them, built
+    from cells made once per distinct value and mass bit pattern."""
+    cells = [
+        np.array([field + "," for field in _csv_fields(f"{var}={x.text}" for x in values)],
+                 dtype=object)
+        for var, values in zip(answers.variables, answers.dictionaries)
+    ]
+    # by bit pattern, so that -0.0 keeps its own text
+    patterns, pattern_of = np.unique(answers.masses.view(np.int64), return_inverse=True)
+    end = csv.excel.lineterminator
+    masses = np.array([f"{m:.12g}{end}" for m in patterns.view(np.float64).tolist()],
+                      dtype=object)
+    for start in range(0, len(answers), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        columns = [column[answers.codes[block, j]].tolist() for j, column in enumerate(cells)]
+        columns.append(masses[pattern_of[block]].tolist())
+        handle.write("".join(map("".join, zip(*columns))))
+
+
+def _write_weights(path: str, cp_qf, ilp: InterpretedLp, solution) -> None:
     # every weighting is lifted before the file is opened, so a lift that
     # fails leaves no partial file behind
     sections = []
     for key in cp_qf.queries_w():
         if ilp.mode in ("natural", "replacement"):
             answers, names = ilp.theta[key]
-            masses = dict(zip(answers.rows, solution.values(names, ilp.theta_columns[key])))
-            sections.append((key[0], answers.variables, answers.rows, masses))
+            masses = solution.values(names, ilp.theta_columns[key])
+            sections.append((key[0], AnswerColumns.of_rows(answers.variables, answers.rows, masses)))
         else:
-            weighting = solution_to_weights(solution, ilp, key, db)
-            sections.append(
-                (key[0], weighting.base.variables, weighting.base.rows, weighting.values)
-            )
+            sections.append((key[0], lift_answers(solution, ilp, key)))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for name, variables, rows, masses in sections:
+        for name, answers in sections:
             handle.write(f"# {name}\n")
-            for row in rows:
-                cells = [f"{v}={val.text}" for v, val in zip(variables, row)]
-                cells.append(f"{masses[row]:.12g}")
-                writer.writerow(cells)
+            _write_rows(handle, answers)
 
 
 def _read_program(path: str) -> LpcqProgram:
@@ -293,7 +350,7 @@ def cmd_solve(args) -> int:
         if args.emit_lp:
             export_lp(ilp.program, args.emit_lp)
         if args.weights and solution.status == "optimal":
-            _write_weights(args.weights, cp_qf, ilp, solution, db)
+            _write_weights(args.weights, cp_qf, ilp, solution)
     except (LpcqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,10 +12,16 @@ it; the rest shares no code with the paths it checks.
 
 ``normalize`` rewrites a tree into the textbook normal form, which no solve
 path uses: the tests take normalized trees as extra input shapes.
+
+``dict_lift`` is the lift as lpcq computed it before it ran on integer
+codes: separator marginals from ``project_weighting``, and one row's mass
+through dict lookups.  ``weights_csv`` writes a weights file the old way,
+evaluating the answers again and writing every row through ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -38,8 +44,17 @@ from lpcq.queries import (
     Var,
     evaluate,
     free_vars,
+    projector,
 )
 from lpcq.relations import Assignment, Database, Value
+from lpcq.weightings import (
+    LIFT_TOL,
+    ZERO_TOL,
+    SoundnessViolation,
+    Weighting,
+    WeightingCollection,
+    project_weighting,
+)
 
 
 def satisfies(q: Query, db: Database, binding: dict[str, Value]) -> bool:
@@ -485,3 +500,96 @@ def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: VarNaming
                 extra_rows.append((((0.0, lhs), "=", (0.0, rhs)), "soundness"))
     declared += list(nu.values())
     return _assemble(cp, lambda w: {nu[w]: 1.0}, extra_rows, declared)
+
+
+# --- the dict lift --------------------------------------------------------------
+
+
+def separator_marginals(collection: WeightingCollection) -> list:
+    """Per tree edge (parent, child), in sorted order: the edge, its
+    separator, and the parent's and the child's marginals on it."""
+    tree = collection.tree
+    out = []
+    for u, v in sorted(tree.edges):
+        shared = tree.bags[u] & tree.bags[v]
+        out.append((
+            (u, v),
+            shared,
+            project_weighting(collection[u], shared).values,
+            project_weighting(collection[v], shared).values,
+        ))
+    return out
+
+
+def first_violation(marginals, tol: float) -> SoundnessViolation | None:
+    for edge, _, left, right in marginals:
+        for gamma in sorted(set(left) | set(right), key=lambda row: tuple(x.text for x in row)):
+            lhs = left.get(gamma, 0.0)
+            rhs = right.get(gamma, 0.0)
+            if abs(lhs - rhs) > tol:
+                return SoundnessViolation(edge, gamma, lhs, rhs)
+    return None
+
+
+def dict_lift(collection: WeightingCollection, variables: tuple[str, ...]):
+    """Function giving the lifted mass of a row over *variables*: the root's
+    mass times each edge's child mass over the child's separator marginal,
+    0 as soon as one marginal is at most ``ZERO_TOL``."""
+    tree = collection.tree
+    to_root = projector(variables, sorted(tree.bags[tree.root]))
+    root_mass = collection[tree.root].values
+    edges = []
+    for (_, child), shared, _, sep_mass in separator_marginals(collection):
+        edges.append((
+            projector(variables, sorted(tree.bags[child])),
+            collection[child].values,
+            projector(variables, sorted(shared)),
+            sep_mass,
+        ))
+
+    def mass(row: tuple[Value, ...]) -> float:
+        value = root_mass.get(to_root(row), 0.0)
+        for to_bag, bag_mass, to_sep, sep_mass in edges:
+            denom = sep_mass.get(to_sep(row), 0.0)
+            if denom <= ZERO_TOL:
+                return 0.0
+            value *= bag_mass.get(to_bag(row), 0.0) / denom
+        return value
+
+    return mass
+
+
+def solution_collection(solution, interpreted, key) -> WeightingCollection:
+    """The bag-variable values of a solved factorized program for *key*."""
+    columns = interpreted.xi_columns[key]
+    return WeightingCollection(interpreted.trees[key], {
+        node: Weighting(proj, dict(zip(proj.rows, solution.values(names, columns[node]))))
+        for node, (proj, names) in interpreted.xi[key].items()
+    })
+
+
+def weights_csv(path, cp_qf, interpreted, solution, db: Database) -> None:
+    """A weights CSV as ``lpcq solve --weights`` wrote it row by row: the
+    answers of a factorized run evaluated again and lifted one by one
+    (after the soundness check at ``LIFT_TOL``), each row through
+    ``csv.writer``."""
+    sections = []
+    for key in cp_qf.queries_w():
+        if interpreted.mode in ("natural", "replacement"):
+            answers, names = interpreted.theta[key]
+            masses = dict(zip(answers.rows, solution.values(names, interpreted.theta_columns[key])))
+        else:
+            collection = solution_collection(solution, interpreted, key)
+            assert first_violation(separator_marginals(collection), LIFT_TOL) is None
+            answers = evaluate(key[1], db)
+            mass = dict_lift(collection, answers.variables)
+            masses = {row: mass(row) for row in answers.rows}
+        sections.append((key[0], answers.variables, answers.rows, masses))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        for name, variables, rows, masses in sections:
+            handle.write(f"# {name}\n")
+            for row in rows:
+                cells = [f"{v}={val.text}" for v, val in zip(variables, row)]
+                cells.append(f"{masses[row]:.12g}")
+                writer.writerow(cells)

@@ -300,9 +300,29 @@ class TestSolveCommand:
         assert code == 3
 
     def test_weights_lift_failure_is_input_error(self, tmp_path, monkeypatch, capsys):
-        # the delivery demo has 6 answers; a guard below that makes the
-        # factorized lift refuse to materialize them
-        monkeypatch.setattr("lpcq.weightings.MATERIALIZE_LIMIT", 5)
+        # solver drift in a root bag variable of the delivery demo: within
+        # the certificate's tolerance (1e-6 there), beyond a lift tolerance
+        # of 1e-7, so the optimum is printed but the lift refuses it
+        import scipy.optimize
+
+        program = parse((DELIVERY / "delivery.lpcq").read_text())
+        _, ilp, _, _ = run_pipeline(
+            program, load_database(DELIVERY / "data"), "factorized",
+            decomp_path=str(DELIVERY / "decomp.json"),
+        )
+        ((key, columns),) = ilp.xi_columns.items()
+        assert ilp.trees[key].root == 1
+        column = int(columns[1][0])
+        real = scipy.optimize.linprog
+
+        def drifted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = res.x.copy()
+            res.x[column] += 5e-7
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", drifted)
+        monkeypatch.setattr("lpcq.weightings.LIFT_TOL", 1e-7)
         weights = tmp_path / "w.csv"
         code, _ = run_main(
             [
@@ -312,7 +332,41 @@ class TestSolveCommand:
             ]
         )
         assert code == 3
-        assert "error: 6 answers exceed the materialization guard" in capsys.readouterr().err
+        assert "error: marginals differ on edge (1, 2)" in capsys.readouterr().err
+        assert not weights.exists()
+
+    def test_weights_past_the_materialization_guard(self, tmp_path, monkeypatch):
+        # the library refuses to materialize more answers than the guard;
+        # the CLI writes them from columns whatever their number
+        monkeypatch.setattr("lpcq.weightings.MATERIALIZE_LIMIT", 5)
+        weights = tmp_path / "w.csv"
+        code, _ = run_main(
+            [
+                "solve", str(DELIVERY / "delivery.lpcq"), str(DELIVERY / "data"),
+                "--mode", "factorized", "--decomp", str(DELIVERY / "decomp.json"),
+                "--weights", str(weights),
+            ]
+        )
+        assert code == 0
+        lines = weights.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# dlr" and len(lines) == 7
+
+    @pytest.mark.parametrize("mode", ["natural", "replacement"])
+    @pytest.mark.parametrize(
+        "flags", [["--decomp"], ["--heuristic-decomp"], ["--decomp", "--heuristic-decomp"]]
+    )
+    def test_decomposition_outside_factorized_is_input_error(
+        self, worked_dir, tmp_path, capsys, mode, flags
+    ):
+        prog, db, decomp = worked_dir
+        argv = ["solve", str(prog), str(db), "--mode", mode]
+        for flag in flags:
+            argv += [flag, str(decomp)] if flag == "--decomp" else [flag]
+        weights = tmp_path / "w.csv"
+        code, out = run_main([*argv, "--weights", str(weights)])
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(flag in err for flag in flags)
         assert not weights.exists()
 
     def test_weights_of_empty_answer_set(self, tmp_path):
@@ -416,9 +470,8 @@ class TestSolveCommand:
             "    /\\ weight[(): true](q_x) <= 5\n"
         )
         for mode in ("natural", "replacement", "factorized"):
-            code, out = run_main(
-                ["solve", str(prog), str(db), "--mode", mode, "--heuristic-decomp"]
-            )
+            extra = ["--heuristic-decomp"] if mode == "factorized" else []
+            code, out = run_main(["solve", str(prog), str(db), "--mode", mode, *extra])
             assert code == 0 and "value: 8\n" in out, mode
             if mode != "factorized":
                 assert "variables: theta=3 " in out, mode

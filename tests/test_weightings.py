@@ -345,35 +345,38 @@ class TestReconstructAnyTree:
         assert lifted.total() == 2.0
 
     def test_each_bag_projected_once_per_edge(self, bench_collection, monkeypatch):
-        # the soundness check and the lift share the separator marginals
+        # the soundness check and the lift share the separator marginals:
+        # one pair of bincounts per edge
         col, answers = bench_collection
         calls = []
+        edge = weightings._Lift._edge
 
-        def counting(w, variables):
-            calls.append(w)
-            return project_weighting(w, variables)
+        def counting(lift, parent, child):
+            calls.append((parent, child))
+            return edge(lift, parent, child)
 
-        monkeypatch.setattr(weightings, "project_weighting", counting)
-        edges = len(col.tree.edges)
+        monkeypatch.setattr(weightings._Lift, "_edge", counting)
+        edges = sorted(col.tree.edges)
         reconstruct(col, answers)
-        assert len(calls) == 2 * edges
+        assert calls == edges
         del calls[:]
         reconstruct_point(col, next(iter(answers.assignments())))
-        assert len(calls) == 2 * edges
+        assert calls == edges
 
     def test_point_lift_is_built_once(self, bench_collection, monkeypatch):
         col, answers = bench_collection
         calls = []
+        edge = weightings._Lift._edge
 
-        def counting(w, variables):
-            calls.append(w)
-            return project_weighting(w, variables)
+        def counting(lift, parent, child):
+            calls.append((parent, child))
+            return edge(lift, parent, child)
 
-        monkeypatch.setattr(weightings, "project_weighting", counting)
+        monkeypatch.setattr(weightings._Lift, "_edge", counting)
         alphas = random.Random(9).sample(list(answers.assignments()), 10)
         points = [reconstruct_point(col, alphas[0])]
         assert len(col.tree.edges) == 13
-        assert len(calls) == 26
+        assert len(calls) == 13
         del calls[:]
         points += [reconstruct_point(col, alpha) for alpha in alphas[1:]]
         assert calls == []
