@@ -5,7 +5,7 @@
 
 from pathlib import Path
 
-from lpcq import load_database, parse, run_pipeline
+from lpcq import load_database, parse, run_pipeline, solution_to_weights
 
 here = Path(__file__).parent / "privacy"
 program = parse((here / "privacy.lpcq").read_text())
@@ -18,10 +18,9 @@ print("\n".join(report.lines()))
 # study column alongside the sensitive (patient, test) pair
 print("\ndisclosure weight per answer row:")
 (key,) = cp.queries_w()
-answers, names = ilp.theta[key]
-for row, var in zip(answers.rows, names):
-    pair = ", ".join(f"{v}={val.text}" for v, val in zip(answers.variables, row))
-    print(f"  {pair}: {sol.assignment.get(var, 0.0):.3f}")
+for answer, mass in solution_to_weights(sol, ilp, key, db).items():
+    pair = ", ".join(f"{v}={val.text}" for v, val in answer.items())
+    print(f"  {pair}: {mass:.3f}")
 
 cp, _, fac_sol, fac_report = run_pipeline(program, db, "factorized", use_heuristic=True)
 print(f"\nfactorized agrees: {fac_report.value:.6g} "

@@ -5,7 +5,7 @@
 
 from pathlib import Path
 
-from lpcq import evaluate, load_database, parse, parse_query, run_pipeline
+from lpcq import evaluate, load_database, parse, parse_query, run_pipeline, solution_to_weights
 
 here = Path(__file__).parent / "smeasure"
 program = parse((here / "smeasure.lpcq").read_text())
@@ -20,7 +20,6 @@ print(f"overlap-aware support: {report.value:g}  (always <= raw count)")
 
 print("\nweight per matching:")
 (key,) = cp.queries_w()
-answers, names = ilp.theta[key]
-for row, var in zip(answers.rows, names):
-    path = " -> ".join(val.text for val in row)
-    print(f"  {path}: {sol.assignment.get(var, 0.0):.3f}")
+for answer, mass in solution_to_weights(sol, ilp, key, db).items():
+    path = " -> ".join(val.text for val in answer.values)
+    print(f"  {path}: {mass:.3f}")

@@ -6,15 +6,16 @@ primal certificate (``linprog.certify``), so no optimum is printed.
 ``--decomp`` and ``--heuristic-decomp`` outside factorized mode are input
 errors.  ``LPCQ_TOL`` overrides the 1e-6 tolerance used when the benchmark
 asserts that both interpretations agree; it must be a positive finite
-number.
+number.  ``bench --sizes`` and ``--reps`` take integers of at least 1,
+checked as usage errors before any instance runs.
 
-``solve --weights`` writes one CSV row per answer, in every mode from
-integer columns (``weightings.AnswerColumns``): the answers and masses of
-a natural or replacement run, or the answers a factorized run enumerates
-from its bag projections with their lifted masses
-(``weightings.lift_answers``).  Each ``var=value`` cell is quoted by the
-``csv`` module once per distinct value and each distinct mass is formatted
-once; the rows go out in blocks, so any number of answers can be written.
+``solve --weights`` writes one CSV row per answer from the integer columns
+(``weightings.AnswerColumns``) that ``weightings.lift_answers`` reads in
+every mode: a natural or replacement run's θ values, or the answers a
+factorized run enumerates from its bag projections with their lifted
+masses.  Each ``var=value`` cell is quoted by the ``csv`` module once per
+distinct value and each distinct mass is formatted once; the rows go out
+in blocks, so any number of answers can be written.
 """
 
 from __future__ import annotations
@@ -173,9 +174,7 @@ def _report_from(ilp: InterpretedLp, solution, value, seconds) -> RunReport:
         solver=solution.solver.as_dict() if solution.solver else None,
     )
     for (name, _), nodes in ilp.xi.items():
-        report.projection_sizes[name] = {
-            node: len(proj) for node, (proj, _) in nodes.items()
-        }
+        report.projection_sizes[name] = {node: len(block.rows) for node, block in nodes.items()}
     return report
 
 
@@ -306,14 +305,7 @@ def _write_rows(handle, answers: AnswerColumns) -> None:
 def _write_weights(path: str, cp_qf, ilp: InterpretedLp, solution) -> None:
     # every weighting is lifted before the file is opened, so a lift that
     # fails leaves no partial file behind
-    sections = []
-    for key in cp_qf.queries_w():
-        if ilp.mode in ("natural", "replacement"):
-            answers, names = ilp.theta[key]
-            masses = solution.values(names, ilp.theta_columns[key])
-            sections.append((key[0], AnswerColumns.of_rows(answers.variables, answers.rows, masses)))
-        else:
-            sections.append((key[0], lift_answers(solution, ilp, key)))
+    sections = [(key[0], lift_answers(solution, ilp, key)) for key in cp_qf.queries_w()]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for name, answers in sections:
             handle.write(f"# {name}\n")
@@ -496,7 +488,6 @@ def bench_rows(sizes, seed, reps, selectivity, decomp_dict=None):
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
     try:
         # opened first, so an unwritable path fails before the benchmark runs
         out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -504,7 +495,7 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
-        rows = bench_rows(sizes, args.seed, args.reps, args.selectivity)
+        rows = bench_rows(args.sizes, args.seed, args.reps, args.selectivity)
         writer = csv.DictWriter(out, fieldnames=BENCH_FIELDS)
         writer.writeheader()
         for row in rows:
@@ -617,6 +608,21 @@ def _weight_targets(program: LpcqProgram, name: str) -> list[frozenset[str]]:
     return targets
 
 
+def _positive_int(text: str) -> int:
+    try:
+        number = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
+def _sizes(text: str) -> list[int]:
+    """``bench --sizes``: comma-separated table sizes, blanks skipped."""
+    return [_positive_int(part) for part in text.split(",") if part.strip()]
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse that reports a usage error with exit code 3, input error;
     argparse's own 2 would read as "unbounded"."""
@@ -658,9 +664,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="compare natural vs factorized on synthetic data")
-    p_bench.add_argument("--sizes", default="", help="comma-separated table sizes")
+    p_bench.add_argument("--sizes", type=_sizes, default="", help="comma-separated table sizes")
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--reps", type=int, default=1)
+    p_bench.add_argument("--reps", type=_positive_int, default=1)
     p_bench.add_argument(
         "--selectivity", type=float, default=BENCH_SELECTIVITY,
         help="grid fill fraction for generated tables",

@@ -485,7 +485,8 @@ def load_decompositions(path: str | Path) -> list[DecompTree]:
     """Trees of a JSON file holding one tree object or a list of them.
 
     Raises ParseError naming the file when it is not UTF-8 JSON of that
-    shape, and OSError when it cannot be read.
+    shape, among others when a tree gives a node id twice or a bag that is
+    not a list of strings, and OSError when it cannot be read.
     """
     from .queries import parse_query
 
@@ -495,7 +496,14 @@ def load_decompositions(path: str | Path) -> list[DecompTree]:
             raw = [raw]
         trees = []
         for entry in raw:
-            bags = {int(n["id"]): n["bag"] for n in entry["nodes"]}
+            bags = {}
+            for n in entry["nodes"]:
+                node, bag = int(n["id"]), n["bag"]
+                if node in bags:
+                    raise ParseError(f"{path}: node {node} is given twice")
+                if not (isinstance(bag, list) and all(isinstance(v, str) for v in bag)):
+                    raise ParseError(f"{path}: the bag of node {node} is not a list of strings")
+                bags[node] = bag
             edges = [(int(p), int(c)) for p, c in entry.get("edges", [])]
             query = parse_query(entry["query"]) if "query" in entry else None
             trees.append(DecompTree(int(entry["root"]), bags, edges, query=query))

@@ -22,7 +22,9 @@ Each interpretation compiles straight to integer columns with an
 and for the stand-ins (ν).  A weight expression becomes the column
 positions of its ``group_by`` group, cached per (query, target
 variables); a soundness row, the positions of a parent's and a child's
-bag rows.  No row is built as a name-keyed dict.
+bag rows.  No row is built as a name-keyed dict.  Each θ and ξ block is
+kept as a ``Block``, its rows and their columns in the built program,
+which is all ``weightings.lift_answers`` reads, in every mode.
 
 Names are still generated, once per block, because they fix the column
 order: ``LpBuilder.build`` sorts them once and puts every column at its
@@ -116,33 +118,36 @@ class VarNaming:
         return self._claim(f"nu_{qid(w.query_name)}_{parts}")
 
 
+@dataclass(frozen=True)
+class Block:
+    """Answer (θ) or bag (ξ) variables: row i of *rows* is the variable at
+    column ``columns[i]`` of the program, named ``program.names[columns[i]]``."""
+
+    rows: AnswerSet
+    columns: np.ndarray
+
+
 @dataclass
 class InterpretedLp:
     """A compiled LP plus the bookkeeping linking its variables back to
-    query answers and bag projections.
-
-    ``theta`` and ``xi`` give each block's rows and variable names, and
-    ``theta_columns`` and ``xi_columns`` the matching column positions in
-    ``program``.
-    """
+    query answers and bag projections: a θ block per query in natural and
+    replacement mode, a ξ block per (query, bag) in factorized mode."""
 
     mode: str
     program: SparseLp
     provenance: list[str]
-    theta: dict[QueryKey, tuple[AnswerSet, list[str]]] = field(default_factory=dict)
+    theta: dict[QueryKey, Block] = field(default_factory=dict)
     nu: dict[WeightExprClosed, str] = field(default_factory=dict)
-    xi: dict[QueryKey, dict[int, tuple[AnswerSet, list[str]]]] = field(default_factory=dict)
+    xi: dict[QueryKey, dict[int, Block]] = field(default_factory=dict)
     trees: dict[QueryKey, DecompTree] = field(default_factory=dict)
-    theta_columns: dict[QueryKey, np.ndarray] = field(default_factory=dict)
-    xi_columns: dict[QueryKey, dict[int, np.ndarray]] = field(default_factory=dict)
 
     @property
     def theta_count(self) -> int:
-        return sum(len(a) for a, _ in self.theta.values())
+        return sum(len(b.rows) for b in self.theta.values())
 
     @property
     def xi_count(self) -> int:
-        return sum(len(a) for nodes in self.xi.values() for a, _ in nodes.values())
+        return sum(len(b.rows) for nodes in self.xi.values() for b in nodes.values())
 
     @property
     def nu_count(self) -> int:
@@ -159,18 +164,25 @@ class InterpretedLp:
         return out
 
 
-def _answer_sets(cp: ClosedProgram, db: Database) -> dict[QueryKey, AnswerSet]:
-    return {key: evaluate(key[1], db) for key in cp.queries_w()}
-
-
 class _AnswerColumns:
-    """Natural reading of a weight expression: the columns of the answers
+    """The θ blocks of a program's queries, one per query's answers, and
+    the natural reading of a weight expression: the columns of the answers
     its targets select, one ``group_by`` per (query, target variables)."""
 
-    def __init__(self, answers: Mapping[QueryKey, AnswerSet], starts: Mapping[QueryKey, int]):
-        self.answers = answers
-        self.starts = starts
+    def __init__(self, cp: ClosedProgram, db: Database, naming: VarNaming, builder: LpBuilder):
+        self.answers = {key: evaluate(key[1], db) for key in cp.queries_w()}
+        self.starts = {
+            key: builder.block(naming.theta_names(key, rows)) for key, rows in self.answers.items()
+        }
+        self.builder = builder
         self._groups: dict[tuple[QueryKey, frozenset[str]], dict] = {}
+
+    def blocks(self) -> dict[QueryKey, Block]:
+        """Each query's θ block, once the program is built."""
+        return {
+            key: Block(rows, self.builder.columns(self.starts[key], len(rows)))
+            for key, rows in self.answers.items()
+        }
 
     def __call__(self, w: WeightExprClosed) -> list[int]:
         key = (w.query_name, w.query)
@@ -215,32 +227,20 @@ def _user_rows(cp: ClosedProgram, builder: LpBuilder, columns_of) -> list[str]:
 
 def natural(cp: ClosedProgram, db: Database) -> InterpretedLp:
     """One LP variable per query answer, weight expressions inlined."""
-    naming = VarNaming()
-    answers = _answer_sets(cp, db)
     builder = LpBuilder()
-    names = {key: naming.theta_names(key, rows) for key, rows in answers.items()}
-    starts = {key: builder.block(names[key]) for key in answers}
-    columns_of = _AnswerColumns(answers, starts)
-
+    columns_of = _AnswerColumns(cp, db, VarNaming(), builder)
     provenance = _user_rows(cp, builder, columns_of)
     program = builder.build("maximize", _side(cp.objective, columns_of))
     return InterpretedLp(
-        mode="natural",
-        program=program,
-        provenance=provenance,
-        theta={key: (answers[key], names[key]) for key in answers},
-        theta_columns={key: builder.columns(starts[key], len(answers[key])) for key in answers},
+        mode="natural", program=program, provenance=provenance, theta=columns_of.blocks()
     )
 
 
 def replacement(cp: ClosedProgram, db: Database) -> InterpretedLp:
     """Fresh stand-in variable per weight expression plus defining equalities."""
     naming = VarNaming()
-    answers = _answer_sets(cp, db)
     builder = LpBuilder()
-    names = {key: naming.theta_names(key, rows) for key, rows in answers.items()}
-    starts = {key: builder.block(names[key]) for key in answers}
-    answer_columns = _AnswerColumns(answers, starts)
+    answer_columns = _AnswerColumns(cp, db, naming, builder)
 
     weights = cp.weight_exprs()
     nu = {w: naming.nu_name(w) for w in weights}
@@ -256,9 +256,8 @@ def replacement(cp: ClosedProgram, db: Database) -> InterpretedLp:
         mode="replacement",
         program=program,
         provenance=provenance,
-        theta={key: (answers[key], names[key]) for key in answers},
+        theta=answer_columns.blocks(),
         nu=nu,
-        theta_columns={key: builder.columns(starts[key], len(answers[key])) for key in answers},
     )
 
 
@@ -303,7 +302,7 @@ def factorized(
         targets_by_query.setdefault((w.query_name, w.query), []).append(w)
 
     builder = LpBuilder()
-    xi: dict[QueryKey, dict[int, tuple[AnswerSet, list[str]]]] = {}
+    projections: dict[QueryKey, dict[int, AnswerSet]] = {}
     starts: dict[QueryKey, dict[int, int]] = {}
     trees: dict[QueryKey, DecompTree] = {}
     witnesses: dict[QueryKey, dict] = {}
@@ -333,13 +332,11 @@ def factorized(
                 f"no bag equals target set {sorted(missing[0])!r}"
             )
 
-        proj = bag_projections(query, tree, db)
-        xi[key] = {}
-        starts[key] = {}
-        for node in sorted(tree.bags):
-            names = naming.xi_names(key, node, proj[node])
-            xi[key][node] = (proj[node], names)
-            starts[key][node] = builder.block(names)
+        proj = projections[key] = bag_projections(query, tree, db)
+        starts[key] = {
+            node: builder.block(naming.xi_names(key, node, proj[node]))
+            for node in sorted(tree.bags)
+        }
         trees[key] = tree
         for w in weights:
             nu[w] = naming.nu_name(w)
@@ -347,12 +344,12 @@ def factorized(
 
     provenance = _user_rows(cp, builder, lambda w: [nu_col[w]])
     for key, tree in trees.items():
-        nodes = xi[key]
+        nodes = projections[key]
         row_of: dict[int, dict[tuple[Value, ...], int]] = {}
         for w in targets_by_query.get(key, []):
             witness = witnesses[key][w.target_vars()]
             if witness not in row_of:
-                row_of[witness] = {row: i for i, row in enumerate(nodes[witness][0].rows)}
+                row_of[witness] = {row: i for i, row in enumerate(nodes[witness].rows)}
             i = row_of[witness].get(tuple(v for _, v in w.targets))
             rhs = [starts[key][witness] + i] if i is not None else []
             builder.row(_ones([nu_col[w]]), "=", _ones(rhs))
@@ -360,8 +357,8 @@ def factorized(
 
         for parent, child in sorted(tree.edges):
             shared = tree.bags[parent] & tree.bags[child]
-            pg = nodes[parent][0].group_by(shared)
-            cg = nodes[child][0].group_by(shared)
+            pg = nodes[parent].group_by(shared)
+            cg = nodes[child].group_by(shared)
             p_start = starts[key][parent]
             c_start = starts[key][child]
             for gamma in sorted(set(pg) | set(cg), key=lambda t: tuple(v.text for v in t)):
@@ -378,10 +375,12 @@ def factorized(
         program=program,
         provenance=provenance,
         nu=nu,
-        xi=xi,
-        trees=trees,
-        xi_columns={
-            key: {node: builder.columns(starts[key][node], len(nodes[node][0])) for node in nodes}
-            for key, nodes in xi.items()
+        xi={
+            key: {
+                node: Block(rows, builder.columns(starts[key][node], len(rows)))
+                for node, rows in sorted(nodes.items())
+            }
+            for key, nodes in projections.items()
         },
+        trees=trees,
     )

@@ -364,12 +364,10 @@ class LpSolution:
         self.nonzeros = nonzeros  # of the matrix rows, as handed to HiGHS
         self.solver = solver
 
-    def values(self, names: Sequence[str], cols) -> list[float]:
-        """Values of the variables *names*, at column positions *cols* of
-        the program solved; read by column from a solver's vector."""
-        if isinstance(self.assignment, ArrayAssignment):
-            return self.assignment.columns(cols)
-        return [max(0.0, self.assignment.get(name, 0.0)) for name in names]
+    def values(self, cols) -> list[float]:
+        """Values at the column positions *cols* of the program solved,
+        clipped at 0; the solution must be optimal."""
+        return self.assignment.columns(cols)
 
     def __repr__(self) -> str:
         if self.status == "optimal":

@@ -34,25 +34,27 @@ Keys over several columns are compacted one column at a time with
 ``check_sound``, ``reconstruct``, ``reconstruct_point`` and ``lift_answers``
 share this kernel, so the formula above is written once (``_Lift.masses_at``).
 
-``lift_answers`` lifts a solved factorized program without evaluating its
-query again: it enumerates the answers from the bag projections the program
-was built from.  After the two semi-join passes of ``bag_projections``,
-each bag holds exactly the projection of the answer set.  The bags cover
-every free variable, and every atom and variable equality lies inside one
-bag, so the join of the bags is exactly the answer set.  Each variable's
-bags form a connected subtree, so joining every child to its parent on
-their separator, down the tree, computes that join (the join phase of
-Yannakakis, VLDB 1981).  Every partial row extends to an answer, so no
-intermediate is larger than the output (Olteanu and Závodný, TODS 2015).
-The rows are put in ``AnswerSet`` order with ``np.lexsort`` on the codes,
-and each row's mass is the product above, edges in sorted order and
-multiplied left to right, as ``reconstruct`` computes it.
-
-``solution_to_weights`` turns those columns into a ``Weighting``: the
-bag-variable values form a sound collection (up to solver tolerance), and
-the lift gives per-answer weights that are feasible for the answer-variable
-formulation at the same objective value.  It and ``reconstruct`` refuse
-more than ``MATERIALIZE_LIMIT`` answers; ``lift_answers`` has no limit.
+``lift_answers`` is the one reader of per-answer weights from a solved
+program, in every mode, and ``solution_to_weights`` wraps its columns in a
+``Weighting``.  A natural or replacement query's θ block is read as a
+one-bag tree, whose lift is the θ values.  A factorized query is lifted
+without evaluating it again: the answers are enumerated from the bag
+projections the program was built from.  After the two semi-join passes of
+``bag_projections``, each bag holds exactly the projection of the answer
+set.  The bags cover every free variable, and every atom and variable
+equality lies inside one bag, so the join of the bags is exactly the
+answer set.  Each variable's bags form a connected subtree, so joining
+every child to its parent on their separator, down the tree, computes that
+join (the join phase of Yannakakis, VLDB 1981).  Every partial row extends
+to an answer, so no intermediate is larger than the output (Olteanu and
+Závodný, TODS 2015).  The rows are put in ``AnswerSet`` order with
+``np.lexsort`` on the codes, and each row's mass is the product above,
+edges in sorted order and multiplied left to right, as ``reconstruct``
+computes it.  The bag-variable values form a sound collection (up to solver
+tolerance), and the lifted weights are feasible for the answer-variable
+formulation at the same objective value.  ``solution_to_weights`` and
+``reconstruct`` refuse more than ``MATERIALIZE_LIMIT`` answers;
+``lift_answers`` has no limit.
 """
 
 from __future__ import annotations
@@ -149,14 +151,14 @@ class WeightingCollection:
     """One weighting per tree node, each over the bag's projection.
 
     A collection is frozen once ``reconstruct_point`` has lifted it: the
-    lift is kept per tolerance, so later points cost one row each, and a
-    weighting changed afterwards is not seen by them.
+    lift is kept, so later points cost one row each, and a weighting
+    changed afterwards is not seen by them.
     """
 
     def __init__(self, tree: DecompTree, per_node: Mapping[int, Weighting]):
         self.tree = tree
         self.per_node = dict(per_node)
-        self._lifts: dict[float, _Lift] = {}
+        self._lift: _Lift | None = None
         for node in tree.bags:
             if node not in self.per_node:
                 raise BadSubsetError(f"collection misses node {node}")
@@ -203,18 +205,6 @@ class AnswerColumns:
     codes: np.ndarray
     masses: np.ndarray
 
-    @classmethod
-    def of_rows(cls, variables: Sequence[str], rows: Sequence[tuple[Value, ...]], masses):
-        """Columns of value *rows* over *variables*, in the order given."""
-        dictionaries = []
-        codes = np.empty((len(rows), len(variables)), dtype=np.int32)
-        for j in range(len(variables)):
-            column = [row[j] for row in rows]
-            values, code = _dictionary(column)
-            codes[:, j] = _encode(column, code)
-            dictionaries.append(values)
-        return cls(tuple(variables), tuple(dictionaries), codes, np.asarray(masses, dtype=np.float64))
-
     def __len__(self) -> int:
         return len(self.masses)
 
@@ -225,16 +215,6 @@ class AnswerColumns:
             for j, values in enumerate(self.dictionaries)
         ]
         return list(zip(*columns)) if columns else [()] * len(self)
-
-
-def _dictionary(values: Iterable[Value]) -> tuple[list[Value], dict[Value, int]]:
-    """The distinct *values* in text order, and each one's code there."""
-    ordered = sorted(set(values), key=_text)
-    return ordered, {v: i for i, v in enumerate(ordered)}
-
-
-def _encode(column: Iterable[Value], code: Mapping[Value, int]) -> np.ndarray:
-    return np.fromiter(map(code.__getitem__, column), dtype=np.int32)
 
 
 def _dense_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -290,14 +270,15 @@ class _Lift:
         for proj in self.bags.values():
             for j, v in enumerate(proj.variables):
                 seen[v].update(row[j] for row in proj.rows)
-        self.dictionaries, code = {}, {}
-        for v in self.variables:
-            self.dictionaries[v], code[v] = _dictionary(seen[v])
+        # each variable's values in text order, and each value's code there
+        self.dictionaries = {v: sorted(seen[v], key=_text) for v in self.variables}
+        code = {v: {x: i for i, x in enumerate(xs)} for v, xs in self.dictionaries.items()}
         self.codes = {}
         for node, proj in self.bags.items():
             self.codes[node] = np.empty((len(proj), len(proj.variables)), dtype=np.int32)
             for j, v in enumerate(proj.variables):
-                self.codes[node][:, j] = _encode((row[j] for row in proj.rows), code[v])
+                column = map(code[v].__getitem__, (row[j] for row in proj.rows))
+                self.codes[node][:, j] = np.fromiter(column, dtype=np.int32)
         self.masses = {node: np.asarray(m, dtype=np.float64) for node, (_, m) in bags.items()}
         self.edges = [self._edge(parent, child) for parent, child in sorted(tree.edges)]
         self._positions: dict[int, dict[tuple[Value, ...], int]] | None = None
@@ -458,12 +439,6 @@ class _Lift:
         )
 
 
-def _lift_of(collection: WeightingCollection, tol: float) -> _Lift:
-    if tol not in collection._lifts:
-        collection._lifts[tol] = _Lift.of(collection).checked(tol)
-    return collection._lifts[tol]
-
-
 def check_sound(
     collection: WeightingCollection, tol: float = SOUND_TOL
 ) -> SoundnessViolation | None:
@@ -516,32 +491,39 @@ def reconstruct_point(collection: WeightingCollection, alpha: Assignment) -> flo
             raise NotAnAnswerError(
                 f"restriction to bag of node {node} is not a projection row"
             )
-    lift = _lift_of(collection, SOUND_TOL)
+    if collection._lift is None:
+        collection._lift = _Lift.of(collection).checked(SOUND_TOL)
+    lift = collection._lift
     return float(lift.masses_at(lift.locate(alpha.variables, [alpha.values]))[0])
 
 
 def lift_answers(solution, interpreted, query_key) -> AnswerColumns:
-    """Per-answer weights of a solved factorized program, as columns.
+    """Per-answer weights of a solved program for *query_key*, as columns,
+    in every mode.
 
-    Reads the bag-variable values for *query_key* by column and enumerates
-    the answers from the program's bag projections on its tree as given;
-    solver drift beyond ``LIFT_TOL`` in the bag marginals is an error.
+    A factorized query's answers are enumerated from the program's bag
+    projections on its tree as given, and solver drift beyond ``LIFT_TOL``
+    in the bag marginals is an error.  A natural or replacement query's θ
+    block is read as a one-bag tree, whose lift is the θ values.
     """
     if solution.status != "optimal":
         raise ValueError(f"solution status is {solution.status!r}, need optimal")
-    columns = interpreted.xi_columns[query_key]
-    lift = _Lift(interpreted.trees[query_key], {
-        node: (proj, solution.values(names, columns[node]))
-        for node, (proj, names) in interpreted.xi[query_key].items()
+    if query_key in interpreted.trees:
+        tree, blocks = interpreted.trees[query_key], interpreted.xi[query_key]
+    else:
+        theta = interpreted.theta[query_key]
+        tree, blocks = DecompTree(0, {0: theta.rows.variables}, ()), {0: theta}
+    lift = _Lift(tree, {
+        node: (block.rows, solution.values(block.columns)) for node, block in blocks.items()
     })
     return lift.checked(LIFT_TOL).answers()
 
 
 def solution_to_weights(solution, interpreted, query_key, db) -> Weighting:
-    """Per-answer weights from a solved factorized program.
+    """Per-answer weights from a solved program, in every mode.
 
     The ``lift_answers`` columns as a ``Weighting``.  *db* is not read: the
-    answers come from the bag projections the program holds.
+    answers come from the blocks the program holds.
     """
     lifted = lift_answers(solution, interpreted, query_key)
     _refuse_above_limit(len(lifted), "lift_answers")

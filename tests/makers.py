@@ -76,6 +76,14 @@ def certify_point(lp: SparseLp, point) -> tuple[Certificate, float]:
     return lp.matrices().certify(x), lp.obj_const + float(lp.obj_vals @ x[lp.obj_cols])
 
 
+def answer_point(interpreted, key, masses) -> dict[str, float]:
+    """A value per θ variable of *key* in a natural or replacement program,
+    by name, from *masses*, a mass per answer row."""
+    block = interpreted.theta[key]
+    names = interpreted.program.names
+    return {names[c]: masses[row] for c, row in zip(block.columns.tolist(), block.rows.rows)}
+
+
 def rand_db(rng: random.Random, max_tuples: int = 50, max_relations: int = 4) -> Database:
     n_dom = rng.randint(2, 5)
     names = ["R", "S", "T", "U"][: rng.randint(1, max_relations)]

@@ -561,10 +561,9 @@ def dict_lift(collection: WeightingCollection, variables: tuple[str, ...]):
 
 def solution_collection(solution, interpreted, key) -> WeightingCollection:
     """The bag-variable values of a solved factorized program for *key*."""
-    columns = interpreted.xi_columns[key]
     return WeightingCollection(interpreted.trees[key], {
-        node: Weighting(proj, dict(zip(proj.rows, solution.values(names, columns[node]))))
-        for node, (proj, names) in interpreted.xi[key].items()
+        node: Weighting(block.rows, dict(zip(block.rows.rows, solution.values(block.columns))))
+        for node, block in interpreted.xi[key].items()
     })
 
 
@@ -576,8 +575,8 @@ def weights_csv(path, cp_qf, interpreted, solution, db: Database) -> None:
     sections = []
     for key in cp_qf.queries_w():
         if interpreted.mode in ("natural", "replacement"):
-            answers, names = interpreted.theta[key]
-            masses = dict(zip(answers.rows, solution.values(names, interpreted.theta_columns[key])))
+            answers = interpreted.theta[key].rows
+            masses = dict(zip(answers.rows, solution.values(interpreted.theta[key].columns)))
         else:
             collection = solution_collection(solution, interpreted, key)
             assert first_violation(separator_marginals(collection), LIFT_TOL) is None

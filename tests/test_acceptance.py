@@ -42,7 +42,8 @@ from lpcq.weightings import (
 )
 
 from makers import (
-    certify_point, make_db, numeric_db, rand_db, rand_flagship_instance, rand_lpcq_program, rand_query,
+    answer_point, certify_point, make_db, numeric_db, rand_db, rand_flagship_instance,
+    rand_lpcq_program, rand_query,
 )
 from oracles import brute_force_answers, moved_left, normalize, vertex_enumeration_optimum
 
@@ -189,10 +190,7 @@ def flagship_suite():
             point = {}
             for key in cpq.queries_w():
                 weighting = solution_to_weights(fac, fac_ilp, key, db)
-                answers, names = nat_ilp.theta[key]
-                point.update(
-                    {name: weighting.values[row] for name, row in zip(names, answers.rows)}
-                )
+                point.update(answer_point(nat_ilp, key, weighting.values))
             certificate, objective = certify_point(nat_ilp.program, point)
             lift_ok = certificate.violation <= 1e-6 and close_rel(objective, fac.value)
         results.append((nat, repl, fac, lift_ok))

@@ -29,7 +29,7 @@ from lpcq.lpformat import parse_lp
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
-from makers import certify_point
+from makers import answer_point, certify_point
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DELIVERY = DEMOS / "delivery"
@@ -310,9 +310,9 @@ class TestSolveCommand:
             program, load_database(DELIVERY / "data"), "factorized",
             decomp_path=str(DELIVERY / "decomp.json"),
         )
-        ((key, columns),) = ilp.xi_columns.items()
+        ((key, blocks),) = ilp.xi.items()
         assert ilp.trees[key].root == 1
-        column = int(columns[1][0])
+        column = int(blocks[1].columns[0])
         real = scipy.optimize.linprog
 
         def drifted(*args, **kwargs):
@@ -577,14 +577,14 @@ def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
 
     db = load_database(db_dir)
     nat_ilp = natural(quantifier_eliminate(close(normal_form(parse(BENCH_PROGRAM)), db)), db)
-    ((answers, names),) = nat_ilp.theta.values()
-    name_of = {tuple(v.text for v in row): name for row, name in zip(answers.rows, names)}
-    point = {}
+    ((key, block),) = nat_ilp.theta.items()
+    row_of = {tuple(v.text for v in row): row for row in block.rows}
+    masses = {}
     for line in weights.read_text(encoding="utf-8").splitlines()[1:]:
         cells = next(csv.reader([line]))
-        row = tuple(cell.split("=", 1)[1] for cell in cells[:-1])
-        point[name_of[row]] = float(cells[-1])
-    assert len(point) == len(name_of) == len(answers)
+        masses[row_of[tuple(cell.split("=", 1)[1] for cell in cells[:-1])]] = float(cells[-1])
+    assert len(masses) == len(block.rows)
+    point = answer_point(nat_ilp, key, masses)
     assert min(point.values()) >= 0.0
     # every natural row is a user row
     certificate, objective = certify_point(nat_ilp.program, point)
@@ -680,6 +680,19 @@ class TestBenchCommand:
         )
         assert rows[0]["status"] in ("optimal", "infeasible")
 
+    @pytest.mark.parametrize(
+        "argv", [["--sizes", "abc"], ["--sizes", "10,-5"], ["--sizes", "10", "--reps", "0"]]
+    )
+    def test_malformed_sizes_and_reps_are_usage_errors(self, monkeypatch, capsys, argv):
+        def run(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr("lpcq.cli.bench_rows", run)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == 3
+        assert "usage: lpcq" in capsys.readouterr().err
+
 
 class TestWidthCommand:
     def test_width_of_bench_decomp(self, tmp_path):
@@ -754,6 +767,35 @@ class TestCheckDecompCommand:
         code, _ = run_main(["check-decomp", str(decomp), "--program", str(prog)])
         assert code == 3
         assert str(prog) in capsys.readouterr().err
+
+
+# node 0 given twice, and node 0's bag written as a string; a reader that
+# kept the last node, or split the string into characters, would take
+# either file for the valid one-bag tree {x, y}
+MALFORMED_DECOMPS = {
+    "node 0 is given twice": {
+        **THREE_NODE_DECOMP, "nodes": [{"id": 0, "bag": ["x"]}, {"id": 0, "bag": ["x", "y"]}],
+        "edges": [],
+    },
+    "the bag of node 0 is not a list of strings": {
+        **THREE_NODE_DECOMP, "nodes": [{"id": 0, "bag": "xy"}], "edges": [],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "width", "check-decomp"])
+@pytest.mark.parametrize("message", sorted(MALFORMED_DECOMPS))
+def test_malformed_decomposition_file_is_input_error(worked_dir, capsys, command, message):
+    prog, db, decomp = worked_dir
+    decomp.write_text(json.dumps(MALFORMED_DECOMPS[message]))
+    argv = {
+        "solve": ["solve", str(prog), str(db), "--mode", "factorized", "--decomp", str(decomp)],
+        "width": ["width", str(decomp)],
+        "check-decomp": ["check-decomp", str(decomp)],
+    }[command]
+    code, out = run_main(argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {decomp}: {message}\n"
 
 
 class TestHeuristicTreesAsBuilt:

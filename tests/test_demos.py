@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,29 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+
+def printed_weights(out: str, header: str) -> list[float]:
+    """The ``  answer: weight`` lines after *header*, up to a blank line."""
+    lines = out.split(header + "\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    return [float(line.rsplit(": ", 1)[1]) for line in lines]
+
+
+def privacy_weights_not_all_zero(out: str) -> None:
+    assert any(printed_weights(out, "disclosure weight per answer row:"))
+
+
+def support_weights_sum_to_the_support(out: str) -> None:
+    support = float(re.search(r"overlap-aware support: (\S+)", out).group(1))
+    assert support == 3
+    # five weights printed to three decimals
+    assert math.isclose(sum(printed_weights(out, "weight per matching:")), support, abs_tol=5e-3)
+
+
+OUTPUT_CHECKS = {
+    "04_privacy_budget.py": privacy_weights_not_all_zero,
+    "05_pattern_support.py": support_weights_sum_to_the_support,
+}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -21,6 +46,8 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    if script.name in OUTPUT_CHECKS:
+        OUTPUT_CHECKS[script.name](proc.stdout)
 
 
 def test_delivery_cli_round_trip(tmp_path):

@@ -1,0 +1,74 @@
+"""Natural, replacement and factorized runs of the same random program
+against each other.
+
+Programs and databases come from ``makers``; hypothesis draws them by
+driving the random generator, so a failure shrinks to a small instance.
+The factorized run uses the min-fill trees ``build_decompositions`` fits
+to the weight targets, as ``lpcq solve --heuristic-decomp`` does.  All
+three must reach the same status and optimum, and ``lift_answers`` in
+every mode must give a point that satisfies the natural LP at that
+optimum.
+"""
+
+import math
+
+from hypothesis import HealthCheck, event, given, reject, settings
+from hypothesis import strategies as st
+
+from lpcq.cli import build_decompositions
+from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
+from lpcq.linprog import solve
+from lpcq.weightings import lift_answers
+
+from makers import answer_point, certify_point, rand_flagship_instance
+
+REL_TOL = 1e-6
+
+
+def close_rel(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=REL_TOL)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(rng=st.randoms(use_true_random=False), n_exists=st.integers(0, 1))
+def test_modes_agree_and_every_lift_certifies(rng, n_exists):
+    try:
+        db, _, cp = rand_flagship_instance(rng, n_exists=n_exists)
+    except RuntimeError:
+        reject()
+    cp_qf = quantifier_eliminate(cp)
+    nat_ilp = natural(cp_qf, db)
+    runs = {
+        "natural": nat_ilp,
+        "replacement": replacement(cp_qf, db),
+        "factorized": factorized(
+            cp_qf, build_decompositions(cp, cp_qf, None, use_heuristic=True), db
+        ),
+    }
+    event(f"largest tree: {max(len(t.bags) for t in runs['factorized'].trees.values())} bags")
+    solutions = {mode: solve(ilp.program) for mode, ilp in runs.items()}
+    expected = solutions["natural"]
+    event(f"natural {expected.status}")
+    for mode, sol in solutions.items():
+        assert sol.status == expected.status, mode
+        if sol.status == "optimal":
+            assert close_rel(sol.value, expected.value), (mode, sol.value, expected.value)
+    if expected.status != "optimal":
+        return
+
+    for mode, ilp in runs.items():
+        point = {}
+        for key in cp_qf.queries_w():
+            lifted = lift_answers(solutions[mode], ilp, key)
+            masses = dict(zip(lifted.rows(), lifted.masses.tolist()))
+            assert len(masses) == len(nat_ilp.theta[key].rows), mode
+            point.update(answer_point(nat_ilp, key, masses))
+        certificate, objective = certify_point(nat_ilp.program, point)
+        assert certificate.violation <= 1e-6, (mode, certificate)
+        assert close_rel(objective, expected.value), (mode, objective, expected.value)

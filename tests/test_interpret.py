@@ -230,9 +230,7 @@ class TestFactorized:
             cpq = quantifier_eliminate(cp)
             nat = natural(cpq, db)
             assert len(nat.program.names) == nat.variable_count
-            assert nat.theta_count == sum(
-                len(answers) for answers, _ in nat.theta.values()
-            )
+            assert nat.theta_count == sum(len(block.rows) for block in nat.theta.values())
             fac = _factorize_with_heuristic(cpq, db)
             assert len(fac.program.names) == fac.variable_count
 
@@ -282,9 +280,9 @@ class TestVariableNames:
         db = make_db(R=[(0,)])
         ilp = interpret(quantifier_eliminate(close(parse(SHARED_ID), db)), db)
         families = [
-            set(names)
+            {ilp.program.names[c] for c in block.columns}
             for family in (ilp.theta, *ilp.xi.values())
-            for _, names in family.values()
+            for block in family.values()
         ]
         assert all(a.isdisjoint(b) for i, a in enumerate(families) for b in families[i + 1:])
         assert len(ilp.program.names) == ilp.variable_count

@@ -27,7 +27,7 @@ from lpcq.cli import (
 from lpcq.decomp import DecompTree, attach_target_bags, heuristic_decompose
 from lpcq.interpret import factorized, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import LpSolution
+from lpcq.linprog import ArrayAssignment, LpSolution
 from lpcq.queries import evaluate, parse_query
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, write_delivery
@@ -38,6 +38,7 @@ from lpcq.weightings import (
     collection_from_weighting,
     lift_answers,
     reconstruct,
+    solution_to_weights,
 )
 
 from makers import make_db, rand_db, rand_flagship_instance, rand_query
@@ -49,7 +50,8 @@ from oracles import (
     weights_csv,
 )
 
-DELIVERY = Path(__file__).resolve().parents[1] / "demos" / "delivery"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DELIVERY = DEMOS / "delivery"
 
 
 def bits(values) -> np.ndarray:
@@ -72,11 +74,11 @@ def lift_against_oracle(cp_qf, decomps, db, rng, zero_share=0.2):
             row: 0.0 if rng.random() < zero_share else rng.random() * 4 for row in answers.rows
         })
         collection = collection_from_weighting(w, ilp.trees[key])
-        point = {}
-        for node, (proj, names) in ilp.xi[key].items():
-            assert proj.rows == collection[node].base.rows
-            point.update(zip(names, (collection[node].values[row] for row in proj.rows)))
-        solution = LpSolution("optimal", 0.0, point)
+        x = np.zeros(len(ilp.program.names))
+        for node, block in ilp.xi[key].items():
+            assert block.rows.rows == collection[node].base.rows
+            x[block.columns] = [collection[node].values[row] for row in block.rows.rows]
+        solution = LpSolution("optimal", 0.0, ArrayAssignment(ilp.program.names, x))
 
         lifted = lift_answers(solution, ilp, key)
         assert lifted.variables == answers.variables
@@ -159,6 +161,20 @@ class TestEnumeration:
             decomps[key].bags[p] & decomps[key].bags[c] for p, c in decomps[key].edges
         }
         assert lift_against_oracle(cp_qf, decomps, db, rng) == [2 * rows]
+
+
+@pytest.mark.parametrize("mode", ["natural", "replacement"])
+def test_theta_block_lifts_to_its_values(mode):
+    # a natural or replacement query is read as a one-bag tree
+    program = parse((DEMOS / "privacy" / "privacy.lpcq").read_text())
+    db = load_database(DEMOS / "privacy" / "data")
+    cp_qf, ilp, solution, _ = run_pipeline(program, db, mode)
+    (key,) = cp_qf.queries_w()
+    weighting = solution_to_weights(solution, ilp, key, db)
+    block = ilp.theta[key]
+    values = [solution.assignment[ilp.program.names[c]] for c in block.columns]
+    assert weighting.base == block.rows
+    assert [weighting[row] for row in block.rows.rows] == values and any(values)
 
 
 class TestKernel:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, build_decompositions
@@ -14,7 +15,7 @@ from lpcq.errors import (
 )
 from lpcq.interpret import factorized, natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import LpSolution, solve
+from lpcq.linprog import ArrayAssignment, LpSolution, solve
 from lpcq.queries import AnswerSet, evaluate, parse_query
 from lpcq.relations import Assignment, Value
 from lpcq.synth import GenSpec, generate_delivery
@@ -30,7 +31,9 @@ from lpcq.weightings import (
     solution_to_weights,
 )
 
-from makers import certify_point, make_db, rand_db, rand_flagship_instance, rand_query
+from makers import (
+    answer_point, certify_point, make_db, rand_db, rand_flagship_instance, rand_query,
+)
 from oracles import check_conj_decomposed, is_normalized, normalize
 
 
@@ -415,9 +418,7 @@ class TestSolutionLifting:
         w = solution_to_weights(sol, ilp, key, db)
         # natural-feasible at the same objective
         nat = natural(cp, db)
-        answers, names = nat.theta[key]
-        point = {name: w.values[row] for name, row in zip(names, answers.rows)}
-        certificate, objective = certify_point(nat.program, point)
+        certificate, objective = certify_point(nat.program, answer_point(nat, key, w.values))
         assert certificate.violation <= 1e-6
         assert math.isclose(objective, sol.value, abs_tol=1e-6)
 
@@ -425,13 +426,13 @@ class TestSolutionLifting:
         db = f1_db()
         cp, ilp, sol = self._lift(WORKED, db)
         (key,) = cp.queries_w()
-        point = dict(sol.assignment)
-        drifted = LpSolution("optimal", sol.value, point)
-        name = next(n for _, names in ilp.xi[key].values() for n in names if point[n] > 0)
-        point[name] += 1e-6
+        x = np.array([sol.assignment[name] for name in ilp.program.names])
+        drifted = LpSolution("optimal", sol.value, ArrayAssignment(ilp.program.names, x))
+        column = next(c for b in ilp.xi[key].values() for c in b.columns if x[c] > 0)
+        x[column] += 1e-6
         w = solution_to_weights(drifted, ilp, key, db)
         assert math.isclose(w.total(), 2.0, abs_tol=1e-5)
-        point[name] += 1e-3
+        x[column] += 1e-3
         with pytest.raises(UnsoundCollectionError):
             solution_to_weights(drifted, ilp, key, db)
 
@@ -462,10 +463,7 @@ class TestSolutionLifting:
             point = {}
             for key in cpq.queries_w():
                 w = solution_to_weights(sol, ilp, key, db)
-                answers, names = nat.theta[key]
-                point.update(
-                    {name: w.values[row] for name, row in zip(names, answers.rows)}
-                )
+                point.update(answer_point(nat, key, w.values))
             certificate, objective = certify_point(nat.program, point)
             assert certificate.violation <= 1e-6
             assert math.isclose(objective, sol.value, rel_tol=1e-6, abs_tol=1e-6)
