@@ -284,12 +284,19 @@ def _csv_fields(texts) -> list[str]:
 
 def _write_rows(handle, answers: AnswerColumns) -> None:
     """``var=value,...,mass`` rows as ``csv.writer`` writes them, built
-    from cells made once per distinct value and mass bit pattern."""
-    cells = [
-        np.array([field + "," for field in _csv_fields(f"{var}={x.text}" for x in values)],
-                 dtype=object)
-        for var, values in zip(answers.variables, answers.dictionaries)
-    ]
+    from cells made once per value a column holds and per mass bit
+    pattern."""
+    values = answers.dictionary.values
+    cells = []
+    for j, var in enumerate(answers.variables):
+        held = np.zeros(len(values), dtype=bool)
+        held[answers.codes[:, j]] = True
+        codes = np.flatnonzero(held)
+        column = np.empty(len(values), dtype=object)
+        column[codes] = [
+            field + "," for field in _csv_fields(f"{var}={x.text}" for x in values[codes].tolist())
+        ]
+        cells.append(column)
     # by bit pattern, so that -0.0 keeps its own text
     patterns, pattern_of = np.unique(answers.masses.view(np.int64), return_inverse=True)
     end = csv.excel.lineterminator

@@ -24,6 +24,8 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DisconnectedVariableError,
     IncompatibleTargetError,
@@ -46,12 +48,12 @@ from .queries import (
     is_quantifier_free,
     join_factors,
     prenex,
-    projector,
     qf,
     query_factors,
+    _domain_column,
     _Factor,
 )
-from .relations import Database
+from .relations import Database, join_keys, unique_rows
 
 
 class DecompTree:
@@ -260,7 +262,8 @@ def attach_target_bags(
 
 
 def bag_projections(q: Query, tree: DecompTree, db: Database) -> dict[int, AnswerSet]:
-    """Restriction of the query's answers to every bag.
+    """Restriction of the query's answers to every bag, as answer sets over
+    the database's codes.
 
     Builds one local relation per bag by joining a connected factor cover:
     each factor added shares a variable with those already chosen, so the
@@ -268,14 +271,18 @@ def bag_projections(q: Query, tree: DecompTree, db: Database) -> dict[int, Answe
     no connected factor reaches brings in a disconnected factor or the whole
     domain, and only then is the join a product.  The local relation is
     filtered with every conjunct contained in the bag, then a bottom-up and a
-    top-down semi-join pass runs; after both passes each node holds exactly
-    the projection of the full answer set to its bag.
+    top-down semi-join pass runs (``np.isin`` on the separator keys); after
+    both passes each node holds exactly the projection of the full answer
+    set to its bag.
     """
     if not is_quantifier_free(q):
         raise UncoveredAtomError("bag projections need a quantifier-free query")
     factors = query_factors(q, db, free_vars(q))
     if factors is None:
-        return {n: AnswerSet(tree.bags[n], []) for n in tree.bags}
+        return {
+            n: AnswerSet.from_codes(bag, np.zeros((0, len(bag)), dtype=np.int32), db.dictionary)
+            for n, bag in tree.bags.items()
+        }
 
     local: dict[int, _Factor] = {}
     for node in tree.bags:
@@ -289,18 +296,20 @@ def bag_projections(q: Query, tree: DecompTree, db: Database) -> dict[int, Answe
         for child in tree.children[node]:
             local[child] = _semijoin(local[child], local[node])
 
-    # local relations keep their bag's variables in sorted order, the order
-    # AnswerSet rows are aligned with
-    return {n: AnswerSet(local[n].vars, local[n].rows) for n in tree.bags}
+    # local relations keep their bag's variables in sorted order and their
+    # rows in lexicographic order, as AnswerSet holds them; a semi-join keeps
+    # a subset of the rows in their order
+    return {n: AnswerSet.from_codes(local[n].vars, local[n].codes, db.dictionary)
+            for n in tree.bags}
 
 
 def _local_relation(bag: frozenset[str], factors: list[_Factor], db: Database) -> _Factor:
     if not bag:
-        return _Factor((), [()])
+        return _Factor((), np.zeros((1, 0), dtype=np.int32))
     chosen: list[_Factor] = []
     reached: set[str] = set()  # variables of the chosen factors
     uncovered = set(bag)
-    pool = sorted(factors, key=lambda f: (len(f.rows), f.vars))
+    pool = sorted(factors, key=lambda f: (len(f), f.vars))
     while uncovered:
         # a factor joining the chosen ones on a shared variable first, then
         # the most missing bag variables, then the fewest rows (pool order)
@@ -312,15 +321,14 @@ def _local_relation(bag: frozenset[str], factors: list[_Factor], db: Database) -
         if best is None:
             # unconstrained bag variable: ranges over the whole domain
             var = sorted(uncovered)[0]
-            best = _Factor((var,), [(d,) for d in db.domain])
+            best = _Factor((var,), _domain_column(db))
         chosen.append(best)
         reached.update(best.vars)
         uncovered -= reached
 
     joined = join_factors(list(chosen))
     bag_vars = tuple(sorted(bag))
-    project = projector(joined.vars, bag_vars)
-    rel = _Factor(bag_vars, list({project(row) for row in joined.rows}))
+    rel = _Factor(bag_vars, unique_rows(joined.columns(bag_vars)))
 
     for f in factors:
         if f in chosen:
@@ -331,10 +339,11 @@ def _local_relation(bag: frozenset[str], factors: list[_Factor], db: Database) -
 
 
 def _semijoin(left: _Factor, right: _Factor) -> _Factor:
+    """The rows of *left* that agree with some row of *right* on their
+    shared variables, in their order."""
     shared = [v for v in left.vars if v in right.vars]
-    left_key = projector(left.vars, shared)
-    keys = set(map(projector(right.vars, shared), right.rows))
-    return _Factor(left.vars, [row for row in left.rows if left_key(row) in keys])
+    left_keys, right_keys = join_keys(left.columns(shared), right.columns(shared))
+    return _Factor(left.vars, left.codes[np.isin(left_keys, right_keys)])
 
 
 # --- heuristic decomposition ----------------------------------------------------
@@ -486,7 +495,9 @@ def load_decompositions(path: str | Path) -> list[DecompTree]:
 
     Raises ParseError naming the file when it is not UTF-8 JSON of that
     shape, among others when a tree gives a node id twice or a bag that is
-    not a list of strings, and OSError when it cannot be read.
+    not a list of strings, or when its edges do not form a tree rooted at
+    its root (the message names the tree's index in the file), and OSError
+    when it cannot be read.
     """
     from .queries import parse_query
 
@@ -506,7 +517,10 @@ def load_decompositions(path: str | Path) -> list[DecompTree]:
                 bags[node] = bag
             edges = [(int(p), int(c)) for p, c in entry.get("edges", [])]
             query = parse_query(entry["query"]) if "query" in entry else None
-            trees.append(DecompTree(int(entry["root"]), bags, edges, query=query))
+            try:
+                trees.append(DecompTree(int(entry["root"]), bags, edges, query=query))
+            except NotATreeError as exc:
+                raise ParseError(f"{path}: tree {len(trees)}: {exc}") from exc
     except KeyError as exc:
         raise ParseError(f"{path}: decomposition misses field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -20,11 +20,14 @@ query by query, the weight rows and the soundness rows.
 Each interpretation compiles straight to integer columns with an
 ``LpBuilder``: one block per query's answers (θ), per (query, bag) (ξ)
 and for the stand-ins (ν).  A weight expression becomes the column
-positions of its ``group_by`` group, cached per (query, target
-variables); a soundness row, the positions of a parent's and a child's
-bag rows.  No row is built as a name-keyed dict.  Each θ and ξ block is
-kept as a ``Block``, its rows and their columns in the built program,
-which is all ``weightings.lift_answers`` reads, in every mode.
+positions of its group of answers (``AnswerSet.groups``, on the target
+columns' codes), cached per (query, target variables); a soundness row,
+the positions of a parent's and a child's bag rows with one separator
+value, the values numbered in text order on their codes.  No row is built
+as a name-keyed dict, and names are built from one ``Value.token`` per
+dictionary entry.  Each θ and ξ block is kept as a ``Block``, its rows and
+their columns in the built program, which is all
+``weightings.lift_answers`` reads, in every mode.
 
 Names are still generated, once per block, because they fix the column
 order: ``LpBuilder.build`` sorts them once and puts every column at its
@@ -52,8 +55,8 @@ from .decomp import DecompTree, bag_projections, validate
 from .errors import IncompatibleDecompositionError, MissingDecompositionError
 from .language import ClosedProgram, ClosedSum, WeightExprClosed
 from .linprog import LpBuilder, Side, SparseLp
-from .queries import AnswerSet, Query, evaluate, is_quantifier_free, qf
-from .relations import Database, Value
+from .queries import AnswerSet, Groups, Query, evaluate, is_quantifier_free, qf
+from .relations import Database, row_groups
 
 QueryKey = tuple[str, Query]
 
@@ -101,10 +104,14 @@ class VarNaming:
     def _row_names(self, prefix: str, rows: AnswerSet) -> list[str]:
         if len(rows) > CONTENT_NAME_LIMIT:
             return self._claim_all([f"{prefix}_r{i}" for i in range(len(rows))])
-        return self._claim_all([
-            f"{prefix}_{'_'.join([v.token for v in row])}" if row else f"{prefix}_all"
-            for row in rows.rows
-        ])
+        if not rows.variables:
+            return self._claim_all([f"{prefix}_all"] * len(rows))
+        # one token per dictionary entry, joined column by column
+        tokens = rows.dictionary.tokens
+        names = prefix + "_" + tokens[rows.codes[:, 0]]
+        for j in range(1, len(rows.variables)):
+            names = names + "_" + tokens[rows.codes[:, j]]
+        return self._claim_all(names.tolist())
 
     def theta_names(self, key: QueryKey, answers: AnswerSet) -> list[str]:
         return self._row_names(f"th_{qid(key[0])}", answers)
@@ -175,7 +182,7 @@ class _AnswerColumns:
             key: builder.block(naming.theta_names(key, rows)) for key, rows in self.answers.items()
         }
         self.builder = builder
-        self._groups: dict[tuple[QueryKey, frozenset[str]], dict] = {}
+        self._groups: dict[tuple[QueryKey, frozenset[str]], Groups] = {}
 
     def blocks(self) -> dict[QueryKey, Block]:
         """Each query's θ block, once the program is built."""
@@ -184,17 +191,16 @@ class _AnswerColumns:
             for key, rows in self.answers.items()
         }
 
-    def __call__(self, w: WeightExprClosed) -> list[int]:
+    def __call__(self, w: WeightExprClosed) -> array:
         key = (w.query_name, w.query)
-        target_vars = w.target_vars()
-        gkey = (key, target_vars)
+        gkey = (key, w.target_vars())
         groups = self._groups.get(gkey)
         if groups is None:
-            groups = self._groups[gkey] = self.answers[key].group_by(target_vars)
-        values = tuple(v for _, v in w.targets)  # targets sorted by variable
-        members = groups.get(values, ())
-        start = self.starts[key]
-        return [start + i for i in members] if start else members
+            groups = self._groups[gkey] = self.answers[key].groups(gkey[1])
+        members = groups.find(tuple(v for _, v in w.targets))  # targets sorted by variable
+        columns = array("q")  # filled from the array's bytes, not one int at a time
+        columns.frombytes((members + self.starts[key]).astype(np.int64).tobytes())
+        return columns
 
 
 def _side(s: ClosedSum, columns_of) -> Side:
@@ -345,29 +351,36 @@ def factorized(
     provenance = _user_rows(cp, builder, lambda w: [nu_col[w]])
     for key, tree in trees.items():
         nodes = projections[key]
-        row_of: dict[int, dict[tuple[Value, ...], int]] = {}
+        rows_of: dict[int, Groups] = {}  # a witness bag's rows, each its own group
         for w in targets_by_query.get(key, []):
             witness = witnesses[key][w.target_vars()]
-            if witness not in row_of:
-                row_of[witness] = {row: i for i, row in enumerate(nodes[witness].rows)}
-            i = row_of[witness].get(tuple(v for _, v in w.targets))
-            rhs = [starts[key][witness] + i] if i is not None else []
-            builder.row(_ones([nu_col[w]]), "=", _ones(rhs))
+            if witness not in rows_of:
+                rows_of[witness] = nodes[witness].groups(nodes[witness].variables)
+            rhs = rows_of[witness].find(tuple(v for _, v in w.targets))
+            builder.row(_ones([nu_col[w]]), "=", _ones((rhs + starts[key][witness]).tolist()))
             provenance.append("weight")
 
         for parent, child in sorted(tree.edges):
-            shared = tree.bags[parent] & tree.bags[child]
-            pg = nodes[parent].group_by(shared)
-            cg = nodes[child].group_by(shared)
-            p_start = starts[key][parent]
-            c_start = starts[key][child]
-            for gamma in sorted(set(pg) | set(cg), key=lambda t: tuple(v.text for v in t)):
+            # one row per separator value γ of either side, in text order:
+            # both sides' rows grouped together, then split by side
+            shared = sorted(tree.bags[parent] & tree.bags[child])
+            split = len(nodes[parent])
+            order, bounds = row_groups(np.concatenate(
+                [nodes[parent].columns(shared), nodes[child].columns(shared)]
+            ))
+            in_parent = order < split
+            p_bounds = np.concatenate(([0], np.cumsum(in_parent)))[bounds]
+            c_bounds = (bounds - p_bounds).tolist()
+            p_bounds = p_bounds.tolist()
+            p_cols = (order[in_parent] + starts[key][parent]).tolist()
+            c_cols = (order[~in_parent] - split + starts[key][child]).tolist()
+            for g in range(len(bounds) - 1):
                 builder.row(
-                    _ones([p_start + i for i in pg.get(gamma, ())]),
+                    _ones(p_cols[p_bounds[g]:p_bounds[g + 1]]),
                     "=",
-                    _ones([c_start + i for i in cg.get(gamma, ())]),
+                    _ones(c_cols[c_bounds[g]:c_bounds[g + 1]]),
                 )
-                provenance.append("soundness")
+            provenance.extend(["soundness"] * (len(bounds) - 1))
 
     program = builder.build("maximize", _side(cp.objective, lambda w: [nu_col[w]]))
     return InterpretedLp(

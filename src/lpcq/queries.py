@@ -8,9 +8,13 @@ cache the result (``hash_once``), since queries key many dicts.
 
 Evaluation follows set semantics.  ``evaluate(q, db, X)`` returns the set of
 assignments of X satisfying q, where variables of X not constrained by q
-range over the whole domain.  The implementation joins per-conjunct factors
-with hash joins; a brute-force enumerator with the same contract lives in
-the test suite and serves as the oracle.
+range over the whole domain.  It runs on the database's int32 codes: each
+atom becomes a factor through column masks (constants, repeated variables)
+and a dedupe, and factors are joined by sort-merge on their shared columns
+(``relations.match``).  An answer set holds its rows as codes in text
+order and decodes them to ``Value`` tuples only when asked; ``groups``
+groups them with a lexsort.  A brute-force enumerator with the same
+contract lives in the test suite and serves as the oracle.
 
 ``rewrite`` is the one rewriter of query variables: it substitutes free
 variables and renames bound ones, with quantifiers shadowing as usual.
@@ -30,18 +34,29 @@ numeric literals.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     ArityMismatchError,
     LengthMismatchError,
     MissingFreeVariableError,
     ParseError,
+    RaggedRowsError,
     UnknownRelationError,
 )
 from .lexer import TokenStream, tokenize
-from .relations import Assignment, Database, Value
+from .relations import (
+    Assignment,
+    Database,
+    Dictionary,
+    Value,
+    join_keys,
+    match,
+    row_groups,
+    unique_rows,
+)
 
 
 # --- AST --------------------------------------------------------------------
@@ -305,41 +320,90 @@ def canonical_form(q: Query) -> tuple[Query, dict[str, str]]:
 
 # --- answer sets -------------------------------------------------------------
 
-def projector(
-    from_vars: Sequence[str], to_vars: Iterable[str]
-) -> Callable[[tuple], tuple[Value, ...]]:
-    """Function taking a row over *from_vars* to the tuple of its values on
-    *to_vars*, in the order given.  Every relational operator keys and
-    projects rows through it, so all of them agree on key shapes: a 1-tuple
-    for one variable and () for none."""
-    idx = [from_vars.index(v) for v in to_vars]
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    if idx:
-        (i,) = idx
-        return lambda row: (row[i],)
-    return lambda row: ()
+class Groups:
+    """Rows of an answer set grouped by their projection to some variables.
 
+    Groups are numbered in the text order of their keys; group g holds the
+    rows ``order[bounds[g]:bounds[g + 1]]``, in ascending order, and its key
+    is row g of ``keys``, codes into ``dictionary``.
+    """
 
-def _row_sort_key(row: tuple[Value, ...]) -> tuple[str, ...]:
-    return tuple(v.text for v in row)
+    __slots__ = ("keys", "order", "bounds", "dictionary", "_index")
+
+    def __init__(self, keys: np.ndarray, order: np.ndarray, bounds: np.ndarray,
+                 dictionary: Dictionary):
+        self.keys = keys
+        self.order = order
+        self.bounds = bounds
+        self.dictionary = dictionary
+        self._index: dict[tuple[int, ...], int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def members(self, g: int) -> np.ndarray:
+        return self.order[self.bounds[g]:self.bounds[g + 1]]
+
+    def find(self, key: tuple[Value, ...]) -> np.ndarray:
+        """The rows whose projection is the value tuple *key*, in ascending
+        order; none when no row has it."""
+        if self._index is None:
+            self._index = {k: g for g, k in enumerate(map(tuple, self.keys.tolist()))}
+        g = self._index.get(tuple(map(self.dictionary.code, key)))
+        return self.order[:0] if g is None else self.members(g)
 
 
 class AnswerSet:
     """Set of assignments over an ordered variable tuple.
 
-    Rows are value tuples aligned with ``variables`` (sorted by name) and are
-    kept sorted by text for deterministic iteration; consumers must not read
-    meaning into the order.
+    The rows are held as ``codes``, an ``(n, k)`` int32 array of codes into
+    ``dictionary``, columns aligned with ``variables`` (sorted by name) and
+    rows distinct and in text order, for deterministic iteration; consumers
+    must not read meaning into the order.  ``rows``, iteration and
+    membership decode them to value tuples on first use.  An answer set
+    built from value rows gets a dictionary of its own values.
     """
 
-    __slots__ = ("variables", "rows", "_member_cache")
+    __slots__ = ("variables", "codes", "dictionary", "_rows", "_member_cache")
 
     def __init__(self, variables: Iterable[str], rows: Iterable[tuple[Value, ...]]):
-        self.variables = tuple(sorted(variables))
-        unique = rows if isinstance(rows, set) else set(rows)
-        self.rows = sorted(unique, key=_row_sort_key)
+        variables = tuple(sorted(variables))
+        unique = rows if isinstance(rows, (set, frozenset)) else set(rows)
+        for row in unique:
+            if len(row) != len(variables):
+                raise RaggedRowsError(
+                    f"answer row of length {len(row)} over {len(variables)} variables"
+                )
+        dictionary = Dictionary(v for row in unique for v in row)
+        codes = unique_rows(dictionary.encode(unique, len(variables)))
+        self._set(variables, codes, dictionary)
+
+    def _set(self, variables: tuple[str, ...], codes: np.ndarray, dictionary: Dictionary) -> None:
+        self.variables = variables
+        self.codes = codes
+        self.dictionary = dictionary
+        self._rows: list[tuple[Value, ...]] | None = None
         self._member_cache: set | None = None
+
+    @classmethod
+    def from_codes(
+        cls, variables: Iterable[str], codes: np.ndarray, dictionary: Dictionary
+    ) -> "AnswerSet":
+        """The answer set of *codes* into *dictionary*: columns aligned with
+        the sorted *variables*, rows distinct and in lexicographic order."""
+        answers = cls.__new__(cls)
+        answers._set(tuple(sorted(variables)), codes, dictionary)
+        return answers
+
+    @property
+    def rows(self) -> list[tuple[Value, ...]]:
+        if self._rows is None:
+            self._rows = self.dictionary.decode(self.codes)
+        return self._rows
+
+    def columns(self, variables: Iterable[str]) -> np.ndarray:
+        """The code columns of *variables*, in the order given."""
+        return self.codes[:, [self.variables.index(v) for v in variables]]
 
     def _members(self) -> set:
         if self._member_cache is None:
@@ -347,7 +411,7 @@ class AnswerSet:
         return self._member_cache
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[tuple[Value, ...]]:
         return iter(self.rows)
@@ -360,11 +424,15 @@ class AnswerSet:
         return item in self._members()
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, AnswerSet)
             and self.variables == other.variables
-            and self.rows == other.rows
-        )
+            and len(self) == len(other)
+        ):
+            return False
+        if self.dictionary is other.dictionary:
+            return bool(np.array_equal(self.codes, other.codes))
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash((self.variables, tuple(self.rows)))
@@ -384,47 +452,60 @@ class AnswerSet:
             )
         if wanted == self.variables:
             return self
-        project = projector(self.variables, wanted)
-        return AnswerSet(wanted, {project(row) for row in self.rows})
+        return AnswerSet.from_codes(wanted, unique_rows(self.columns(wanted)), self.dictionary)
+
+    def groups(self, variables: Iterable[str]) -> Groups:
+        """The rows grouped by their projection to *variables*: one id per
+        row, numbered in the text order of the key columns, and a stable
+        sort of the ids."""
+        columns = self.columns(sorted(set(variables)))
+        order, bounds = row_groups(columns)
+        return Groups(columns[order[bounds[:-1]]], order, bounds, self.dictionary)
 
     def group_by(self, variables: Iterable[str]) -> dict[tuple[Value, ...], list[int]]:
-        """Row indices grouped by their projection to *variables* (sorted order)."""
-        wanted = sorted(set(variables))
-        if not wanted:
-            return {(): list(range(len(self.rows)))} if self.rows else {}
-        groups: dict[tuple[Value, ...], list[int]] = {}
-        get = groups.get
-        for i, key in enumerate(map(projector(self.variables, wanted), self.rows)):
-            members = get(key)
-            if members is None:
-                groups[key] = [i]
-            else:
-                members.append(i)
-        return groups
+        """Row indices grouped by their projection to *variables* (sorted
+        order), groups in the order of their first row."""
+        groups = self.groups(variables)
+        keys = groups.dictionary.decode(groups.keys)
+        firsts = groups.order[groups.bounds[:-1]]
+        return {keys[g]: groups.members(g).tolist() for g in np.argsort(firsts).tolist()}
 
     def __repr__(self) -> str:
-        return f"AnswerSet({self.variables}, {len(self.rows)} rows)"
+        return f"AnswerSet({self.variables}, {len(self)} rows)"
 
 
 # --- evaluation ---------------------------------------------------------------
 
 class _Factor:
-    """Intermediate relation over a tuple of distinct variables."""
+    """Intermediate relation over a tuple of distinct variables: an
+    ``(n, len(vars))`` array of codes into the database's dictionary, rows
+    distinct."""
 
-    __slots__ = ("vars", "rows")
+    __slots__ = ("vars", "codes")
 
-    def __init__(self, vars: tuple[str, ...], rows: list[tuple[Value, ...]]):
+    def __init__(self, vars: tuple[str, ...], codes: np.ndarray):
         self.vars = vars
-        self.rows = rows
+        self.codes = codes
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.codes)
+
+    def columns(self, variables: Sequence[str]) -> np.ndarray:
+        return self.codes[:, [self.vars.index(v) for v in variables]]
+
+
+def _no_rows(width: int) -> np.ndarray:
+    return np.zeros((0, width), dtype=np.int32)
+
+
+def _domain_column(db: Database) -> np.ndarray:
+    return np.arange(len(db.dictionary), dtype=np.int32)[:, None]
 
 
 def _atom_factor(atom: Atom, db: Database) -> _Factor:
     """Project an atom's relation to its distinct variables, applying constant
-    and repeated-variable filters.  A ground atom yields a nullary factor
-    whose emptiness decides satisfiability."""
+    and repeated-variable filters as column masks.  A ground atom yields a
+    nullary factor whose emptiness decides satisfiability."""
     rel = db.relation(atom.relation)
     if rel is None:
         raise UnknownRelationError(f"relation {atom.relation!r} not in database")
@@ -439,44 +520,38 @@ def _atom_factor(atom: Atom, db: Database) -> _Factor:
             positions.setdefault(arg.name, []).append(i)
         else:
             consts.append((i, arg.value))
-    var_order = tuple(positions)
-    rows = set()
-    for row in rel.tuples:
-        if any(row[i] is not v for i, v in consts):
-            continue
-        ok = True
-        for pos_list in positions.values():
-            first = row[pos_list[0]]
-            if any(row[p] is not first for p in pos_list[1:]):
-                ok = False
-                break
-        if ok:
-            rows.add(tuple(row[pos[0]] for pos in positions.values()))
-    if not var_order:
-        # ground atom: empty factor means the whole query is unsatisfiable
-        return _Factor((), [()] if rows else [])
-    return _Factor(var_order, list(rows))
+    codes = rel.codes
+    mask = None
+    for i, value in consts:
+        code = db.dictionary.code(value)
+        if code is None:
+            return _Factor(tuple(positions), _no_rows(len(positions)))
+        hit = codes[:, i] == code
+        mask = hit if mask is None else mask & hit
+    for first, *rest in positions.values():
+        for p in rest:
+            hit = codes[:, p] == codes[:, first]
+            mask = hit if mask is None else mask & hit
+    if mask is not None:
+        codes = codes[mask]
+    firsts = [pos[0] for pos in positions.values()]
+    if len(firsts) < rel.arity:
+        # dropped columns can make rows equal
+        codes = unique_rows(codes[:, firsts])
+    return _Factor(tuple(positions), codes)
 
 
 def _join(a: _Factor, b: _Factor) -> _Factor:
-    """Hash join on the shared variables; with none shared, every row of a
-    meets every row of b under the key ()."""
+    """Sort-merge join on the shared variables; with none shared, every row
+    of a meets every row of b."""
     shared = [v for v in a.vars if v in b.vars]
     extra = [v for v in b.vars if v not in a.vars]
-    a_key = projector(a.vars, shared)
-    b_key = projector(b.vars, shared)
-    b_tail = projector(b.vars, extra)
-    buckets: dict[tuple, list[tuple]] = {}
-    for row in b.rows:
-        buckets.setdefault(b_key(row), []).append(b_tail(row))
-    rows = []
-    append = rows.append
-    for row in a.rows:
-        hit = buckets.get(a_key(row))
-        if hit:
-            for tail in hit:
-                append(row + tail)
-    return _Factor(a.vars + tuple(extra), rows)
+    i, j = match(*join_keys(a.columns(shared), b.columns(shared)))
+    width = len(a.vars)
+    codes = np.empty((len(i), width + len(extra)), dtype=np.int32)
+    codes[:, :width] = a.codes[i]
+    codes[:, width:] = b.columns(extra)[j]
+    return _Factor(a.vars + tuple(extra), codes)
 
 
 def query_factors(body: Query, db: Database, needed_vars: Iterable[str]) -> list[_Factor] | None:
@@ -491,7 +566,7 @@ def query_factors(body: Query, db: Database, needed_vars: Iterable[str]) -> list
     for part in conjuncts(body):
         if isinstance(part, Atom):
             f = _atom_factor(part, db)
-            if f.vars == () and not f.rows:
+            if f.vars == () and not len(f):
                 return None
             if f.vars:
                 factors.append(f)
@@ -504,13 +579,14 @@ def query_factors(body: Query, db: Database, needed_vars: Iterable[str]) -> list
                 if left.name == right.name:
                     domain_vars.add(left.name)
                 else:
-                    diag = [(v, v) for v in db.domain]
+                    diag = np.repeat(_domain_column(db), 2, axis=1)
                     factors.append(_Factor((left.name, right.name), diag))
             else:
                 var = left if isinstance(left, Var) else right
                 const = right if isinstance(right, Const) else left
                 assert isinstance(var, Var) and isinstance(const, Const)
-                rows = [(const.value,)] if const.value in db.domain else []
+                code = db.dictionary.code(const.value)
+                rows = _no_rows(1) if code is None else np.array([[code]], dtype=np.int32)
                 factors.append(_Factor((var.name,), rows))
         else:
             raise TypeError(f"body is not quantifier-free: {part!r}")
@@ -520,14 +596,14 @@ def query_factors(body: Query, db: Database, needed_vars: Iterable[str]) -> list
         covered.update(f.vars)
     for v in sorted(set(needed_vars) | domain_vars):
         if v not in covered:
-            factors.append(_Factor((v,), [(d,) for d in db.domain]))
+            factors.append(_Factor((v,), _domain_column(db)))
     return factors
 
 
 def join_factors(factors: list[_Factor]) -> _Factor:
-    """Greedy hash-join plan: start small, prefer connected factors."""
+    """Greedy join plan: start small, prefer connected factors."""
     if not factors:
-        return _Factor((), [()])
+        return _Factor((), np.zeros((1, 0), dtype=np.int32))
     pending = sorted(factors, key=len)
     current = pending.pop(0)
     while pending:
@@ -541,12 +617,12 @@ def join_factors(factors: list[_Factor]) -> _Factor:
                 best = i
         nxt = pending.pop(best)
         current = _join(current, nxt)
-        if not current.rows:
+        if not len(current):
             # keep the full variable tuple so projection stays well-defined
             tail = list(current.vars)
             for f in pending:
                 tail.extend(v for v in f.vars if v not in tail)
-            return _Factor(tuple(tail), [])
+            return _Factor(tuple(tail), _no_rows(len(tail)))
     return current
 
 
@@ -557,20 +633,18 @@ def evaluate(q: Query, db: Database, variables: Iterable[str] | None = None) -> 
     evaluation; variables of X unconstrained by q range over the domain.
     """
     fv = free_vars(q)
-    X = frozenset(variables) if variables is not None else fv
-    if not fv <= X:
+    X = sorted(variables if variables is not None else fv)
+    if not fv <= set(X):
         raise MissingFreeVariableError(
-            f"variable set {sorted(X)} misses free variables {sorted(fv - X)}"
+            f"variable set {X} misses free variables {sorted(fv - set(X))}"
         )
     prefix, body = prenex(q)
     # prefix names were renamed apart from fv; keep X's names untouched
-    eval_vars = set(X) | set(prefix)
-    factors = query_factors(body, db, eval_vars)
+    factors = query_factors(body, db, set(X) | set(prefix))
     if factors is None:
-        return AnswerSet(X, [])
+        return AnswerSet.from_codes(X, _no_rows(len(X)), db.dictionary)
     joined = join_factors(factors)
-    project = projector(joined.vars, sorted(X))
-    return AnswerSet(X, {project(row) for row in joined.rows})
+    return AnswerSet.from_codes(X, unique_rows(joined.columns(X)), db.dictionary)
 
 
 # --- concrete syntax ----------------------------------------------------------

@@ -24,13 +24,14 @@ both sides of every separator equal.  A separator marginal at or below
 ``ZERO_TOL`` (1e-12) makes the row's mass 0.  ``reconstruct_point``
 evaluates the same function at one row without materializing anything.
 
-The lift runs on integer codes (``_Lift``).  Every variable of the tree gets
-a dictionary of its values in the bag projections, in text order, so that
-comparing codes compares texts; each bag becomes an ``(n, k)`` array of
-codes and a vector of masses.  A separator marginal is an ``np.bincount``
-over separator keys, which adds in row order as ``project_weighting`` does.
-Keys over several columns are compacted one column at a time with
-``np.unique``, so no key overflows int64, whatever the dictionary sizes.
+The lift runs on integer codes (``_Lift``): each bag is its projection's
+``(n, k)`` array of codes, read as it is when the projections share a
+dictionary (those of one database do; codes follow text order, so
+comparing codes compares texts), and a vector of masses.  A separator
+marginal is an ``np.bincount`` over separator keys, which adds in row
+order as ``project_weighting`` does.  Keys over several columns are
+compacted one column at a time (``relations.key_ids``), so no key
+overflows int64, whatever the dictionary size.
 ``check_sound``, ``reconstruct``, ``reconstruct_point`` and ``lift_answers``
 share this kernel, so the formula above is written once (``_Lift.masses_at``).
 
@@ -47,10 +48,11 @@ answer set.  Each variable's bags form a connected subtree, so joining
 every child to its parent on their separator, down the tree, computes that
 join (the join phase of Yannakakis, VLDB 1981).  Every partial row extends
 to an answer, so no intermediate is larger than the output (Olteanu and
-Závodný, TODS 2015).  The rows are put in ``AnswerSet`` order with
-``np.lexsort`` on the codes, and each row's mass is the product above,
-edges in sorted order and multiplied left to right, as ``reconstruct``
-computes it.  The bag-variable values form a sound collection (up to solver
+Závodný, TODS 2015); each bag's row positions are carried in the smallest
+integer type that holds its row count.  The rows are put in ``AnswerSet``
+order with ``np.lexsort`` on the codes, and each row's mass is the product
+above, edges in sorted order and multiplied left to right, as
+``reconstruct`` computes it.  The bag-variable values form a sound collection (up to solver
 tolerance), and the lifted weights are feasible for the answer-variable
 formulation at the same objective value.  ``solution_to_weights`` and
 ``reconstruct`` refuse more than ``MATERIALIZE_LIMIT`` answers;
@@ -60,7 +62,6 @@ formulation at the same objective value.  ``solution_to_weights`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -74,8 +75,8 @@ from .errors import (
 )
 # evaluate is no longer called here; it stays importable because the
 # benchmark's tracer (perfbench/tracer.py) wraps lpcq.weightings.evaluate
-from .queries import AnswerSet, evaluate, projector  # noqa: F401
-from .relations import Assignment, Value
+from .queries import AnswerSet, evaluate  # noqa: F401
+from .relations import Assignment, Dictionary, Value, key_ids, match
 
 ZERO_TOL = 1e-12
 SOUND_TOL = 1e-7
@@ -83,8 +84,6 @@ SOUND_TOL = 1e-7
 # drift and still be lifted
 LIFT_TOL = 1e-5
 MATERIALIZE_LIMIT = 10**6
-
-_text = attrgetter("text")
 
 
 class Weighting:
@@ -197,11 +196,11 @@ class SoundnessViolation:
 @dataclass(frozen=True)
 class AnswerColumns:
     """Answers and their masses as integer columns, rows in ``AnswerSet``
-    order: ``codes[i, j]`` indexes ``dictionaries[j]``, the values of
-    ``variables[j]``."""
+    order: ``codes[i, j]`` is the code of row i's value of ``variables[j]``
+    in ``dictionary``."""
 
     variables: tuple[str, ...]
-    dictionaries: tuple[list[Value], ...]
+    dictionary: Dictionary
     codes: np.ndarray
     masses: np.ndarray
 
@@ -210,29 +209,24 @@ class AnswerColumns:
 
     def rows(self) -> list[tuple[Value, ...]]:
         """The answers as value tuples."""
-        columns = [
-            np.array(values, dtype=object)[self.codes[:, j]].tolist()
-            for j, values in enumerate(self.dictionaries)
-        ]
-        return list(zip(*columns)) if columns else [()] * len(self)
+        return self.dictionary.decode(self.codes)
 
 
-def _dense_ids(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Ids of the rows of two code arrays over the same columns, numbered
-    in one id space in the rows' lexicographic order, and how many
-    distinct rows there are.
+def _index_dtype(count: int) -> np.dtype:
+    """The smallest signed integer type holding every position below
+    *count*, and -1."""
+    return np.min_scalar_type(-max(count, 1))
 
-    The columns are folded in one at a time: each (id so far, code) pair is
-    packed into one integer and compacted again with ``np.unique``.  An id
-    stays below the row count, so no packed key can overflow int64.
-    """
-    stacked = np.concatenate([a, b])
-    ids = np.zeros(len(stacked), dtype=np.int64)
-    distinct = 1 if len(stacked) else 0
-    for column in stacked.T if len(stacked) else ():
-        keys, ids = np.unique(ids * (int(column.max()) + 1) + column, return_inverse=True)
-        distinct = len(keys)
-    return ids[:len(a)], ids[len(a):], distinct
+
+def _common_codes(sets: Sequence[AnswerSet]) -> tuple[Dictionary, list[np.ndarray]]:
+    """The code arrays of answer sets over one dictionary: theirs when they
+    share one, as those of a database's queries do, else the union of
+    theirs."""
+    dictionaries = {id(s.dictionary): s.dictionary for s in sets}
+    if len(dictionaries) == 1:
+        return sets[0].dictionary, [s.codes for s in sets]
+    union = Dictionary(v for d in dictionaries.values() for v in d.values.tolist())
+    return union, [union.recode(s.dictionary)[s.codes] for s in sets]
 
 
 @dataclass(frozen=True)
@@ -259,29 +253,18 @@ class _Lift:
     """A weighting collection on integer codes, and the lift formula.
 
     *bags* gives each node of *tree* its projection, rows over the bag's
-    variables in sorted order, and the rows' masses.
+    variables in sorted order, and the rows' masses.  The lift reads the
+    projections' codes as they are when they share a dictionary.
     """
 
     def __init__(self, tree: DecompTree, bags: Mapping[int, tuple[AnswerSet, Sequence[float]]]):
         self.tree = tree
         self.variables = tuple(sorted(frozenset().union(*tree.bags.values())))
         self.bags = {node: proj for node, (proj, _) in bags.items()}
-        seen: dict[str, set[Value]] = {v: set() for v in self.variables}
-        for proj in self.bags.values():
-            for j, v in enumerate(proj.variables):
-                seen[v].update(row[j] for row in proj.rows)
-        # each variable's values in text order, and each value's code there
-        self.dictionaries = {v: sorted(seen[v], key=_text) for v in self.variables}
-        code = {v: {x: i for i, x in enumerate(xs)} for v, xs in self.dictionaries.items()}
-        self.codes = {}
-        for node, proj in self.bags.items():
-            self.codes[node] = np.empty((len(proj), len(proj.variables)), dtype=np.int32)
-            for j, v in enumerate(proj.variables):
-                column = map(code[v].__getitem__, (row[j] for row in proj.rows))
-                self.codes[node][:, j] = np.fromiter(column, dtype=np.int32)
+        self.dictionary, codes = _common_codes(list(self.bags.values()))
+        self.codes = dict(zip(self.bags, codes))
         self.masses = {node: np.asarray(m, dtype=np.float64) for node, (_, m) in bags.items()}
         self.edges = [self._edge(parent, child) for parent, child in sorted(tree.edges)]
-        self._positions: dict[int, dict[tuple[Value, ...], int]] | None = None
 
     @classmethod
     def of(cls, collection: WeightingCollection) -> "_Lift":
@@ -297,7 +280,7 @@ class _Lift:
 
     def _edge(self, parent: int, child: int) -> _Edge:
         shared = tuple(sorted(self.tree.bags[parent] & self.tree.bags[child]))
-        parent_ids, child_ids, distinct = _dense_ids(
+        (parent_ids, child_ids), distinct = key_ids(
             self._columns(parent, shared), self._columns(child, shared)
         )
         parent_marginal = np.bincount(parent_ids, self.masses[parent], distinct)
@@ -320,7 +303,7 @@ class _Lift:
             g = bad[0]
             node, ids = (e.parent, e.parent_ids) if g in e.parent_ids else (e.child, e.child_ids)
             codes = self._columns(node, e.shared)[np.flatnonzero(ids == g)[0]]
-            gamma = tuple(self.dictionaries[v][c] for v, c in zip(e.shared, codes.tolist()))
+            gamma = tuple(self.dictionary.values[codes].tolist())
             return SoundnessViolation(
                 (e.parent, e.child), gamma,
                 float(e.parent_marginal[g]), float(e.child_marginal[g]),
@@ -349,34 +332,35 @@ class _Lift:
         mass[dead] = 0.0
         return mass
 
-    def locate(self, variables: Sequence[str], rows: Sequence[tuple]) -> dict[int, np.ndarray]:
-        """The position in every bag of each value row over *variables*, -1
-        where its restriction is no bag row."""
-        if self._positions is None:
-            self._positions = {
-                node: {row: i for i, row in enumerate(proj.rows)}
-                for node, proj in self.bags.items()
-            }
+    def locate(self, variables: Sequence[str], codes: np.ndarray) -> dict[int, np.ndarray]:
+        """The position in every bag of each row of *codes*, codes into this
+        lift's dictionary over *variables*, -1 where its restriction is no
+        bag row.  A code of -1, a value outside the dictionary, matches no
+        row; every code is shifted up by one so that it keys apart."""
         index = {}
         for node, proj in self.bags.items():
-            get, to_bag = self._positions[node].get, projector(variables, proj.variables)
-            index[node] = np.fromiter((get(to_bag(row), -1) for row in rows), dtype=np.int64)
+            columns = [variables.index(v) for v in proj.variables]
+            (row_ids, bag_ids), count = key_ids(codes[:, columns] + 1, self.codes[node] + 1)
+            position = np.full(count, -1, dtype=np.int64)
+            position[bag_ids] = np.arange(len(bag_ids))
+            index[node] = position[row_ids]
         return index
 
     def join(self) -> dict[int, np.ndarray]:
         """Every answer's position in every bag, from the join of the bags:
         down the tree, each child is joined to its parent on their
-        separator by sorting the child's separator ids and gathering the
-        ranges ``searchsorted`` finds.
+        separator (``relations.match``).
 
         Only the positions of nodes with children still to join are carried
-        through each join.  A node set aside earlier is brought to the final
+        through each join, each in the smallest integer type that holds its
+        bag's row count.  A node set aside earlier is brought to the final
         rows at the end, through the joins made after it.
         """
         tree = self.tree
         edge_of = {e.child: e for e in self.edges}
         waiting = {node: len(tree.children[node]) for node in tree.bags}
-        live = {tree.root: np.arange(len(self.masses[tree.root]))}
+        size = {node: len(m) for node, m in self.masses.items()}
+        live = {tree.root: np.arange(size[tree.root], dtype=_index_dtype(size[tree.root]))}
         aside: list[tuple[int, np.ndarray, int]] = []  # node, positions, joins before
         extends: list[np.ndarray] = []  # per join, the earlier row each row extends
         if not waiting[tree.root]:
@@ -385,13 +369,9 @@ class _Lift:
             for child in sorted(tree.children[parent]):
                 e = edge_of[child]
                 keys = e.parent_ids[live[parent]]
-                order = np.argsort(e.child_ids, kind="stable")
-                ids = e.child_ids[order]
-                low = np.searchsorted(ids, keys, "left")
-                count = np.searchsorted(ids, keys, "right") - low
-                step = np.repeat(np.arange(len(keys)), count)
-                offset = np.arange(len(step)) - np.repeat(np.cumsum(count) - count, count)
-                found = order[low[step] + offset]
+                step, found = match(keys, e.child_ids)
+                step = step.astype(_index_dtype(len(keys)))
+                found = found.astype(_index_dtype(size[child]))
                 waiting[parent] -= 1
                 if not waiting[parent]:
                     aside.append((parent, live.pop(parent), len(extends)))
@@ -434,9 +414,7 @@ class _Lift:
             for j in range(len(columns)):
                 codes[:, j] = columns[j][order]
                 columns[j] = None
-        return AnswerColumns(
-            self.variables, tuple(self.dictionaries[v] for v in self.variables), codes, masses
-        )
+        return AnswerColumns(self.variables, self.dictionary, codes, masses)
 
 
 def check_sound(
@@ -466,7 +444,10 @@ def reconstruct(
     """
     _refuse_above_limit(len(answers), "reconstruct_point")
     lift = _Lift.of(collection).checked(tol)
-    masses = lift.masses_at(lift.locate(answers.variables, answers.rows))
+    codes = answers.codes
+    if answers.dictionary is not lift.dictionary:
+        codes = lift.dictionary.recode(answers.dictionary)[codes]
+    masses = lift.masses_at(lift.locate(answers.variables, codes))
     return Weighting(answers, dict(zip(answers.rows, masses.tolist())))
 
 
@@ -494,7 +475,9 @@ def reconstruct_point(collection: WeightingCollection, alpha: Assignment) -> flo
     if collection._lift is None:
         collection._lift = _Lift.of(collection).checked(SOUND_TOL)
     lift = collection._lift
-    return float(lift.masses_at(lift.locate(alpha.variables, [alpha.values]))[0])
+    codes = [lift.dictionary.code(v) for v in alpha.values]
+    row = np.array([[-1 if c is None else c for c in codes]], dtype=np.int64)
+    return float(lift.masses_at(lift.locate(alpha.variables, row))[0])
 
 
 def lift_answers(solution, interpreted, query_key) -> AnswerColumns:
@@ -527,5 +510,5 @@ def solution_to_weights(solution, interpreted, query_key, db) -> Weighting:
     """
     lifted = lift_answers(solution, interpreted, query_key)
     _refuse_above_limit(len(lifted), "lift_answers")
-    rows = lifted.rows()
-    return Weighting(AnswerSet(lifted.variables, rows), dict(zip(rows, lifted.masses.tolist())))
+    answers = AnswerSet.from_codes(lifted.variables, lifted.codes, lifted.dictionary)
+    return Weighting(answers, dict(zip(answers.rows, lifted.masses.tolist())))

@@ -24,7 +24,8 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from lpcq.queries import (
     Var,
     evaluate,
     free_vars,
-    projector,
 )
 from lpcq.relations import Assignment, Database, Value
 from lpcq.weightings import (
@@ -55,6 +55,21 @@ from lpcq.weightings import (
     WeightingCollection,
     project_weighting,
 )
+
+
+def projector(
+    from_vars: Sequence[str], to_vars: Iterable[str]
+) -> Callable[[tuple], tuple[Value, ...]]:
+    """Function taking a value row over *from_vars* to the tuple of its
+    values on *to_vars*, in the order given: a 1-tuple for one variable and
+    () for none."""
+    idx = [from_vars.index(v) for v in to_vars]
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 def satisfies(q: Query, db: Database, binding: dict[str, Value]) -> bool:

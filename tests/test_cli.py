@@ -798,6 +798,34 @@ def test_malformed_decomposition_file_is_input_error(worked_dir, capsys, command
     assert capsys.readouterr().err == f"error: {decomp}: {message}\n"
 
 
+# edges that do not make a tree: one names a missing node, the other closes
+# a cycle through the root of the file's second tree
+NOT_A_TREE = {
+    "tree 0: edge (0, 5) references an unknown node": {
+        "root": 0, "nodes": [{"id": 0, "bag": ["x"]}], "edges": [[0, 5]],
+    },
+    "tree 1: root has a parent": [THREE_NODE_DECOMP, {
+        "root": 0, "nodes": [{"id": 0, "bag": ["x"]}, {"id": 1, "bag": ["x", "y"]}],
+        "edges": [[0, 1], [1, 0]],
+    }],
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "width", "check-decomp"])
+@pytest.mark.parametrize("message", sorted(NOT_A_TREE))
+def test_tree_shape_error_names_file_and_tree(worked_dir, capsys, command, message):
+    prog, db, decomp = worked_dir
+    decomp.write_text(json.dumps(NOT_A_TREE[message]))
+    argv = {
+        "solve": ["solve", str(prog), str(db), "--mode", "factorized", "--decomp", str(decomp)],
+        "width": ["width", str(decomp)],
+        "check-decomp": ["check-decomp", str(decomp)],
+    }[command]
+    code, out = run_main(argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {decomp}: {message}\n"
+
+
 class TestHeuristicTreesAsBuilt:
     @pytest.mark.parametrize("demo", ["privacy", "smeasure"])
     def test_one_bag_variable_per_projection_row(self, demo):

@@ -7,6 +7,7 @@ from lpcq.errors import (
     ArityMismatchError,
     LengthMismatchError,
     MissingFreeVariableError,
+    RaggedRowsError,
     UnknownRelationError,
 )
 from lpcq.language import WeightExprClosed
@@ -27,14 +28,13 @@ from lpcq.queries import (
     is_quantifier_free,
     parse_query,
     prenex,
-    projector,
     qf,
     rewrite,
     substitute,
 )
 from lpcq.relations import Assignment, Database, Relation, Value
 
-from oracles import brute_force_answers
+from oracles import brute_force_answers, projector
 
 
 def V(text):
@@ -375,6 +375,10 @@ class TestAnswerSet:
         assert len(a.restrict([])) == 1
         empty = AnswerSet(("x",), [])
         assert len(empty.restrict([])) == 0
+
+    def test_rows_must_match_the_variables(self):
+        with pytest.raises(RaggedRowsError):
+            AnswerSet(("x",), [(V("a"), V("b"))])
 
     def test_group_by_nothing(self, f1):
         a = evaluate(Atom("R1", (Var("x"),)), f1)
