@@ -47,7 +47,7 @@ from .linprog import (
     LpSolution,
     solve,
 )
-from .lpformat import export_lp, parse_lp
+from .lpformat import export_lp
 from .language import (
     ClosedConstraint,
     ClosedProgram,

@@ -197,8 +197,8 @@ def build_decompositions(
             "factorized mode needs --decomp FILE or --heuristic-decomp"
         )
     targets_by_key: dict = {}
-    for w in cp_qf.weight_exprs():
-        targets_by_key.setdefault((w.query_name, w.query), []).append(w.target_vars())
+    for f in cp_qf.families:
+        targets_by_key.setdefault((f.query_name, f.query), []).append(f.variables)
 
     decomps = {}
     for name, query in cp.queries_w():

@@ -17,17 +17,18 @@ Every constraint carries a provenance tag (user, weight, soundness) for
 diagnostics and reporting.  Rows come in that order: the user rows, then,
 query by query, the weight rows and the soundness rows.
 
-Each interpretation compiles straight to integer columns with an
-``LpBuilder``: one block per query's answers (θ), per (query, bag) (ξ)
-and for the stand-ins (ν).  A weight expression becomes the column
-positions of its group of answers (``AnswerSet.groups``, on the target
-columns' codes), cached per (query, target variables); a soundness row,
-the positions of a parent's and a child's bag rows with one separator
-value, the values numbered in text order on their codes.  No row is built
-as a name-keyed dict, and names are built from one ``Value.token`` per
-dictionary entry.  Each θ and ξ block is kept as a ``Block``, its rows and
-their columns in the built program, which is all
-``weightings.lift_answers`` reads, in every mode.
+Each interpretation compiles whole weight families to integer columns
+with an ``LpBuilder``: one block per query's answers (θ), per (query, bag)
+(ξ) and for the stand-ins (ν).  The terms of a family find the answers
+their targets select all at once (``Groups.find`` on the target codes, one
+grouping per query and target variables); a soundness row holds a
+parent's and a child's bag rows with one separator value, values in text
+order on their codes.  Rows go to ``LpBuilder.rows`` as arrays, in the
+closed program's order, each side's terms in rank (``sort_key``) order.
+Names are built from one ``Value.token`` per dictionary entry.  Each θ
+and ξ block is kept as a ``Block``, its rows and their columns in the
+built program, which is all ``weightings.lift_answers`` reads, in every
+mode.
 
 Names are still generated, once per block, because they fix the column
 order: ``LpBuilder.build`` sorts them once and puts every column at its
@@ -45,7 +46,6 @@ the lifted weights.  So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -53,10 +53,10 @@ import numpy as np
 
 from .decomp import DecompTree, bag_projections, validate
 from .errors import IncompatibleDecompositionError, MissingDecompositionError
-from .language import ClosedProgram, ClosedSum, WeightExprClosed
+from .language import ClosedProgram
 from .linprog import LpBuilder, Side, SparseLp
 from .queries import AnswerSet, Groups, Query, evaluate, is_quantifier_free, qf
-from .relations import Database, row_groups
+from .relations import Database, ranges, row_groups
 
 QueryKey = tuple[str, Query]
 
@@ -119,10 +119,18 @@ class VarNaming:
     def xi_names(self, key: QueryKey, node: int, proj: AnswerSet) -> list[str]:
         return self._row_names(f"xi_{qid(key[0])}_n{node}", proj)
 
-    def nu_name(self, w: WeightExprClosed) -> str:
-        """A new stand-in name for *w*; each call claims one."""
-        parts = "_".join(f"{x}_{v.token}" for x, v in w.targets) or "all"
-        return self._claim(f"nu_{qid(w.query_name)}_{parts}")
+    def nu_names(self, cp: ClosedProgram, ranks: np.ndarray) -> list[str]:
+        """New stand-in names for the weight expressions of *cp* at *ranks*
+        (``ClosedProgram.weights``), claimed in that order."""
+        weights = cp.weights
+        tokens = cp.dictionary.tokens
+        bases = np.empty(weights.count, dtype=object)
+        for f, codes, at in zip(cp.families, weights.codes, weights.ranks):
+            base = f"nu_{qid(f.query_name)}"
+            for j, x in enumerate(f.variables):
+                base = base + f"_{x}_" + tokens[codes[:, j]]
+            bases[at] = base if f.variables else base + "_all"
+        return self._claim_all(bases[ranks].tolist())
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,7 @@ class InterpretedLp:
     program: SparseLp
     provenance: list[str]
     theta: dict[QueryKey, Block] = field(default_factory=dict)
-    nu: dict[WeightExprClosed, str] = field(default_factory=dict)
+    nu: list[str] = field(default_factory=list)  # stand-in names, in column order
     xi: dict[QueryKey, dict[int, Block]] = field(default_factory=dict)
     trees: dict[QueryKey, DecompTree] = field(default_factory=dict)
 
@@ -173,8 +181,8 @@ class InterpretedLp:
 
 class _AnswerColumns:
     """The θ blocks of a program's queries, one per query's answers, and
-    the natural reading of a weight expression: the columns of the answers
-    its targets select, one ``group_by`` per (query, target variables)."""
+    the natural reading of weight terms: the columns of the answers their
+    targets select, one ``groups`` per (query, target variables)."""
 
     def __init__(self, cp: ClosedProgram, db: Database, naming: VarNaming, builder: LpBuilder):
         self.answers = {key: evaluate(key[1], db) for key in cp.queries_w()}
@@ -182,7 +190,8 @@ class _AnswerColumns:
             key: builder.block(naming.theta_names(key, rows)) for key, rows in self.answers.items()
         }
         self.builder = builder
-        self._groups: dict[tuple[QueryKey, frozenset[str]], Groups] = {}
+        self.recode = db.dictionary.recode(cp.dictionary)
+        self._columns: dict[tuple[QueryKey, tuple[str, ...]], tuple[Groups, np.ndarray]] = {}
 
     def blocks(self) -> dict[QueryKey, Block]:
         """Each query's θ block, once the program is built."""
@@ -191,54 +200,94 @@ class _AnswerColumns:
             for key, rows in self.answers.items()
         }
 
-    def __call__(self, w: WeightExprClosed) -> array:
-        key = (w.query_name, w.query)
-        gkey = (key, w.target_vars())
-        groups = self._groups.get(gkey)
-        if groups is None:
-            groups = self._groups[gkey] = self.answers[key].groups(gkey[1])
-        members = groups.find(tuple(v for _, v in w.targets))  # targets sorted by variable
-        columns = array("q")  # filled from the array's bytes, not one int at a time
-        columns.frombytes((members + self.starts[key]).astype(np.int64).tobytes())
-        return columns
+    def __call__(self, key: QueryKey, variables: tuple[str, ...], codes: np.ndarray):
+        """``(source, starts, counts)``: the answers of *key* whose *variables*
+        are ``codes[k]`` have the columns ``source[starts[k]:][:counts[k]]``."""
+        if (key, variables) not in self._columns:
+            groups = self.answers[key].groups(variables)
+            self._columns[key, variables] = groups, groups.order + self.starts[key]
+        groups, source = self._columns[key, variables]
+        return source, *groups.find(self.recode[codes])
 
 
-def _side(s: ClosedSum, columns_of) -> Side:
-    """*s* over columns: each column's coefficients summed in term order,
-    zeros dropped."""
-    terms = s.ordered_terms()
-    if len(terms) == 1:  # one expression names each of its columns once
-        ((w, coeff),) = terms
-        cols = columns_of(w)
-        return s.constant, cols, array("d", [coeff]) * len(cols)
-    acc: dict[int, float] = {}
-    for w, coeff in terms:
-        for col in columns_of(w):
-            acc[col] = acc.get(col, 0.0) + coeff
-    if 0.0 in acc.values():
-        acc = {col: v for col, v in acc.items() if v != 0.0}
-    return s.constant, list(acc), list(acc.values())
+def _sides(count: int, pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """*count* row sides as ``LpBuilder.rows`` takes them, from pieces
+    ``(slots, ranks, coeffs, source, starts, widths)``: term t goes to side
+    ``slots[t]`` with ``coeffs[t]``, at rank ``ranks[t]`` (``sort_key``
+    order), naming the columns ``source[starts[t]:starts[t] + widths[t]]``.
+    A side lists its terms by rank; if it has more than one, each column
+    once, its coefficients summed in that order, zeros dropped."""
+    none = np.zeros(0, dtype=np.int64)
+    pieces = [(none, none, none, none, none, none), *pieces]
+    slots, ranks, widths = (np.concatenate([piece[k] for piece in pieces]) for k in (0, 1, 5))
+    order = np.lexsort((ranks, slots))
+    place = np.empty(len(order), dtype=np.int64)  # where each term's columns go
+    place[order] = np.cumsum(widths[order]) - widths[order]
+    cols, vals = np.empty(int(widths.sum()), dtype=np.int64), np.empty(int(widths.sum()))
+    at = 0
+    for _, _, coeffs, source, starts, counts in pieces:
+        into = ranges(place[at:at + len(counts)], counts)
+        cols[into] = source[ranges(starts, counts)]
+        vals[into] = np.repeat(coeffs, counts)
+        at += len(counts)
+    counts = np.bincount(slots, widths, count).astype(np.int64)
+    multi = np.flatnonzero(np.bincount(slots, minlength=count) > 1)  # sides to sum up
+    if len(multi):
+        merged = ranges((np.cumsum(counts) - counts)[multi], counts[multi])
+        side = np.repeat(multi, counts[multi])
+        _, first, group = np.unique(side * (int(cols.max(initial=0)) + 1) + cols[merged],
+                                    return_index=True, return_inverse=True)
+        sums = np.bincount(group, weights=vals[merged])
+        keep = np.ones(len(cols), dtype=bool)
+        keep[merged] = False
+        keep[merged[first[sums != 0.0]]] = True
+        vals[merged[first]] = sums
+        counts[multi] = np.bincount(side[first[sums != 0.0]], minlength=count)[multi]
+        cols, vals = cols[keep], vals[keep]
+    return counts, cols, vals
 
 
-def _ones(cols: list[int]) -> Side:
-    return 0.0, cols, array("d", [1.0]) * len(cols)
+def _program_rows(cp: ClosedProgram, builder: LpBuilder, columns_of) -> tuple[list[str], Side]:
+    """Add the program's own constraints, the first rows of every
+    interpretation, with each term's columns from ``columns_of(family,
+    ranks)``; returns their provenance and the objective."""
+    counts, cols, vals = _sides(len(cp.constants), [
+        (f.slots, ranks, f.coeffs, *columns_of(f, ranks))
+        for f, ranks in zip(cp.families, cp.weights.terms)
+    ])
+    n = counts[0]
+    builder.rows(cp.constants[1::2], cp.constants[2::2], cp.eq, counts[1:], cols[n:], vals[n:])
+    return ["user"] * len(cp.eq), (cp.constants[0], cols[:n].copy(), vals[:n].copy())
 
 
-def _user_rows(cp: ClosedProgram, builder: LpBuilder, columns_of) -> list[str]:
-    """The program's own constraints, the first rows of every interpretation."""
-    for con in cp.constraints:
-        builder.row(_side(con.lhs, columns_of), con.rel, _side(con.rhs, columns_of))
-    return ["user"] * len(cp.constraints)
+def _stand_ins(columns: np.ndarray):
+    """``columns_of`` for ``_program_rows``: a stand-in column per rank."""
+    return lambda family, ranks: (columns, ranks, np.ones(len(ranks), dtype=np.int64))
+
+
+def _weight_rows(builder: LpBuilder, nu_cols: np.ndarray, pieces) -> list[str]:
+    """Row r: the stand-in at ``nu_cols[r]`` equals the columns of the terms
+    ``t`` of pieces ``(rows, source, starts, widths)`` with ``rows[t] == r``."""
+    n, ones = len(nu_cols), np.ones(len(nu_cols))
+    sides = _sides(2 * n, [(2 * np.arange(n), ones, ones, nu_cols, np.arange(n), ones.astype(int))] + [
+        (2 * rows + 1, rows, np.ones(len(rows)), *columns) for rows, *columns in pieces
+    ])
+    builder.rows(np.zeros(n), np.zeros(n), np.ones(n, dtype=bool), *sides)
+    return ["weight"] * n
 
 
 def natural(cp: ClosedProgram, db: Database) -> InterpretedLp:
     """One LP variable per query answer, weight expressions inlined."""
     builder = LpBuilder()
-    columns_of = _AnswerColumns(cp, db, VarNaming(), builder)
-    provenance = _user_rows(cp, builder, columns_of)
-    program = builder.build("maximize", _side(cp.objective, columns_of))
+    answer_columns = _AnswerColumns(cp, db, VarNaming(), builder)
+
+    def columns_of(family, ranks):
+        return answer_columns(family.key, family.variables, family.codes)
+
+    provenance, objective = _program_rows(cp, builder, columns_of)
+    program = builder.build("maximize", objective)
     return InterpretedLp(
-        mode="natural", program=program, provenance=provenance, theta=columns_of.blocks()
+        mode="natural", program=program, provenance=provenance, theta=answer_columns.blocks()
     )
 
 
@@ -248,16 +297,16 @@ def replacement(cp: ClosedProgram, db: Database) -> InterpretedLp:
     builder = LpBuilder()
     answer_columns = _AnswerColumns(cp, db, naming, builder)
 
-    weights = cp.weight_exprs()
-    nu = {w: naming.nu_name(w) for w in weights}
-    nu_start = builder.block(list(nu.values()))
-    nu_col = {w: nu_start + j for j, w in enumerate(weights)}
+    weights = cp.weights
+    nu = naming.nu_names(cp, np.arange(weights.count))
+    nu_cols = builder.block(nu) + np.arange(len(nu))
 
-    provenance = _user_rows(cp, builder, lambda w: [nu_col[w]])
-    for w in weights:
-        builder.row(_ones([nu_col[w]]), "=", _ones(answer_columns(w)))
-        provenance.append("weight")
-    program = builder.build("maximize", _side(cp.objective, lambda w: [nu_col[w]]))
+    provenance, objective = _program_rows(cp, builder, _stand_ins(nu_cols))
+    provenance += _weight_rows(builder, nu_cols, [
+        (ranks, *answer_columns(f.key, f.variables, codes))
+        for f, codes, ranks in zip(cp.families, weights.codes, weights.ranks)
+    ])
+    program = builder.build("maximize", objective)
     return InterpretedLp(
         mode="replacement",
         program=program,
@@ -268,29 +317,20 @@ def replacement(cp: ClosedProgram, db: Database) -> InterpretedLp:
 
 
 def quantifier_eliminate(cp: ClosedProgram) -> ClosedProgram:
-    """Replace each weight query by its quantifier-free rewrite.
+    """Replace each weight query by its quantifier-free rewrite, once per
+    query.
 
     Distinct quantified queries stay distinct, since the rewrite tags the
     body with one trivial equality per eliminated variable.
     """
     cache: dict[Query, Query] = {}
 
-    def rewrite_weight(w: WeightExprClosed) -> WeightExprClosed:
-        if w.query not in cache:
-            cache[w.query] = qf(w.query)
-        new_query = cache[w.query]
-        if new_query == w.query:
-            return w
-        return WeightExprClosed(w.query_name, new_query, w.targets)
+    def rewrite(query: Query) -> Query:
+        if query not in cache:
+            cache[query] = qf(query)
+        return cache[query]
 
-    def rewrite_sum(s: ClosedSum) -> ClosedSum:
-        return ClosedSum(s.constant, {rewrite_weight(w): c for w, c in s.terms.items()})
-
-    constraints = [
-        type(con)(rewrite_sum(con.lhs), con.rel, rewrite_sum(con.rhs))
-        for con in cp.constraints
-    ]
-    return ClosedProgram(rewrite_sum(cp.objective), constraints, minimized=cp.minimized)
+    return cp.with_queries(rewrite)
 
 
 def factorized(
@@ -303,17 +343,20 @@ def factorized(
     row); soundness rows tie the per-bag masses together across each edge.
     """
     naming = VarNaming()
-    targets_by_query: dict[QueryKey, list[WeightExprClosed]] = {}
-    for w in cp.weight_exprs():
-        targets_by_query.setdefault((w.query_name, w.query), []).append(w)
+    weights = cp.weights
+    families_of: dict[QueryKey, list[int]] = {}
+    for t, f in enumerate(cp.families):
+        families_of.setdefault(f.key, []).append(t)
+    recode = db.dictionary.recode(cp.dictionary)  # -1 for a value outside db
 
     builder = LpBuilder()
     projections: dict[QueryKey, dict[int, AnswerSet]] = {}
     starts: dict[QueryKey, dict[int, int]] = {}
     trees: dict[QueryKey, DecompTree] = {}
     witnesses: dict[QueryKey, dict] = {}
-    nu: dict[WeightExprClosed, str] = {}
-    nu_col: dict[WeightExprClosed, int] = {}
+    nu: list[str] = []
+    nu_cols = np.zeros(weights.count, dtype=np.int64)
+    ranks_of: dict[QueryKey, np.ndarray] = {}  # a query's weight expressions
 
     for key in cp.queries_w():
         name, query = key
@@ -325,17 +368,17 @@ def factorized(
         if tree is None:
             raise MissingDecompositionError(f"no decomposition for query {name!r}")
         validate(tree, query)
-        weights = targets_by_query.get(key, [])
         # a target's witness is the bag equal to it closest to the root, the
         # smallest id on ties, so that reruns pick the same variables
         witnesses[key] = witness = {}
         for node in sorted(tree.bags, key=lambda n: (tree.depth(n), n)):
             witness.setdefault(tree.bags[node], node)
-        missing = [w.target_vars() for w in weights if w.target_vars() not in witness]
+        missing = [t for t in families_of[key] if frozenset(cp.families[t].variables) not in witness]
         if missing:
+            first = cp.families[min(missing, key=lambda t: weights.ranks[t].min())]
             raise IncompatibleDecompositionError(
                 f"decomposition of {name!r} is incompatible: "
-                f"no bag equals target set {sorted(missing[0])!r}"
+                f"no bag equals target set {sorted(first.variables)!r}"
             )
 
         proj = projections[key] = bag_projections(query, tree, db)
@@ -344,25 +387,27 @@ def factorized(
             for node in sorted(tree.bags)
         }
         trees[key] = tree
-        for w in weights:
-            nu[w] = naming.nu_name(w)
-            nu_col[w] = builder.block([nu[w]])
+        ranks = ranks_of[key] = np.sort(np.concatenate([weights.ranks[t] for t in families_of[key]]))
+        names = naming.nu_names(cp, ranks)
+        nu_cols[ranks] = builder.block(names) + np.arange(len(names))
+        nu += names
 
-    provenance = _user_rows(cp, builder, lambda w: [nu_col[w]])
+    provenance, objective = _program_rows(cp, builder, _stand_ins(nu_cols))
     for key, tree in trees.items():
         nodes = projections[key]
-        rows_of: dict[int, Groups] = {}  # a witness bag's rows, each its own group
-        for w in targets_by_query.get(key, []):
-            witness = witnesses[key][w.target_vars()]
-            if witness not in rows_of:
-                rows_of[witness] = nodes[witness].groups(nodes[witness].variables)
-            rhs = rows_of[witness].find(tuple(v for _, v in w.targets))
-            builder.row(_ones([nu_col[w]]), "=", _ones((rhs + starts[key][witness]).tolist()))
-            provenance.append("weight")
+        pieces = []
+        for t in families_of[key]:  # a witness bag's rows, each its own group
+            witness = witnesses[key][frozenset(cp.families[t].variables)]
+            groups = nodes[witness].groups(nodes[witness].variables)
+            local = np.searchsorted(ranks_of[key], weights.ranks[t])
+            pieces.append((local, groups.order + starts[key][witness],
+                           *groups.find(recode[weights.codes[t]])))
+        provenance += _weight_rows(builder, nu_cols[ranks_of[key]], pieces)
 
         for parent, child in sorted(tree.edges):
             # one row per separator value γ of either side, in text order:
-            # both sides' rows grouped together, then split by side
+            # both sides' rows grouped together, each group's parent rows
+            # first, so the grouped order lists every row's sides in turn
             shared = sorted(tree.bags[parent] & tree.bags[child])
             split = len(nodes[parent])
             order, bounds = row_groups(np.concatenate(
@@ -370,19 +415,15 @@ def factorized(
             ))
             in_parent = order < split
             p_bounds = np.concatenate(([0], np.cumsum(in_parent)))[bounds]
-            c_bounds = (bounds - p_bounds).tolist()
-            p_bounds = p_bounds.tolist()
-            p_cols = (order[in_parent] + starts[key][parent]).tolist()
-            c_cols = (order[~in_parent] - split + starts[key][child]).tolist()
-            for g in range(len(bounds) - 1):
-                builder.row(
-                    _ones(p_cols[p_bounds[g]:p_bounds[g + 1]]),
-                    "=",
-                    _ones(c_cols[c_bounds[g]:c_bounds[g + 1]]),
-                )
-            provenance.extend(["soundness"] * (len(bounds) - 1))
+            counts = np.stack([np.diff(p_bounds), np.diff(bounds - p_bounds)], axis=1).ravel()
+            cols = np.where(in_parent, order + starts[key][parent],
+                            order - split + starts[key][child])
+            groups = len(bounds) - 1
+            builder.rows(np.zeros(groups), np.zeros(groups), np.ones(groups, dtype=bool),
+                         counts, cols, np.ones(len(cols)))
+            provenance.extend(["soundness"] * groups)
 
-    program = builder.build("maximize", _side(cp.objective, lambda w: [nu_col[w]]))
+    program = builder.build("maximize", objective)
     return InterpretedLp(
         mode="factorized",
         program=program,

@@ -20,24 +20,44 @@ Concrete grammar sketch::
 ``close()`` unfolds forall/sum/num over a database, producing a closed
 program whose only nonconstant pieces are weight expressions with constant
 targets; the interpretations in ``interpret`` start from that form.
+
+Closure decorrelates nested binders (Kim, "On optimizing an SQL-like
+nested query", TODS 1982; Neumann and Kemper, "Unnesting Arbitrary
+Queries", BTW 2015): each ``forall`` or ``sum`` binder query is evaluated
+once, with the outer variables it mentions left free, and its rows are
+grouped by those variables.  Each node is closed once, on code columns,
+for all its rows; ``num(x)`` gathers from the dictionary's numeric column.
+The result is in family form, one ``WeightFamily`` per weight template:
+target codes, coefficients and sides of its terms.  Rows and coefficients
+(down to the order of float sums) are those of closing a binder row at a
+time: depth-first, so a ``forall`` over k comparisons gives k rows per
+binder row, interleaved.  Terms keep ``WeightExprClosed.sort_key`` order
+within a side, since HiGHS's vertex depends on the column order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property, reduce
+from operator import itemgetter
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import (
     FreeVariableError,
     InternalFreeVariableError,
+    LpcqError,
+    MissingFreeVariableError,
     NumUndefinedError,
     ParseError,
     ShadowingError,
 )
-from .lexer import Token, TokenStream, tokenize
+from .lexer import TokenStream, tokenize
 from .queries import (
+    And,
     Const,
-    Equal,
     Expr,
     Query,
     Var,
@@ -49,9 +69,8 @@ from .queries import (
     parse_query_tokens,
     parse_value_expr,
     rewrite,
-    substitute,
 )
-from .relations import Database, Value
+from .relations import Database, Dictionary, Value, join_keys, key_ids, match
 
 
 # --- numbers -----------------------------------------------------------------
@@ -149,9 +168,7 @@ class LpcqProgram:
 
 
 def _num_vars(n: NumExpr) -> frozenset[str]:
-    if isinstance(n, NumOf) and isinstance(n.expr, Var):
-        return frozenset({n.expr.name})
-    return frozenset()
+    return frozenset({n.expr.name} if isinstance(n, NumOf) and isinstance(n.expr, Var) else ())
 
 
 def free_vars_lpcq(node) -> frozenset[str]:
@@ -162,23 +179,15 @@ def free_vars_lpcq(node) -> frozenset[str]:
         return _num_vars(node.num)
     if isinstance(node, SScale):
         return _num_vars(node.num) | free_vars_lpcq(node.body)
-    if isinstance(node, SAdd):
+    if isinstance(node, (SAdd, CCompare, CAnd)):
         return free_vars_lpcq(node.left) | free_vars_lpcq(node.right)
-    if isinstance(node, SSum):
+    if isinstance(node, (SSum, CForall)):
         return (query_free_vars(node.query) | free_vars_lpcq(node.body)) - set(node.binders)
     if isinstance(node, SWeight):
-        y_vars = frozenset(
-            e.name for _, e in node.targets if isinstance(e, Var)
-        )
+        y_vars = frozenset(e.name for _, e in node.targets if isinstance(e, Var))
         return (query_free_vars(node.query) | y_vars) - set(node.scope)
     if isinstance(node, CTrue):
         return frozenset()
-    if isinstance(node, CCompare):
-        return free_vars_lpcq(node.left) | free_vars_lpcq(node.right)
-    if isinstance(node, CAnd):
-        return free_vars_lpcq(node.left) | free_vars_lpcq(node.right)
-    if isinstance(node, CForall):
-        return (query_free_vars(node.query) | free_vars_lpcq(node.body)) - set(node.binders)
     raise TypeError(f"not a program node: {node!r}")
 
 
@@ -447,19 +456,11 @@ def _hygienic(program: LpcqProgram, names: set[str]) -> LpcqProgram:
     A new binder name is none of *names*, the identifiers of the source, so
     no quantifier of a binder query can capture it.
     """
-    reserved: set[str] = set()
-    for q in program.queries.values():
-        reserved |= query_free_vars(q)
-
-    used = set(reserved)
-    counter = [0]
+    used = set().union(*map(query_free_vars, program.queries.values()))
+    counter = itertools.count(1)
 
     def fresh(base: str) -> str:
-        counter[0] += 1
-        cand = f"{base}_{counter[0]}"
-        while cand in used or cand in names:
-            counter[0] += 1
-            cand = f"{base}_{counter[0]}"
+        cand = next(c for k in counter if (c := f"{base}_{k}") not in used and c not in names)
         used.add(cand)
         return cand
 
@@ -471,18 +472,13 @@ def _hygienic(program: LpcqProgram, names: set[str]) -> LpcqProgram:
         inner = {k: v for k, v in ren.items() if k not in binders}
         for b in binders:
             if b in used:
-                nb = fresh(b)
-                inner[b] = Var(nb)
-            else:
-                nb = b
-                used.add(nb)
-            out.append(nb)
+                inner[b] = Var(fresh(b))
+            used.add(b)
+            out.append(inner[b].name if b in inner else b)
         return tuple(out), inner
 
     def walk_num(n: NumExpr, ren: dict[str, Expr]) -> NumExpr:
-        if isinstance(n, NumOf):
-            return NumOf(lookup(n.expr, ren))
-        return n
+        return NumOf(lookup(n.expr, ren)) if isinstance(n, NumOf) else n
 
     def walk_sum(node: Sum, ren: dict[str, Expr]) -> Sum:
         if isinstance(node, SNum):
@@ -519,50 +515,6 @@ def _hygienic(program: LpcqProgram, names: set[str]) -> LpcqProgram:
     )
 
 
-# --- sizes ------------------------------------------------------------------------
-
-
-def _query_size(q: Query) -> int:
-    from .queries import And, Atom, Exists, TrueQuery
-
-    if isinstance(q, (TrueQuery, Var, Const)):
-        return 1
-    if isinstance(q, Equal):
-        return 3
-    if isinstance(q, Atom):
-        return 1 + len(q.args)
-    if isinstance(q, And):
-        return 1 + _query_size(q.left) + _query_size(q.right)
-    if isinstance(q, Exists):
-        return 2 + _query_size(q.body)
-    raise TypeError(q)
-
-
-def size(node) -> int:
-    """Symbol count of a program fragment, the measure normal form is bounded in."""
-    if isinstance(node, LpcqProgram):
-        return 1 + size(node.objective) + size(node.constraint)
-    if isinstance(node, SNum):
-        return 2 if isinstance(node.num, NumOf) else 1
-    if isinstance(node, SScale):
-        return size(SNum(node.num)) + size(node.body)
-    if isinstance(node, SAdd):
-        return 1 + size(node.left) + size(node.right)
-    if isinstance(node, SSum):
-        return 1 + len(node.binders) + _query_size(node.query) + size(node.body)
-    if isinstance(node, SWeight):
-        return 1 + len(node.scope) + 3 * len(node.targets) + _query_size(node.query)
-    if isinstance(node, CTrue):
-        return 1
-    if isinstance(node, CCompare):
-        return 1 + size(node.left) + size(node.right)
-    if isinstance(node, CAnd):
-        return 1 + size(node.left) + size(node.right)
-    if isinstance(node, CForall):
-        return 1 + len(node.binders) + _query_size(node.query) + size(node.body)
-    raise TypeError(node)
-
-
 # --- normal form ---------------------------------------------------------------------
 
 
@@ -575,48 +527,27 @@ def _atomic_sums(node: Sum) -> list[tuple[tuple[NumExpr, ...], tuple[tuple[str, 
     if isinstance(node, SAdd):
         return _atomic_sums(node.left) + _atomic_sums(node.right)
     if isinstance(node, SScale):
+        return [((node.num,) + factors, binder, carrier)
+                for factors, binder, carrier in _atomic_sums(node.body)]
+    if isinstance(node, SSum):
         return [
-            ((node.num,) + factors, binder, carrier)
+            (factors, (node.binders, node.query) if binder is None
+             else (node.binders + binder[0], And(node.query, binder[1])), carrier)
             for factors, binder, carrier in _atomic_sums(node.body)
         ]
-    if isinstance(node, SSum):
-        out = []
-        for factors, binder, carrier in _atomic_sums(node.body):
-            if binder is None:
-                merged = (node.binders, node.query)
-            else:
-                inner_binders, inner_query = binder
-                from .queries import And
-
-                merged = (node.binders + inner_binders, And(node.query, inner_query))
-            out.append((factors, merged, carrier))
-        return out
     raise TypeError(node)
 
 
 def _rebuild_atomic_sum(factors, binder, carrier) -> Sum:
-    body: Sum
     if carrier is None:
-        body = SNum(factors[-1]) if factors else SNum(Real(1.0))
-        rest = factors[:-1] if factors else ()
-    else:
-        body = carrier
-        rest = factors
-    for n in reversed(rest):
-        body = SScale(n, body)
-    if binder is not None:
-        binders, query = binder
-        body = SSum(binders, query, body)
-    return body
+        carrier, factors = SNum(factors[-1] if factors else Real(1.0)), factors[:-1]
+    for n in reversed(factors):
+        carrier = SScale(n, carrier)
+    return carrier if binder is None else SSum(*binder, carrier)
 
 
 def _sum_normal_form(node: Sum) -> Sum:
-    atomics = _atomic_sums(node)
-    parts = [_rebuild_atomic_sum(f, b, c) for f, b, c in atomics]
-    out = parts[0]
-    for p in parts[1:]:
-        out = SAdd(out, p)
-    return out
+    return reduce(SAdd, [_rebuild_atomic_sum(*atomic) for atomic in _atomic_sums(node)])
 
 
 def _atomic_constraints(node: Constraint) -> list[Constraint]:
@@ -627,20 +558,11 @@ def _atomic_constraints(node: Constraint) -> list[Constraint]:
     if isinstance(node, CAnd):
         return _atomic_constraints(node.left) + _atomic_constraints(node.right)
     if isinstance(node, CForall):
-        out = []
-        for inner in _atomic_constraints(node.body):
-            if isinstance(inner, CForall):
-                from .queries import And
-
-                merged = CForall(
-                    node.binders + inner.binders,
-                    And(node.query, inner.query),
-                    inner.body,
-                )
-            else:
-                merged = CForall(node.binders, node.query, inner)
-            out.append(merged)
-        return out
+        return [
+            CForall(node.binders + inner.binders, And(node.query, inner.query), inner.body)
+            if isinstance(inner, CForall) else CForall(node.binders, node.query, inner)
+            for inner in _atomic_constraints(node.body)
+        ]
     raise TypeError(node)
 
 
@@ -652,14 +574,9 @@ def normal_form(program: LpcqProgram) -> LpcqProgram:
     result's size stays within the cube of the input's.
     """
     atomics = _atomic_constraints(program.constraint)
-    constraint: Constraint = CTrue()
-    if atomics:
-        constraint = atomics[0]
-        for c in atomics[1:]:
-            constraint = CAnd(constraint, c)
     return LpcqProgram(
         _sum_normal_form(program.objective),
-        constraint,
+        reduce(CAnd, atomics) if atomics else CTrue(),
         program.queries,
         minimized=program.minimized,
     )
@@ -702,21 +619,6 @@ class ClosedSum:
                 if v != 0.0:
                     self.terms[k] = float(v)
 
-    def __add__(self, other: "ClosedSum") -> "ClosedSum":
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            new = merged.get(k, 0.0) + v
-            if new == 0.0:
-                merged.pop(k, None)
-            else:
-                merged[k] = new
-        return ClosedSum(self.constant + other.constant, merged)
-
-    def scale(self, factor: float) -> "ClosedSum":
-        return ClosedSum(
-            self.constant * factor, {k: v * factor for k, v in self.terms.items()}
-        )
-
     def ordered_terms(self) -> list[tuple[WeightExprClosed, float]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
@@ -740,42 +642,169 @@ class ClosedConstraint:
     rhs: ClosedSum
 
     def canonical(self, digits: int = 9):
-        diff = self.lhs + self.rhs.scale(-1.0)
-        return (
-            tuple((k.sort_key(), round(v, digits)) for k, v in diff.ordered_terms()),
-            self.rel,
-            round(-diff.constant, digits),
-        )
+        """The row as (terms of lhs - rhs, rel, rhs - lhs constant)."""
+        diff = dict(self.lhs.terms)
+        for k, v in self.rhs.terms.items():
+            diff[k] = diff.get(k, 0.0) - v
+        terms = ClosedSum(0.0, diff).canonical(digits)[1]
+        return terms, self.rel, round(self.rhs.constant - self.lhs.constant, digits)
+
+
+# a weight expression with its target values left open: the query's name,
+# the query and the target variables, sorted
+Template = tuple[str, Query, tuple[str, ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class WeightFamily:
+    """The terms of one weight template in a closed program: term i adds
+    ``coeffs[i]`` (never 0) times the expression with target codes
+    ``codes[i]`` to side ``slots[i]``; slots ascend, no (slot, codes) twice."""
+
+    query_name: str
+    query: Query
+    variables: tuple[str, ...]
+    codes: np.ndarray  # (m, len(variables)) int32
+    coeffs: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def key(self) -> tuple[str, Query]:
+        return self.query_name, self.query
+
+
+def _summed(codes: np.ndarray, coeffs: np.ndarray, owners: np.ndarray):
+    """Terms with equal owner and targets summed in the order given, zero
+    sums dropped, ordered by owner and targets: what ``ClosedSum`` does."""
+    (ids,), count = key_ids(np.column_stack([owners, codes]))
+    sums = np.bincount(ids, weights=coeffs, minlength=count)
+    first = np.empty(count, dtype=np.int64)
+    first[ids[::-1]] = np.arange(len(ids) - 1, -1, -1)  # the last write is the first term
+    pick = first[sums != 0.0]
+    return codes[pick], sums[sums != 0.0], owners[pick]
+
+
+def _families(parts) -> list[WeightFamily]:
+    """One family per template of the ``(template, codes, coeffs, slots)``
+    blocks *parts*, each a family already; blocks of one template summed."""
+    blocks: dict[Template, list] = {}
+    for template, *block in parts:
+        blocks.setdefault(template, []).append(block)
+    for template, (first, *rest) in blocks.items():
+        blocks[template] = _summed(*map(np.concatenate, zip(first, *rest))) if rest else first
+    return [WeightFamily(*t, *block) for t, block in blocks.items() if len(block[1])]
+
+
+@dataclass(frozen=True)
+class Weights:
+    """The ``count`` distinct weight expressions of a closed program, ranked
+    in ``sort_key`` order: family f's have the target values ``codes[f]``,
+    in text order, and ranks ``ranks[f]``; its terms have ranks ``terms[f]``."""
+
+    count: int
+    codes: list[np.ndarray]
+    ranks: list[np.ndarray]
+    terms: list[np.ndarray]
+
+
+def _weights(families: list[WeightFamily], dictionary: Dictionary) -> Weights:
+    """Equal sort keys of different queries keep the order of their families."""
+    codes, ids = [], []
+    for f in families:
+        (found,), count = key_ids(f.codes)
+        codes.append(np.empty((count, len(f.variables)), dtype=np.int32))
+        codes[-1][found] = f.codes
+        ids.append(found)
+    starts = np.cumsum([0] + [len(rows) for rows in codes])
+    keys = sorted(
+        ((f.query_name, tuple((x, v.text) for x, v in zip(f.variables, row))), at + i)
+        for f, rows, at in zip(families, codes, starts.tolist())
+        for i, row in enumerate(dictionary.decode(rows))
+    )
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[[at for _, at in keys]] = np.arange(len(keys))
+    ranks = [rank[a:b] for a, b in zip(starts, starts[1:])]
+    return Weights(len(keys), codes, ranks, [r[i] for r, i in zip(ranks, ids)])
 
 
 class ClosedProgram:
-    """Always a maximization; ``minimized`` records the surface sense."""
+    """A program closed over a database, in family form: always a
+    maximization; ``minimized`` records the surface sense.  Side 0 is the
+    objective, and constraint row r is ``lhs = rhs`` where ``eq[r]``, else
+    ``lhs <= rhs``, with sides 2r + 1 and 2r + 2.  Side s is the constant
+    ``constants[s]`` plus the terms at slot s of ``families``, one per
+    template, their target values codes into ``dictionary``.  The
+    constructor takes the program row by row, each constraint a family of
+    one binder row; ``objective``, ``constraints`` and ``canonical`` read it
+    back that way."""
 
-    def __init__(
-        self,
-        objective: ClosedSum,
-        constraints: list[ClosedConstraint],
-        minimized: bool = False,
-    ):
-        self.objective = objective
-        self.constraints = constraints
+    def __init__(self, objective: ClosedSum, constraints: list[ClosedConstraint],
+                 minimized: bool = False):
+        sides = [objective] + [side for con in constraints for side in (con.lhs, con.rhs)]
+        self.dictionary = Dictionary(v for s in sides for w in s.terms for _, v in w.targets)
+        self.constants = np.array([s.constant for s in sides])
+        self.eq = np.array([con.rel == "=" for con in constraints], dtype=bool)
+        self.families = _families(
+            ((w.query_name, w.query, tuple(x for x, _ in w.targets)),
+             np.array([[self.dictionary.code(v) for _, v in w.targets]], dtype=np.int32),
+             np.array([coeff]), np.array([slot]))
+            for slot, side in enumerate(sides) for w, coeff in side.terms.items()
+        )
         self.minimized = minimized
 
+    @classmethod
+    def of_families(cls, dictionary: Dictionary, constants: np.ndarray, eq: np.ndarray,
+                    families: list[WeightFamily], minimized: bool = False) -> "ClosedProgram":
+        cp = cls.__new__(cls)
+        vars(cp).update(dictionary=dictionary, constants=constants, eq=eq, families=families,
+                        minimized=minimized)
+        return cp
+
+    def with_queries(self, rewrite) -> "ClosedProgram":
+        """The program with each weight query replaced by ``rewrite(query)``;
+        the terms of templates made equal are summed."""
+        return ClosedProgram.of_families(self.dictionary, self.constants, self.eq, _families(
+            ((f.query_name, rewrite(f.query), f.variables), f.codes, f.coeffs, f.slots)
+            for f in self.families
+        ), self.minimized)
+
+    @cached_property
+    def weights(self) -> Weights:
+        return _weights(self.families, self.dictionary)
+
     def weight_exprs(self) -> list[WeightExprClosed]:
-        seen: dict[WeightExprClosed, None] = {}
-        for w in self.objective.terms:
-            seen.setdefault(w)
-        for con in self.constraints:
-            for side in (con.lhs, con.rhs):
-                for w in side.terms:
-                    seen.setdefault(w)
-        return sorted(seen, key=lambda w: w.sort_key())
+        """The distinct weight expressions, in ``sort_key`` order."""
+        exprs = [None] * self.weights.count
+        for f, codes, ranks in zip(self.families, self.weights.codes, self.weights.ranks):
+            for values, r in zip(self.dictionary.decode(codes), ranks.tolist()):
+                exprs[r] = WeightExprClosed(f.query_name, f.query, tuple(zip(f.variables, values)))
+        return exprs
 
     def queries_w(self) -> list[tuple[str, Query]]:
-        seen: dict[tuple[str, Query], None] = {}
-        for w in self.weight_exprs():
-            seen.setdefault((w.query_name, w.query))
-        return list(seen)
+        """The weighted queries, in the order of their first weight expression."""
+        first: dict[tuple[str, Query], int] = {}
+        for f, ranks in zip(self.families, self.weights.ranks):
+            first[f.key] = min(first.get(f.key, self.weights.count), ranks.min())
+        return sorted(first, key=first.__getitem__)
+
+    def _sums(self) -> list[ClosedSum]:
+        sums = [ClosedSum(c) for c in self.constants.tolist()]
+        for f in self.families:
+            for values, coeff, slot in zip(self.dictionary.decode(f.codes), f.coeffs.tolist(),
+                                           f.slots.tolist()):
+                w = WeightExprClosed(f.query_name, f.query, tuple(zip(f.variables, values)))
+                sums[slot].terms[w] = coeff
+        return sums
+
+    @property
+    def objective(self) -> ClosedSum:
+        return self._sums()[0]
+
+    @property
+    def constraints(self) -> list[ClosedConstraint]:
+        sums = self._sums()
+        return [ClosedConstraint(sums[2 * r + 1], "=" if eq else "<=", sums[2 * r + 2])
+                for r, eq in enumerate(self.eq.tolist())]
 
     def canonical(self, digits: int = 9):
         return (
@@ -787,95 +816,181 @@ class ClosedProgram:
         return -opt_value if self.minimized else opt_value
 
     def __repr__(self):
-        return f"ClosedProgram({len(self.constraints)} constraints, {len(self.weight_exprs())} weights)"
+        return f"ClosedProgram({len(self.eq)} constraints, {self.weights.count} weights)"
 
 
 # --- closure -----------------------------------------------------------------------
 
 
-def _close_num(n: NumExpr, env: dict[str, Value], db: Database) -> float:
-    if isinstance(n, Real):
-        return n.value
-    expr = n.expr
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            raise InternalFreeVariableError(f"num({expr.name}) has no binding")
-        value = env[expr.name]
-    else:
-        value = expr.value
-    if value.numeric is None:
-        raise NumUndefinedError(f"value {value.text!r} has no numeric reading")
-    return value.numeric
+class _Frame(NamedTuple):
+    """Environments: row i binds ``vars`` to ``codes[i]``, and ``path[i]``
+    (the parent row's path, the binder's step, the binder row) places it in
+    the order of closing a row at a time, compared lexicographically."""
+
+    vars: tuple[str, ...]
+    codes: np.ndarray
+    path: np.ndarray
+
+    def columns(self, variables) -> np.ndarray:
+        return self.codes[:, [self.vars.index(v) for v in variables]]
 
 
-def _expand_binder(
-    binders: tuple[str, ...], query: Query, env: dict[str, Value], db: Database
-) -> list[dict[str, Value]]:
-    """Environments for each answer of the binder query under *env*."""
-    outer = {k: v for k, v in env.items() if k not in binders}
-    bound = [(k, v) for k, v in outer.items() if k in query_free_vars(query)]
-    grounded = substitute(query, [k for k, _ in bound], [v for _, v in bound])
-    extended = extend(grounded, binders)
-    rows = evaluate(extended, db, set(binders))
-    envs = []
-    for assignment in rows.assignments():
-        child = dict(outer)
-        child.update(dict(assignment.items()))
-        envs.append(child)
-    return envs
+class _Closure:
+    """One closure over a database, each node once for all rows of a frame.
+    A closed sum is each row's constant and, per template, the target codes,
+    coefficients and rows of its terms: rows ascending, no zero, no repeat."""
 
+    def __init__(self, db: Database):
+        self.db = db
+        self.extra: dict[Value, int] = {}  # target constants outside the database
+        self.errors: list[tuple[tuple[int, ...], LpcqError]] = []
+        self.step = itertools.count(1).__next__  # numbers the nodes in closure order
+        self.rows: list = []  # (frame, step, rel, lhs, rhs) per comparison
 
-def _close_sum(node: Sum, env: dict[str, Value], db: Database) -> ClosedSum:
-    if isinstance(node, SNum):
-        return ClosedSum(_close_num(node.num, env, db))
-    if isinstance(node, SScale):
-        return _close_sum(node.body, env, db).scale(_close_num(node.num, env, db))
-    if isinstance(node, SAdd):
-        return _close_sum(node.left, env, db) + _close_sum(node.right, env, db)
-    if isinstance(node, SWeight):
-        targets = []
-        for x, e in node.targets:
-            if isinstance(e, Const):
-                targets.append((x, e.value))
-            else:
-                if e.name not in env:
-                    raise InternalFreeVariableError(
-                        f"weight value variable {e.name!r} has no binding"
-                    )
-                targets.append((x, env[e.name]))
-        key = WeightExprClosed(node.query_name, node.query, tuple(sorted(targets)))
-        return ClosedSum(0.0, {key: 1.0})
-    if isinstance(node, SSum):
-        total = ClosedSum(0.0)
-        for child in _expand_binder(node.binders, node.query, env, db):
-            total = total + _close_sum(node.body, child, db)
-        return total
-    raise TypeError(node)
+    def fail(self, frame: _Frame, step: int, error: LpcqError, row: int = 0) -> None:
+        """Keep *error* at the place where closure row by row raises it."""
+        if len(frame.codes):
+            self.errors.append((tuple(frame.path[row].tolist()) + (step,), error))
 
+    def num(self, n: NumExpr, frame: _Frame) -> np.ndarray:
+        step, rows = self.step(), len(frame.codes)
+        if isinstance(n, Real):
+            return np.full(rows, n.value)
+        if isinstance(n.expr, Const):
+            value = n.expr.value
+            values = np.full(rows, np.nan if value.numeric is None else value.numeric)
+        elif n.expr.name in frame.vars:
+            value, codes = None, frame.columns([n.expr.name])[:, 0]
+            values = self.db.dictionary.numeric[codes]
+        else:
+            self.fail(frame, step, InternalFreeVariableError(f"num({n.expr.name}) has no binding"))
+            return np.zeros(rows)
+        if len(undefined := np.flatnonzero(np.isnan(values))):
+            value = value or self.db.dictionary.values[codes[undefined[0]]]
+            self.fail(frame, step, NumUndefinedError(
+                f"value {value.text!r} has no numeric reading"), int(undefined[0]))
+        return values
 
-def _close_constraint(
-    node: Constraint, env: dict[str, Value], db: Database
-) -> list[ClosedConstraint]:
-    if isinstance(node, CTrue):
-        return []
-    if isinstance(node, CCompare):
-        return [
-            ClosedConstraint(
-                _close_sum(node.left, env, db), node.rel, _close_sum(node.right, env, db)
-            )
-        ]
-    if isinstance(node, CAnd):
-        return _close_constraint(node.left, env, db) + _close_constraint(node.right, env, db)
-    if isinstance(node, CForall):
-        out = []
-        for child in _expand_binder(node.binders, node.query, env, db):
-            out.extend(_close_constraint(node.body, child, db))
-        return out
-    raise TypeError(node)
+    def expand(self, binders: tuple[str, ...], query: Query, frame: _Frame):
+        """The binder rows under every row of *frame*, from one evaluation of
+        *query* with the outer variables it mentions left free, and the
+        parent row of each; rows grouped by parent, in order."""
+        step = self.step()
+        outer = [v for v in frame.vars if v not in binders]
+        fv = query_free_vars(query)
+        correlated = [v for v in outer if v in fv]
+        i = j = np.zeros(0, dtype=np.int64)
+        answers = None
+        try:
+            if missing := fv - set(binders) - set(outer):
+                raise MissingFreeVariableError(
+                    f"variable set {sorted(set(binders))} misses free variables {sorted(missing)}"
+                )
+            if len(frame.codes):
+                answers = evaluate(extend(query, binders), self.db, set(binders) | set(correlated))
+                i, j = match(*join_keys(frame.columns(correlated), answers.columns(correlated)))
+        except LpcqError as error:
+            self.fail(frame, step, error)
+        codes = np.concatenate([frame.columns(outer)[i], (
+            np.zeros((0, len(binders)), np.int32) if answers is None else answers.columns(binders))[j]], 1)
+        path = np.concatenate([frame.path[i], np.full((len(i), 1), step), j[:, None]], axis=1)
+        return _Frame(tuple(outer) + binders, codes, path), i
+
+    def weight(self, node: SWeight, frame: _Frame) -> dict:
+        step, n = self.step(), len(frame.codes)
+        if unbound := [e.name for _, e in node.targets if isinstance(e, Var) and e.name not in frame.vars]:
+            self.fail(frame, step, InternalFreeVariableError(
+                f"weight value variable {unbound[0]!r} has no binding"))
+            return {}
+        targets = sorted(node.targets, key=itemgetter(0))
+        codes = np.zeros((n, len(targets)), dtype=np.int32)
+        for j, (_, e) in enumerate(targets):
+            if isinstance(e, Var):
+                codes[:, j] = frame.columns([e.name])[:, 0]
+            elif (code := self.db.dictionary.code(e.value)) is not None:
+                codes[:, j] = code
+            else:  # numbered past the database, renumbered at the end
+                codes[:, j] = self.extra.setdefault(e.value, len(self.db.dictionary) + len(self.extra))
+        template = (node.query_name, node.query, tuple(x for x, _ in targets))
+        return {template: (codes, np.ones(n), np.arange(n))} if n else {}
+
+    def sum(self, node: Sum, frame: _Frame) -> tuple[np.ndarray, dict]:
+        if isinstance(node, SNum):
+            return self.num(node.num, frame), {}
+        if isinstance(node, SWeight):
+            return np.zeros(len(frame.codes)), self.weight(node, frame)
+        if isinstance(node, SScale):
+            const, terms = self.sum(node.body, frame)
+            factor = self.num(node.num, frame)
+            terms = {t: (codes, coeffs * factor[owners], owners)
+                     for t, (codes, coeffs, owners) in terms.items()}
+            return const * factor, {t: tuple(part[block[1] != 0.0] for part in block)
+                                    for t, block in terms.items() if block[1].any()}
+        if isinstance(node, SAdd):
+            (left, terms), (right, more) = self.sum(node.left, frame), self.sum(node.right, frame)
+            terms = dict(terms)
+            for t, block in more.items():
+                terms[t] = _summed(*map(np.concatenate, zip(terms[t], block))) if t in terms else block
+            return left + right, terms
+        if isinstance(node, SSum):
+            child, parent = self.expand(node.binders, node.query, frame)
+            const, terms = self.sum(node.body, child)
+            terms = {t: _summed(codes, coeffs, parent[owners])
+                     for t, (codes, coeffs, owners) in terms.items()}
+            return (np.bincount(parent, weights=const, minlength=len(frame.codes)),
+                    {t: block for t, block in terms.items() if len(block[1])})
+        raise TypeError(node)
+
+    def constraint(self, node: Constraint, frame: _Frame) -> None:
+        if isinstance(node, CCompare):
+            step = self.step()
+            lhs, rhs = self.sum(node.left, frame), self.sum(node.right, frame)
+            self.rows.append((frame, step, node.rel, lhs, rhs))
+        elif isinstance(node, CAnd):
+            self.constraint(node.left, frame)
+            self.constraint(node.right, frame)
+        elif isinstance(node, CForall):
+            self.constraint(node.body, self.expand(node.binders, node.query, frame)[0])
+        elif not isinstance(node, CTrue):
+            raise TypeError(node)
+
+    def program(self, objective, minimized: bool) -> ClosedProgram:
+        """The closed program: rows in the order of their paths, families by template."""
+        starts = np.cumsum([0] + [len(frame.codes) for frame, *_ in self.rows]).tolist()
+        depth = 1 + max([frame.path.shape[1] for frame, *_ in self.rows], default=0)
+        keys = np.zeros((starts[-1], depth), dtype=np.int64)
+        for (frame, step, *_), at in zip(self.rows, starts):
+            keys[at:at + len(frame.codes), :frame.path.shape[1] + 1] = np.column_stack(
+                [frame.path, np.full(len(frame.codes), step)])
+        position = np.empty(len(keys), dtype=np.int64)
+        position[np.lexsort(keys.T[::-1])] = np.arange(len(keys))
+
+        constants, eq = np.zeros(1 + 2 * len(keys)), np.zeros(len(keys), dtype=bool)
+        constants[0] = objective[0][0]
+        parts = [(t, codes, coeffs, 0 * owners) for t, (codes, coeffs, owners) in objective[1].items()]
+        for (frame, _, rel, *sides), at in zip(self.rows, starts):
+            rows = position[at:at + len(frame.codes)]
+            eq[rows] = rel == "="
+            for side, (const, terms) in enumerate(sides, start=1):
+                constants[2 * rows + side] = const
+                parts += [(t, codes, coeffs, 2 * rows[owners] + side)
+                          for t, (codes, coeffs, owners) in terms.items()]
+        dictionary = self.db.dictionary
+        if self.extra:
+            values = dictionary.values.tolist() + list(self.extra)
+            dictionary = Dictionary(values)
+            renumber = np.array([dictionary.code(v) for v in values], dtype=np.int32)
+            parts = [(t, renumber[codes], *rest) for t, codes, *rest in parts]
+        return ClosedProgram.of_families(dictionary, constants, eq, _families(parts), minimized)
 
 
 def close(program: LpcqProgram, db: Database) -> ClosedProgram:
-    """Unfold forall/sum/num over *db*, leaving only closed weight expressions."""
-    objective = _close_sum(program.objective, {}, db)
-    constraints = _close_constraint(program.constraint, {}, db)
-    return ClosedProgram(objective, constraints, minimized=program.minimized)
+    """Unfold forall/sum/num over *db*, leaving only closed weight
+    expressions; an error is the one closure row by row raises first."""
+    closure = _Closure(db)
+    root = _Frame((), np.zeros((1, 0), dtype=np.int32), np.zeros((1, 0), dtype=np.int64))
+    objective = closure.sum(program.objective, root)
+    closure.constraint(program.constraint, root)
+    if closure.errors:
+        raise min(closure.errors, key=itemgetter(0))[1]
+    return closure.program(objective, program.minimized)

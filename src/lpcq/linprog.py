@@ -1,10 +1,9 @@
 """Linear programs over nonnegative variables, and their solver.
 
 ``SparseLp`` is the one form of a linear program: its rows as flat arrays
-over integer columns, ordered by variable name.  The interpretations,
-fractional bag widths and the LP-format reader build it through
-``LpBuilder``; the LP-format writer and ``--explain`` read it back row by
-row.  Every program is solved by HiGHS through ``scipy.optimize.linprog``,
+over integer columns, ordered by variable name.  The interpretations and
+fractional bag widths build it through ``LpBuilder``, row by row or in
+bulk; the LP-format writer and ``--explain`` read it back row by row.  Every program is solved by HiGHS through ``scipy.optimize.linprog``,
 from the matrices ``SparseLp.matrices`` builds.  The method follows the
 LP's shape (``choose_method``), and every optimum is checked against the
 rows and bounds sent (``certify``) before it is returned.  The tests
@@ -166,6 +165,20 @@ class LpBuilder:
         self.lconst.append(lconst)
         self.rconst.append(rconst)
         self.eq.append(rel == "=")
+
+    def rows(self, lconst: np.ndarray, rconst: np.ndarray, eq: np.ndarray,
+             counts: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Append ``len(eq)`` rows as ``row`` would: row r's sides hold the
+        next ``counts[2r]`` and ``counts[2r + 1]`` terms of ``cols`` and
+        ``vals`` and the constants ``lconst[r]`` and ``rconst[r]``."""
+        ends = np.cumsum(counts, dtype=np.int64) + len(self.cols)
+        for buffer, values in ((self.cols, cols), (self.vals, vals), (self.split, ends[0::2]),
+                               (self.indptr, ends[1::2]), (self.lconst, lconst),
+                               (self.rconst, rconst)):
+            buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).view(np.uint8))
+        self.eq.extend(np.ascontiguousarray(eq, dtype=np.bool_).view(np.uint8))
+        added = np.frombuffer(self.vals, dtype=float)[len(self.vals) - len(vals):]
+        np.negative(added, out=added, where=np.repeat(np.arange(len(counts)) % 2 == 1, counts))
 
     def build(self, sense: str, objective: Side) -> SparseLp:
         if sense not in ("maximize", "minimize"):

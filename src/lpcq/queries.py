@@ -328,7 +328,7 @@ class Groups:
     is row g of ``keys``, codes into ``dictionary``.
     """
 
-    __slots__ = ("keys", "order", "bounds", "dictionary", "_index")
+    __slots__ = ("keys", "order", "bounds", "dictionary")
 
     def __init__(self, keys: np.ndarray, order: np.ndarray, bounds: np.ndarray,
                  dictionary: Dictionary):
@@ -336,21 +336,17 @@ class Groups:
         self.order = order
         self.bounds = bounds
         self.dictionary = dictionary
-        self._index: dict[tuple[int, ...], int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
     def members(self, g: int) -> np.ndarray:
         return self.order[self.bounds[g]:self.bounds[g + 1]]
 
-    def find(self, key: tuple[Value, ...]) -> np.ndarray:
-        """The rows whose projection is the value tuple *key*, in ascending
-        order; none when no row has it."""
-        if self._index is None:
-            self._index = {k: g for g, k in enumerate(map(tuple, self.keys.tolist()))}
-        g = self._index.get(tuple(map(self.dictionary.code, key)))
-        return self.order[:0] if g is None else self.members(g)
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)``: key k, codes into ``dictionary``, has the rows
+        ``order[starts[k]:][:counts[k]]``; none if absent or a code is below 0."""
+        i, g = match(*join_keys(keys + 1, self.keys + 1))  # codes from 0 up for key_ids
+        starts, counts = np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=np.int64)
+        starts[i], counts[i] = self.bounds[g], self.bounds[g + 1] - self.bounds[g]
+        return starts, counts
 
 
 class AnswerSet:

@@ -5,10 +5,10 @@ The database gives every value of its domain an int32 code in text order
 (``Dictionary``), and each relation holds its rows as an ``(n, arity)``
 array of codes; the relational operators of ``queries``, ``decomp`` and
 ``weightings`` run on such arrays through the helpers of this module
-(``unique_rows``, ``row_groups``, ``key_ids``, ``join_keys``, ``match``).
-``Value`` objects, interned by text, appear only where codes are decoded:
-names, reports, closure environments and the public views
-(``Relation.tuples``, ``Database.domain``).  Values carry an optional
+(``unique_rows``, ``row_groups``, ``key_ids``, ``join_keys``, ``match``,
+``ranges``).  ``Value`` objects, interned by text, appear only where codes
+are decoded: names, reports and the public views (``Relation.tuples``,
+``Database.domain``).  Values carry an optional
 numeric reading: it exists exactly when the value's text lexes as a decimal
 real (sign, digits, optional fraction, optional exponent).  Databases are
 immutable after construction, their code arrays are read-only, and all
@@ -113,7 +113,7 @@ class Dictionary:
     dictionary can be shared freely between threads.
     """
 
-    __slots__ = ("values", "_code", "_tokens")
+    __slots__ = ("values", "_code", "_tokens", "_numeric")
 
     def __init__(self, values: Iterable[Value]):
         ordered = sorted(set(values), key=_text)
@@ -122,6 +122,7 @@ class Dictionary:
         self.values: np.ndarray = _frozen(array)
         self._code: dict[Value, int] | None = None
         self._tokens: np.ndarray | None = None
+        self._numeric: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -134,6 +135,14 @@ class Dictionary:
     def code(self, value: Value) -> int | None:
         """The code of *value*, or None when it is not in the dictionary."""
         return self._lookup().get(value)
+
+    @property
+    def numeric(self) -> np.ndarray:
+        """``Value.numeric`` of every entry, by code, NaN where there is none."""
+        if self._numeric is None:
+            numbers = [np.nan if v.numeric is None else v.numeric for v in self.values.tolist()]
+            self._numeric = _frozen(np.array(numbers, dtype=float))
+        return self._numeric
 
     @property
     def tokens(self) -> np.ndarray:
@@ -167,6 +176,8 @@ class Dictionary:
         """Each code of *other* mapped to the code of the same value here,
         -1 where the value is missing.  Both dictionaries are in text order,
         so the map is increasing on the values they share."""
+        if other is self:
+            return np.arange(len(self), dtype=np.int32)
         get = self._lookup().get
         return np.fromiter((get(v, -1) for v in other.values.tolist()),
                            dtype=np.int32, count=len(other))
@@ -232,17 +243,26 @@ def join_keys(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_ids, b_ids
 
 
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[k]``, ..., ``starts[k] + counts[k] - 1`` of
+    every k, concatenated."""
+    ends = np.cumsum(counts)
+    out = np.repeat(starts - (ends - counts), counts)
+    out += np.arange(ends[-1] if len(ends) else 0)
+    return out
+
+
 def match(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions ``(i, j)`` of every pair with ``left[i] == right[j]``, in
     order of i and, for one i, of j: the right keys are sorted once and each
-    left key's range is found with ``searchsorted``."""
+    left key's range is found with ``searchsorted``.  ``i`` is int32 when
+    that holds every left position."""
     order = np.argsort(right, kind="stable")
     ordered = right[order]
     low = np.searchsorted(ordered, left, "left")
     count = np.searchsorted(ordered, left, "right") - low
-    i = np.repeat(np.arange(len(left)), count)
-    offset = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
-    return i, order[low[i] + offset]
+    positions = np.arange(len(left), dtype=np.int32 if len(left) < 2**31 else np.int64)
+    return np.repeat(positions, count), order[ranges(low, count)]
 
 
 # --- relations and databases -------------------------------------------------------

@@ -27,6 +27,8 @@ from lpcq.linprog import Certificate, LpBuilder, SparseLp
 from lpcq.queries import And, Atom, Const, Equal, Exists, Query, Var, evaluate, free_vars
 from lpcq.relations import Database, Relation, Value
 
+from oracles import plus
+
 
 def make_db(**relations) -> Database:
     rels = {}
@@ -192,9 +194,9 @@ def rand_closed_program(
 
     objective = ClosedSum(0.0)
     for w in weights:
-        objective = objective + ClosedSum(0.0, {w: float(rng.randint(0, 3))})
+        objective = plus(objective, ClosedSum(0.0, {w: float(rng.randint(0, 3))}))
     if not objective.terms:
-        objective = objective + ClosedSum(0.0, {weights[0]: 1.0})
+        objective = plus(objective, ClosedSum(0.0, {weights[0]: 1.0}))
     return ClosedProgram(objective, constraints)
 
 

@@ -17,34 +17,73 @@ path uses: the tests take normalized trees as extra input shapes.
 codes: separator marginals from ``project_weighting``, and one row's mass
 through dict lookups.  ``weights_csv`` writes a weights file the old way,
 evaluating the answers again and writing every row through ``csv.writer``.
+
+``size`` is the symbol count that bounds the normal form's growth.
+``row_closure`` is closure as lpcq computed it before it evaluated each
+binder query once: the binder query evaluated again under every outer row,
+one environment and one ``ClosedSum`` per row.  ``parse_lp`` reads the LP
+files ``lpformat.export_lp`` writes.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
+import re
 from dataclasses import dataclass
 from operator import itemgetter
+from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from lpcq.decomp import DecompTree, bag_projections
-from lpcq.errors import TooLargeError, UnknownVariableError
-from lpcq.interpret import VarNaming
-from lpcq.language import ClosedProgram, ClosedSum
-from lpcq.linprog import SparseLp
+from lpcq.errors import (
+    InternalFreeVariableError,
+    IoError,
+    NumUndefinedError,
+    TooLargeError,
+    UnknownVariableError,
+)
+from lpcq.interpret import VarNaming, qid
+from lpcq.language import (
+    CAnd,
+    CCompare,
+    CForall,
+    ClosedConstraint,
+    ClosedProgram,
+    ClosedSum,
+    Constraint,
+    CTrue,
+    LpcqProgram,
+    NumExpr,
+    NumOf,
+    Real,
+    SAdd,
+    SNum,
+    SScale,
+    SSum,
+    Sum,
+    SWeight,
+    WeightExprClosed,
+)
+from lpcq.linprog import LpBuilder, Side, SparseLp
+from lpcq.lpformat import _SECTION_WORDS
 from lpcq.queries import (
     And,
     AnswerSet,
     Atom,
+    Const,
     Equal,
     Exists,
     Query,
     TrueQuery,
     Var,
     evaluate,
+    extend,
     free_vars,
+    substitute,
 )
 from lpcq.relations import Assignment, Database, Value
 from lpcq.weightings import (
@@ -462,6 +501,12 @@ def _one(var) -> tuple[float, dict[str, float]]:
     return 0.0, ({var: 1.0} if var is not None else {})
 
 
+def nu_name(naming: VarNaming, w) -> str:
+    """A new stand-in name for *w*, claimed in *naming*."""
+    parts = "_".join(f"{x}_{v.token}" for x, v in w.targets) or "all"
+    return naming._claim(f"nu_{qid(w.query_name)}_{parts}")
+
+
 def dict_assembly(mode: str, cp: ClosedProgram, db: Database, decomps=None):
     """(DictLp, provenance) of one interpretation, each row built as
     ``{name: coefficient}`` dicts: user rows, then weight rows, then
@@ -475,7 +520,7 @@ def dict_assembly(mode: str, cp: ClosedProgram, db: Database, decomps=None):
     declared = [n for key in answers for n in names[key]]
     if mode == "natural":
         return _assemble(cp, sums.natural_sum, [], declared)
-    nu = {w: naming.nu_name(w) for w in cp.weight_exprs()}
+    nu = {w: nu_name(naming, w) for w in cp.weight_exprs()}
     rows = [((_one(nu[w]), "=", (0.0, sums.natural_sum(w))), "weight") for w in cp.weight_exprs()]
     declared += list(nu.values())
     return _assemble(cp, lambda w: {nu[w]: 1.0}, rows, declared)
@@ -497,7 +542,7 @@ def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: VarNaming
             names[node] = naming.xi_names(key, node, proj[node])
             declared += names[node]
         for w in weights:
-            nu[w] = naming.nu_name(w)
+            nu[w] = nu_name(naming, w)
             # the bag equal to the target closest to the root, smallest id on ties
             witness = min(
                 (n for n, bag in tree.bags.items() if bag == w.target_vars()),
@@ -607,3 +652,344 @@ def weights_csv(path, cp_qf, interpreted, solution, db: Database) -> None:
                 cells = [f"{v}={val.text}" for v, val in zip(variables, row)]
                 cells.append(f"{masses[row]:.12g}")
                 writer.writerow(cells)
+
+
+# --- program size -----------------------------------------------------------------
+
+
+def _query_size(q: Query) -> int:
+    if isinstance(q, (TrueQuery, Var, Const)):
+        return 1
+    if isinstance(q, Equal):
+        return 3
+    if isinstance(q, Atom):
+        return 1 + len(q.args)
+    if isinstance(q, And):
+        return 1 + _query_size(q.left) + _query_size(q.right)
+    if isinstance(q, Exists):
+        return 2 + _query_size(q.body)
+    raise TypeError(q)
+
+
+def size(node) -> int:
+    """Symbol count of a program fragment, the measure normal form is bounded in."""
+    if isinstance(node, LpcqProgram):
+        return 1 + size(node.objective) + size(node.constraint)
+    if isinstance(node, SNum):
+        return 2 if isinstance(node.num, NumOf) else 1
+    if isinstance(node, SScale):
+        return size(SNum(node.num)) + size(node.body)
+    if isinstance(node, SAdd):
+        return 1 + size(node.left) + size(node.right)
+    if isinstance(node, SSum):
+        return 1 + len(node.binders) + _query_size(node.query) + size(node.body)
+    if isinstance(node, SWeight):
+        return 1 + len(node.scope) + 3 * len(node.targets) + _query_size(node.query)
+    if isinstance(node, CTrue):
+        return 1
+    if isinstance(node, CCompare):
+        return 1 + size(node.left) + size(node.right)
+    if isinstance(node, CAnd):
+        return 1 + size(node.left) + size(node.right)
+    if isinstance(node, CForall):
+        return 1 + len(node.binders) + _query_size(node.query) + size(node.body)
+    raise TypeError(node)
+
+
+# --- the row closure -------------------------------------------------------------
+
+
+def plus(a: ClosedSum, b: ClosedSum) -> ClosedSum:
+    """*a* + *b*: coefficients added in that order, a sum of 0 dropped."""
+    merged = dict(a.terms)
+    for k, v in b.terms.items():
+        new = merged.get(k, 0.0) + v
+        if new == 0.0:
+            merged.pop(k, None)
+        else:
+            merged[k] = new
+    return ClosedSum(a.constant + b.constant, merged)
+
+
+def scaled(s: ClosedSum, factor: float) -> ClosedSum:
+    return ClosedSum(s.constant * factor, {k: v * factor for k, v in s.terms.items()})
+
+
+def _close_num(n: NumExpr, env: dict[str, Value], db: Database) -> float:
+    if isinstance(n, Real):
+        return n.value
+    expr = n.expr
+    if isinstance(expr, Var):
+        if expr.name not in env:
+            raise InternalFreeVariableError(f"num({expr.name}) has no binding")
+        value = env[expr.name]
+    else:
+        value = expr.value
+    if value.numeric is None:
+        raise NumUndefinedError(f"value {value.text!r} has no numeric reading")
+    return value.numeric
+
+
+def _expand_binder(
+    binders: tuple[str, ...], query: Query, env: dict[str, Value], db: Database
+) -> list[dict[str, Value]]:
+    """Environments for each answer of the binder query under *env*."""
+    outer = {k: v for k, v in env.items() if k not in binders}
+    bound = [(k, v) for k, v in outer.items() if k in free_vars(query)]
+    grounded = substitute(query, [k for k, _ in bound], [v for _, v in bound])
+    extended = extend(grounded, binders)
+    rows = evaluate(extended, db, set(binders))
+    envs = []
+    for assignment in rows.assignments():
+        child = dict(outer)
+        child.update(dict(assignment.items()))
+        envs.append(child)
+    return envs
+
+
+def _close_sum(node: Sum, env: dict[str, Value], db: Database) -> ClosedSum:
+    if isinstance(node, SNum):
+        return ClosedSum(_close_num(node.num, env, db))
+    if isinstance(node, SScale):
+        return scaled(_close_sum(node.body, env, db), _close_num(node.num, env, db))
+    if isinstance(node, SAdd):
+        return plus(_close_sum(node.left, env, db), _close_sum(node.right, env, db))
+    if isinstance(node, SWeight):
+        targets = []
+        for x, e in node.targets:
+            if isinstance(e, Const):
+                targets.append((x, e.value))
+            else:
+                if e.name not in env:
+                    raise InternalFreeVariableError(
+                        f"weight value variable {e.name!r} has no binding"
+                    )
+                targets.append((x, env[e.name]))
+        key = WeightExprClosed(node.query_name, node.query, tuple(sorted(targets)))
+        return ClosedSum(0.0, {key: 1.0})
+    if isinstance(node, SSum):
+        total = ClosedSum(0.0)
+        for child in _expand_binder(node.binders, node.query, env, db):
+            total = plus(total, _close_sum(node.body, child, db))
+        return total
+    raise TypeError(node)
+
+
+def _close_constraint(
+    node: Constraint, env: dict[str, Value], db: Database
+) -> list[ClosedConstraint]:
+    if isinstance(node, CTrue):
+        return []
+    if isinstance(node, CCompare):
+        return [
+            ClosedConstraint(
+                _close_sum(node.left, env, db), node.rel, _close_sum(node.right, env, db)
+            )
+        ]
+    if isinstance(node, CAnd):
+        return _close_constraint(node.left, env, db) + _close_constraint(node.right, env, db)
+    if isinstance(node, CForall):
+        out = []
+        for child in _expand_binder(node.binders, node.query, env, db):
+            out.extend(_close_constraint(node.body, child, db))
+        return out
+    raise TypeError(node)
+
+
+def row_closure(program: LpcqProgram, db: Database) -> ClosedProgram:
+    """Unfold forall/sum/num over *db* one binder row at a time: the binder
+    query is evaluated again under every outer row, and every row gets its
+    own environment and ``ClosedSum``."""
+    objective = _close_sum(program.objective, {}, db)
+    constraints = _close_constraint(program.constraint, {}, db)
+    return ClosedProgram(objective, constraints, minimized=program.minimized)
+
+
+# --- the LP-format reader ----------------------------------------------------------
+#
+# It accepts what ``lpformat.export_lp`` emits, plus the usual small
+# variations (>=, implicit 1 coefficients, constants on either side), and
+# builds the program through ``LpBuilder``, so files round trip up to term
+# ordering.
+
+_REL_OPS = {"<=", ">=", "=<", "=>", "=", "<", ">"}
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_.']*)"
+    r"|(?P<op><=|>=|=<|=>|[:=+<>-]))"
+)
+
+
+def _tokenize_lp(text: str) -> list[str]:
+    tokens: list[str] = []
+    for raw_line in text.splitlines():
+        line = raw_line.split("\\", 1)[0]
+        pos = 0
+        while pos < len(line):
+            if line[pos].isspace():
+                pos += 1
+                continue
+            m = _TOKEN_RE.match(line, pos)
+            if not m:
+                raise IoError(f"cannot tokenize LP line: {raw_line!r}")
+            tokens.append(m.group(0).strip())
+            pos = m.end()
+    return tokens
+
+
+class _LpReader:
+    def __init__(self, tokens: list[str], renamed: dict[str, str]):
+        self.tokens = tokens
+        self.low = [t.lower() for t in tokens]
+        self.renamed = renamed
+        self.i = 0
+
+    def done(self) -> bool:
+        return self.i >= len(self.tokens)
+
+    def at_section(self) -> str | None:
+        if self.done():
+            return "end"
+        word = self.low[self.i]
+        return _SECTION_WORDS.get(word)
+
+    def expression(self, stop_at_relation: bool) -> tuple[float, dict[str, float]]:
+        """Parse tokens into a constant and ``{name: coefficient}`` terms,
+        without zeros, until a relation or section keyword."""
+        constant = 0.0
+        terms: dict[str, float] = {}
+        sign = 1.0
+        pending: float | None = None
+        consumed = False
+
+        def flush():
+            nonlocal constant, pending, sign
+            if pending is not None:
+                constant += sign * pending
+                pending = None
+                sign = 1.0
+
+        while not self.done():
+            tok = self.tokens[self.i]
+            if self.at_section():
+                break
+            if tok in _REL_OPS:
+                if stop_at_relation:
+                    break
+                raise IoError(f"unexpected {tok!r} in expression")
+            if tok == "+":
+                flush()
+                self.i += 1
+                consumed = True
+                continue
+            if tok == "-":
+                flush()
+                sign = -sign
+                self.i += 1
+                consumed = True
+                continue
+            if tok == ":":
+                raise IoError("misplaced ':'")
+            if re.match(r"[0-9.]", tok):
+                flush()
+                pending = float(tok)
+                self.i += 1
+                consumed = True
+                continue
+            # a name followed by ':' is a row label: skip it when leading,
+            # otherwise it starts the next row and ends this expression
+            if self.i + 1 < len(self.tokens) and self.tokens[self.i + 1] == ":":
+                if consumed:
+                    break
+                self.i += 2
+                continue
+            consumed = True
+            name = self.renamed.get(tok, tok)
+            coeff = sign * (pending if pending is not None else 1.0)
+            new = terms.get(name, 0.0) + coeff
+            if new == 0.0:
+                terms.pop(name, None)
+            else:
+                terms[name] = new
+            pending = None
+            sign = 1.0
+            self.i += 1
+        flush()
+        return constant, terms
+
+
+def parse_lp(path: str | Path) -> SparseLp:
+    """Parse an LP-format file; names from <path>.names.json are restored.
+
+    Raises IoError naming the file when it or its sidecar cannot be read,
+    is not UTF-8, or the sidecar is not a JSON object of names.
+    """
+    path = Path(path)
+    try:
+        tokens = _tokenize_lp(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not UTF-8 text: {exc}") from exc
+    renamed: dict[str, str] = {}
+    sidecar = Path(str(path) + ".names.json")
+    if sidecar.exists():
+        try:
+            renamed = json.loads(sidecar.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            raise IoError(f"{sidecar}: not a names file: {exc}") from exc
+        if not isinstance(renamed, dict) or not all(isinstance(v, str) for v in renamed.values()):
+            raise IoError(f"{sidecar}: not a names file: expected an object of names")
+
+    reader = _LpReader(tokens, renamed)
+    section = reader.at_section()
+    if section not in ("maximize", "minimize"):
+        raise IoError("LP file must start with Maximize or Minimize")
+    sense = section
+    reader.i += 1
+
+    builder = LpBuilder()
+    index: dict[str, int] = {}
+
+    def side(expr) -> Side:
+        """*expr* over the builder's columns, one added per new name."""
+        constant, terms = expr
+        for name in terms.keys() - index.keys():
+            index[name] = builder.block([name])
+        return constant, [index[name] for name in terms], list(terms.values())
+
+    objective = side(reader.expression(stop_at_relation=False))
+
+    if reader.at_section() != "subject":
+        raise IoError("missing Subject To section")
+    reader.i += 1
+    if not reader.done() and reader.low[reader.i] == "to":
+        reader.i += 1
+
+    while not reader.done() and reader.at_section() is None:
+        lhs = side(reader.expression(stop_at_relation=True))
+        if reader.done() or reader.tokens[reader.i] not in _REL_OPS:
+            raise IoError("constraint missing relation")
+        rel = reader.tokens[reader.i]
+        reader.i += 1
+        rhs = side(reader.expression(stop_at_relation=True))
+        if rel in ("<=", "<", "=<"):
+            builder.row(lhs, "<=", rhs)
+        elif rel in (">=", ">", "=>"):
+            builder.row(rhs, "<=", lhs)
+        else:
+            builder.row(lhs, "=", rhs)
+
+    while not reader.done() and reader.at_section() != "end":
+        if reader.at_section() in ("bounds", "skip"):
+            reader.i += 1
+            continue
+        lhs = side(reader.expression(stop_at_relation=True))
+        if not reader.done() and reader.tokens[reader.i] in _REL_OPS:
+            reader.i += 1
+            rhs = side(reader.expression(stop_at_relation=True))
+            for constant, cols, _ in (lhs, rhs):
+                if constant != 0.0 and not cols:
+                    raise IoError("only nonnegativity bounds are supported")
+    return builder.build(sense, objective)

@@ -27,7 +27,6 @@ from lpcq.language import (
     close,
     normal_form,
     parse,
-    size,
 )
 from lpcq.linprog import solve
 from lpcq.queries import AnswerSet, Var, evaluate, free_vars
@@ -45,7 +44,7 @@ from makers import (
     answer_point, certify_point, make_db, numeric_db, rand_db, rand_flagship_instance,
     rand_lpcq_program, rand_query,
 )
-from oracles import brute_force_answers, moved_left, normalize, vertex_enumeration_optimum
+from oracles import brute_force_answers, moved_left, normalize, size, vertex_enumeration_optimum
 
 REL_TOL = 1e-6
 

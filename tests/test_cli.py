@@ -25,11 +25,11 @@ from lpcq.errors import InfeasibleSpecError
 from lpcq.interpret import natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
 from lpcq.linprog import FEAS_TOL
-from lpcq.lpformat import parse_lp
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
 from makers import answer_point, certify_point
+from oracles import parse_lp
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DELIVERY = DEMOS / "delivery"

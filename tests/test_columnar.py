@@ -23,13 +23,13 @@ from lpcq.decomp import load_decompositions, tree_width
 from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
 from lpcq.language import close, normal_form, parse
 from lpcq.linprog import solve
-from lpcq.lpformat import export_lp, parse_lp
+from lpcq.lpformat import export_lp
 from lpcq.queries import qf
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
 from makers import make_db, rand_flagship_instance, sparse_lp
-from oracles import dict_assembly, objective_terms, written_rows
+from oracles import dict_assembly, objective_terms, parse_lp, written_rows
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 MATRICES = ("A_ub", "b_ub", "A_eq", "b_eq")

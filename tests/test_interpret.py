@@ -19,7 +19,7 @@ from lpcq.linprog import LpBuilder, solve
 from lpcq.queries import free_vars, parse_query
 
 from makers import make_db, rand_flagship_instance
-from oracles import normalize
+from oracles import normalize, scaled
 
 WORKED = """
 let Q(x, y) = R1(x) /\\ R2(y)
@@ -86,7 +86,7 @@ class TestReplacement:
 
     def test_no_weight_expressions(self):
         cp = ClosedProgram(
-            close(parse(WORKED), f1_db()).objective.scale(0.0),
+            scaled(close(parse(WORKED), f1_db()).objective, 0.0),
             [],
         )
         ilp = replacement(cp, f1_db())

@@ -22,12 +22,12 @@ from lpcq.language import (
     free_vars_lpcq,
     normal_form,
     parse,
-    size,
 )
 from lpcq.queries import Var, parse_query
 from lpcq.relations import Value
 
 from makers import make_db, numeric_db, rand_lpcq_program
+from oracles import size
 
 WORKED = """
 let Q(x, y) = R1(x) /\\ R2(y)

@@ -9,10 +9,10 @@ from scipy.sparse import csr_matrix
 
 from lpcq.errors import CertificateError, IoError, NumericalFailureError
 from lpcq.linprog import FEAS_TOL, certify, solve
-from lpcq.lpformat import export_lp, parse_lp
+from lpcq.lpformat import export_lp
 
 from makers import sparse_lp
-from oracles import moved_left, vertex_enumeration_optimum
+from oracles import moved_left, parse_lp, vertex_enumeration_optimum
 
 
 class TestSolveSmall:

@@ -3,6 +3,7 @@ import sys
 import threading
 import uuid
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from lpcq.relations import (
     Relation,
     Value,
     load_database,
+    match,
     save_database,
 )
 
@@ -241,3 +243,30 @@ class TestPickling:
         assert back == q
         db = Database({"R": Relation("R", 2, [(V(0), V("a")), (V(1), V("b"))])})
         assert evaluate(back, db) == evaluate(q, db)
+
+
+def formula_match(left, right):
+    """``match`` as first written: int64 positions through five temporaries
+    of the output's length."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    low = np.searchsorted(ordered, left, "left")
+    count = np.searchsorted(ordered, left, "right") - low
+    i = np.repeat(np.arange(len(left)), count)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    return i, order[low[i] + offset]
+
+
+keys = st.lists(st.integers(0, 6), max_size=30).map(lambda xs: np.array(xs, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(left=keys, right=keys, shift=st.sampled_from([0, 100]))
+def test_match_pairs_are_the_formula_pairs(left, right, shift):
+    # shift 100 makes the keys disjoint: no pair matches
+    got_i, got_j = match(left, right + shift)
+    want_i, want_j = formula_match(left, right + shift)
+    assert got_i.dtype == np.int32
+    assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
+    if shift or not (len(left) and len(right)):
+        assert not len(got_i)
