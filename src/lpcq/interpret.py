@@ -257,7 +257,7 @@ def _program_rows(cp: ClosedProgram, builder: LpBuilder, columns_of) -> tuple[li
     ])
     n = counts[0]
     builder.rows(cp.constants[1::2], cp.constants[2::2], cp.eq, counts[1:], cols[n:], vals[n:])
-    return ["user"] * len(cp.eq), (cp.constants[0], cols[:n].copy(), vals[:n].copy())
+    return ["user"] * len(cp.eq), (cp.constants[0], cols[:n], vals[:n])
 
 
 def _stand_ins(columns: np.ndarray):

@@ -269,12 +269,16 @@ class TestSolveCommand:
             argv += ["--decomp", str(decomp)]
         code, out = run_main(argv + ["--json"])
         assert code == 0
-        # natural: two user rows over two answers each.  Otherwise the user
-        # rows hold one stand-in each, and each of the three weight rows a
-        # stand-in plus its answers (4 + 2 + 2) or its one bag row; the two
-        # soundness rows tie the empty root's row to the two rows of a child.
+        # Columns with the same cost and entries reach HiGHS as one column.
+        # natural: two user rows over two answers each, and a row's two
+        # answers are one column.  Otherwise the user rows hold one stand-in
+        # each, and each of the three weight rows a stand-in plus its answers
+        # (the x == 0 pair and the x == 1 pair one column each: 2 + 1 + 1) or
+        # its one bag row; the two soundness rows tie the empty root's row to
+        # the two rows of a child, and the two rows of the y bag, which no
+        # other row reads, are one column.
         assert json.loads(out)["nonzeros"] == handed[0] == {
-            "natural": 4, "replacement": 2 + 3 + 8, "factorized": 2 + 3 + 3 + 2 * 3,
+            "natural": 2, "replacement": 2 + 3 + 4, "factorized": 2 + 3 + 3 + 3 + 2,
         }[mode]
         code, text = run_main(argv)
         assert code == 0 and "nonzeros" not in text

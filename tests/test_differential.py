@@ -1,8 +1,9 @@
 """Natural, replacement and factorized runs of the same random program
 against each other.
 
-Programs and databases come from ``makers``; hypothesis draws them by
-driving the random generator, so a failure shrinks to a small instance.
+Programs and databases come from ``makers``, drawn from
+``random.Random(seed)`` with the seed from hypothesis, as in
+``test_closure``: a derandomized ``st.randoms`` stream explores much less.
 The factorized run uses the min-fill trees ``build_decompositions`` fits
 to the weight targets, as ``lpcq solve --heuristic-decomp`` does.  All
 three must reach the same status and optimum, and ``lift_answers`` in
@@ -11,6 +12,7 @@ optimum.
 """
 
 import math
+import random
 
 from hypothesis import HealthCheck, event, given, reject, settings
 from hypothesis import strategies as st
@@ -36,10 +38,10 @@ def close_rel(a: float, b: float) -> bool:
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(rng=st.randoms(use_true_random=False), n_exists=st.integers(0, 1))
-def test_modes_agree_and_every_lift_certifies(rng, n_exists):
+@given(seed=st.integers(0, 2**32), n_exists=st.integers(0, 1))
+def test_modes_agree_and_every_lift_certifies(seed, n_exists):
     try:
-        db, _, cp = rand_flagship_instance(rng, n_exists=n_exists)
+        db, _, cp = rand_flagship_instance(random.Random(seed), n_exists=n_exists)
     except RuntimeError:
         reject()
     cp_qf = quantifier_eliminate(cp)
@@ -55,6 +57,9 @@ def test_modes_agree_and_every_lift_certifies(rng, n_exists):
     solutions = {mode: solve(ilp.program) for mode, ilp in runs.items()}
     expected = solutions["natural"]
     event(f"natural {expected.status}")
+    merged = any(sol.solver.columns < len(runs[mode].program.names)
+                 for mode, sol in solutions.items())
+    event("an LP with merged columns" if merged else "no LP with merged columns")
     for mode, sol in solutions.items():
         assert sol.status == expected.status, mode
         if sol.status == "optimal":

@@ -214,6 +214,22 @@ class TestCertificate:
         assert certify(x, A, np.array([3.0 - 5e-5]), None, None).ok is False
         assert certify(x, None, None, A, np.array([3.0])).ok
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_point_that_is_not_finite_fails(self, bad):
+        # max(0.0, nan) is 0.0, so a NaN residual must not be read through it
+        A = csr_matrix(np.array([[1.0, 1.0]]))
+        for rows in ((A, np.array([3.0]), None, None), (None, None, A, np.array([3.0])),
+                     (None, None, None, None)):
+            cert = certify(np.array([bad, 1.0]), *rows)
+            assert cert.violation == math.inf and not cert.ok, rows
+
+    def test_a_residual_that_is_not_finite_fails(self):
+        # a finite point, but inf - inf in the row: the residual is NaN
+        A = csr_matrix(np.array([[math.inf, -math.inf]]))
+        for rows in ((A, np.array([3.0]), None, None), (None, None, A, np.array([3.0]))):
+            cert = certify(np.array([1.0, 1.0]), *rows)
+            assert cert.violation == math.inf and not cert.ok, rows
+
 
 def _random_lp(rng, n_vars, n_rows, with_eq=True):
     """A random bounded LP, and its sense, objective, objective constant and
@@ -283,6 +299,164 @@ class TestSolveAgainstOracle:
             value = constant + sum(c * sol.assignment[v] for v, c in objective.items())
             assert math.isclose(value, sol.value, abs_tol=1e-7)
             assert all(v >= 0.0 for v in sol.assignment.values())
+
+
+def _with_copies(rng, spec, copies):
+    """The LP of *spec* (``_random_lp``'s plain form) with *copies* more
+    columns, each a copy of a random column: its cost and coefficients.  A
+    copy of ``v`` is named ``v~k``, which sorts after ``v``."""
+    sense, objective, constant, rows = spec
+    twins = {f"{rng.choice(sorted(objective))}~{k}" for k in range(copies)}
+
+    def twinned(terms):
+        return {**terms, **{t: terms[t.split("~")[0]] for t in twins if t.split("~")[0] in terms}}
+
+    rows = [(twinned(coeffs), rel, bound) for coeffs, rel, bound in rows]
+    objective = twinned(objective)
+    return sparse_lp(sense, (constant, objective), rows), (sense, objective, constant, rows)
+
+
+def _groups_by_brute_force(lp):
+    """For each column, the lowest column with the same cost and the same
+    summed coefficient in every row, compared as Python floats."""
+    sign = -1.0 if lp.sense == "maximize" else 1.0
+    cost = [0.0] * len(lp.names)
+    for c, v in zip(lp.obj_cols.tolist(), lp.obj_vals.tolist()):
+        cost[c] = sign * v
+    column = [[] for _ in lp.names]
+    for r, ((_, lcols, lvals), _, (_, rcols, rvals)) in enumerate(lp.rows()):
+        summed = {}
+        for c, v in zip(list(lcols) + list(rcols), list(lvals) + [-v for v in rvals]):
+            summed[c] = summed.get(c, 0.0) + v
+        for c, v in summed.items():
+            if v != 0.0:
+                column[c].append((r, v))
+    first = {}
+    return [first.setdefault((cost[j], tuple(column[j])), j) for j in range(len(lp.names))]
+
+
+def _near_copies(rng, n_rows, n_cols):
+    """An LP whose columns come from a few patterns, some altered in one
+    coefficient or in cost only, with some empty columns."""
+    patterns = [
+        {r: float(rng.choice([1, 2, -1]))
+         for r in rng.sample(range(n_rows), rng.randint(0, n_rows))}
+        for _ in range(4)
+    ]
+    columns, costs = [], []
+    for _ in range(n_cols):
+        col = dict(rng.choice(patterns))
+        if col and rng.random() < 0.2:  # one coefficient changed
+            r = rng.choice(sorted(col))
+            col[r] += rng.choice([1.0, 1e-12])
+        columns.append(col)
+        costs.append(float(rng.choice([0, 1, 1, 2])))
+    names = [f"x{j:03d}" for j in range(n_cols)]
+    rows = [
+        ({names[j]: col[r] for j, col in enumerate(columns) if r in col}, "<=", 5.0)
+        for r in range(n_rows)
+    ]
+    objective = {names[j]: c for j, c in enumerate(costs) if c}
+    return sparse_lp("minimize", objective, rows, variables=names)
+
+
+class TestMergedColumns:
+    """``SparseLp.matrices`` hands HiGHS one column per group of identical
+    columns: the same cost and the same entries."""
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_only_exact_copies_merge_to_the_lowest(self, rng, monkeypatch, collide):
+        if collide:  # every column gets the same digest
+            monkeypatch.setattr("lpcq.linprog._column_digest", lambda A: np.zeros(A.shape[1]))
+        merged = 0
+        for _ in range(60):
+            lp = _near_copies(rng, rng.randint(1, 5), rng.randint(1, 30))
+            rows = lp.matrices()
+            expected = _groups_by_brute_force(lp)
+            assert rows.columns.tolist() == sorted(set(expected))
+            assert rows.columns[rows.group].tolist() == expected
+            merged += len(lp.names) - len(rows.columns)
+        assert merged > 100
+
+    def test_a_coefficient_or_the_cost_keeps_columns_apart(self):
+        rows = [(dict(a=1.0, b=1.0, c=1.0, d=1.0), "<=", 4.0),
+                (dict(a=2.0, b=3.0, c=2.0, d=2.0), "<=", 6.0)]
+        lp = sparse_lp("maximize", dict(a=1.0, b=1.0, c=1.0, d=2.0), rows)
+        # b differs from a in one coefficient, d in cost only; c is a copy of a
+        matrices = lp.matrices()
+        assert matrices.columns.tolist() == [0, 1, 3]
+        assert matrices.group.tolist() == [0, 1, 0, 2]
+        assert matrices.nonzeros == 6
+
+    def test_empty_columns_merge_only_with_equal_cost(self):
+        lp = sparse_lp("minimize", dict(b=1.0, c=2.0, d=1.0), [(dict(e=1.0), "<=", 1.0)],
+                       variables=["a", "b", "c", "d", "e"])
+        matrices = lp.matrices()
+        assert matrices.columns.tolist() == [0, 1, 2, 4]
+        assert matrices.group.tolist() == [0, 1, 2, 1, 3]
+        sol = solve(lp)
+        assert sol.status == "optimal" and sol.value == 0.0
+        assert sol.solver.columns == 4
+
+    def test_a_column_on_both_sides_is_compared_summed(self):
+        # x's two terms cancel, so x is an empty column like y
+        lp = sparse_lp("maximize", {}, [(dict(x=1.0, z=1.0), "<=", (1.0, dict(x=1.0))),
+                                        (dict(w=2.0), "<=", (3.0, dict(w=1.0)))],
+                       variables=["y"])
+        matrices = lp.matrices()
+        assert lp.names == ["w", "x", "y", "z"]
+        assert matrices.group.tolist() == [0, 1, 1, 2]
+
+    def test_the_group_value_goes_on_the_lowest_column(self):
+        # a and b are copies, and so are c and d: the optimum 4 sits on a
+        lp = sparse_lp("maximize", dict(a=2.0, b=2.0, c=1.0, d=1.0),
+                       [(dict(a=1.0, b=1.0, c=1.0, d=1.0), "<=", 2.0)])
+        sol = solve(lp)
+        assert sol.value == pytest.approx(4.0)
+        assert [sol.assignment[v] for v in "abcd"] == pytest.approx([2.0, 0.0, 0.0, 0.0])
+        assert sol.solver.columns == 2 and sol.nonzeros == 2
+        assert sol.solver.certificate.ok
+
+    def test_a_point_off_the_lowest_columns_certifies_on_its_sums(self, rng):
+        for _ in range(20):
+            lp = _near_copies(rng, rng.randint(1, 5), rng.randint(2, 20))
+            matrices = lp.matrices()
+            x = np.array([rng.uniform(-1, 2) for _ in lp.names])
+            full = csr_matrix((lp.vals, lp.cols, lp.indptr), shape=(lp.row_count, len(lp.names)))
+            want = certify(x, full, lp.rconst - lp.lconst, None, None)
+            got = matrices.certify(x)
+            assert got.ub_violation == pytest.approx(want.ub_violation, abs=1e-12)
+            assert (got.most_negative, got.clipped_mass) == (want.most_negative, want.clipped_mass)
+
+    @pytest.mark.parametrize("rows, verdict", [
+        ([(dict(x=1.0, y=1.0), "<=", -1.0)], "infeasible"),
+        ([(dict(x=1.0, y=1.0), "=", 2.0), (dict(x=1.0, y=1.0), "<=", 1.0)], "infeasible"),
+        ([(1.0, "<=", dict(x=1.0, y=1.0))], "unbounded"),
+    ])
+    def test_verdicts_stay(self, rows, verdict):
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0), rows)
+        assert len(lp.matrices().columns) == 1
+        sol = solve(lp)
+        assert sol.status == verdict and sol.solver.columns == 1
+
+    def test_random_lps_with_copies_against_the_oracle(self, rng):
+        checked = merged = 0
+        for _ in range(80):
+            spec = _random_lp(rng, rng.randint(1, 4), rng.randint(0, 3))[1]
+            lp, planted = _with_copies(rng, spec, rng.randint(1, 3))
+            sol = solve(lp)
+            merged += sol.solver.columns < len(lp.names)
+            oracle = vertex_enumeration_optimum(*planted, lp.names)
+            if oracle is None:
+                assert sol.status == "infeasible"
+                continue
+            assert sol.status == "optimal"
+            assert math.isclose(sol.value, oracle[0], abs_tol=1e-6), (sol.value, oracle[0])
+            assert _satisfies(planted[3], sol.assignment)
+            unsent = np.setdiff1d(np.arange(len(lp.names)), lp.matrices().columns)
+            assert all(sol.assignment[lp.names[j]] == 0.0 for j in unsent.tolist())
+            checked += 1
+        assert checked > 40 and merged == 80
 
 
 class TestDuality:
