@@ -9,7 +9,11 @@ the matrices ``SparseLp.matrices`` builds.  Those hand HiGHS each distinct
 column once: columns with the same cost and the same entries (in the
 natural LP, the answers that differ only in witnesses no weight reads) are
 one column to the solver, found exactly by ``_representatives``.  The
-method follows the LP's shape (``choose_method``).  Every optimum is put
+call follows the LP's shape (``choose_method``), in three ways: an LP with
+equality rows goes to the interior point solver (``highs-ipm``); one whose
+rows the origin x = 0 satisfies (no equality rows, every bound >= 0, as in
+the natural LPs) to primal simplex from the slack basis without presolve;
+any other to ``highs``, dual simplex after presolve.  Every optimum is put
 back on the program's columns, each group's value on its lowest column,
 and checked against the rows and bounds sent (``certify``) before it is
 returned.  The tests cross-check the solver against a vertex enumeration
@@ -25,6 +29,7 @@ reproducible.
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from collections.abc import Mapping as MappingABC
 from dataclasses import asdict, dataclass, fields
@@ -36,6 +41,12 @@ from .errors import CertificateError, NumericalFailureError
 from .relations import ranges
 
 FEAS_TOL = 1e-7
+
+# The HiGHS options beyond ``linprog``'s defaults for an LP the origin
+# satisfies: no presolve, and HiGHS's simplex strategy 4, primal simplex.
+# ``linprog`` knows no ``simplex_strategy`` option; it passes it to HiGHS
+# verbatim, with an OptimizeWarning that ``solve`` filters.
+PRIMAL_FROM_ORIGIN = {"presolve": False, "simplex_strategy": 4}
 
 # entries per step of the loops that keep their temporary arrays small:
 # renumbering columns in ``LpBuilder.build``, comparing them in
@@ -305,20 +316,24 @@ class ArrayAssignment(MappingABC):
 
 @dataclass(frozen=True, slots=True)
 class HighsCall:
-    """One call to HiGHS: the method, and how it ended (scipy's status code
-    and message, its iteration count, and crossover's for ``highs-ipm``)."""
+    """One call to HiGHS: the method, the HiGHS options passed beyond
+    ``linprog``'s defaults (``{}`` for none), and how it ended (scipy's
+    status code and message, its iteration count, and crossover's for
+    ``highs-ipm``)."""
 
     method: str
+    options: dict
     status: int
     message: str
     nit: int
     crossover_nit: int | None
 
     @classmethod
-    def of(cls, method: str, res) -> "HighsCall":
+    def of(cls, method: str, options: dict, res) -> "HighsCall":
         crossover = res.get("crossover_nit") if method == "highs-ipm" else None
         return cls(
             method,
+            dict(options),
             int(res.status),
             str(res.message),
             int(res.get("nit") or 0),
@@ -551,21 +566,28 @@ class LpSolution:
 _VERDICTS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def choose_method(equality_rows: int) -> tuple[str, str]:
-    """The HiGHS method for an LP with *equality_rows* equality rows sent to
-    the solver, and why.
+def choose_method(equality_rows: int, origin_feasible: bool) -> tuple[str, dict, str]:
+    """The HiGHS method and options for an LP with *equality_rows* equality
+    rows sent to the solver, whose rows the origin x = 0 satisfies when
+    *origin_feasible* (every bound sent is >= 0), and why.
 
     An LP with equality rows goes to the interior point solver with
-    crossover (``highs-ipm``); any other LP to ``highs``, which runs dual
-    simplex on these LPs.  On the factorized LPs, which are mostly
+    crossover (``highs-ipm``): on the factorized LPs, which are mostly
     per-edge marginal equalities, dual simplex takes thousands of
-    iterations where the interior point solver takes about ten; crossover
-    still returns a basic optimal solution.  The natural LPs have only
-    inequality rows and keep the simplex call.
+    iterations where the interior point solver takes about ten, and
+    crossover still returns a basic optimal solution.  An LP that the
+    origin satisfies (the natural LPs, packing LPs with ``<=`` rows and
+    bounds >= 0) goes to ``highs`` with ``PRIMAL_FROM_ORIGIN``: the slack
+    basis is a feasible vertex, so primal simplex starts from it, and
+    presolve, which costs more there than the simplex run itself, is
+    skipped.  Any other LP (the origin violates a row) goes to ``highs``
+    as it is, dual simplex after presolve.
     """
     if equality_rows:
-        return "highs-ipm", f"{equality_rows} equality rows sent"
-    return "highs", "no equality rows sent"
+        return "highs-ipm", {}, f"{equality_rows} equality rows sent"
+    if origin_feasible:
+        return "highs", PRIMAL_FROM_ORIGIN, "no equality rows sent; the origin satisfies every row"
+    return "highs", {}, "no equality rows sent; the origin violates a row"
 
 
 def solve(lp: SparseLp) -> LpSolution:
@@ -573,10 +595,11 @@ def solve(lp: SparseLp) -> LpSolution:
 
     HiGHS gets the program as ``lp.matrices()`` builds it: one column per
     group of identical columns, and no row left without terms (such a row
-    is checked against its bound instead).  The method is chosen by
-    ``choose_method``.  When ``highs-ipm`` ends without a verdict (say,
-    status 4 on a small infeasible LP), the same matrices are solved again
-    with ``highs`` before ``NumericalFailureError`` is raised.  An optimum
+    is checked against its bound instead).  The method and options are
+    chosen by ``choose_method``.  When a call other than plain ``highs``
+    ends without a verdict (say, ``highs-ipm`` with status 4 on a small
+    infeasible LP), the same matrices are solved again with plain
+    ``highs`` before ``NumericalFailureError`` is raised.  An optimum
     puts each group's value on its lowest column and 0 on the others
     (``Matrices.expand``), and that point is checked against the rows and
     bounds (``certify``); one beyond tolerance raises ``CertificateError``.
@@ -596,20 +619,25 @@ def solve(lp: SparseLp) -> LpSolution:
 
     # looked up per call, so a wrapper installed on scipy.optimize.linprog
     # after this module was imported still sees every solve
-    from scipy.optimize import linprog
+    from scipy.optimize import OptimizeWarning, linprog
 
-    def call(method: str):
-        res = linprog(
-            rows.c, A_ub=rows.A_ub, b_ub=rows.b_ub, A_eq=rows.A_eq, b_eq=rows.b_eq,
-            bounds=(0, None), method=method,
-        )
-        return res, HighsCall.of(method, res)
+    def call(method: str, options: dict):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+            res = linprog(
+                rows.c, A_ub=rows.A_ub, b_ub=rows.b_ub, A_eq=rows.A_eq, b_eq=rows.b_eq,
+                bounds=(0, None), method=method, options=options,
+            )
+        return res, HighsCall.of(method, options, res)
 
-    method, reason = choose_method(0 if rows.A_eq is None else rows.A_eq.shape[0])
-    res, first = call(method)
+    method, options, reason = choose_method(
+        0 if rows.A_eq is None else rows.A_eq.shape[0],
+        rows.b_ub is None or bool((rows.b_ub >= 0).all()),
+    )
+    res, first = call(method, options)
     fallback = None
-    if first.status not in _VERDICTS and method != "highs":
-        res, fallback = call("highs")
+    if first.status not in _VERDICTS and (method, options) != ("highs", {}):
+        res, fallback = call("highs", {})
     final = fallback or first
     if final.status not in _VERDICTS:
         raise NumericalFailureError(f"HiGHS failed: {final.message}")

@@ -316,13 +316,15 @@ class TestSolveCommand:
         )
         ((key, blocks),) = ilp.xi.items()
         assert ilp.trees[key].root == 1
-        column = int(blocks[1].columns[0])
+        # HiGHS's point is over the columns sent, one per group of
+        # identical columns: move the one that stands for this column
+        sent = int(ilp.program.matrices().group[blocks[1].columns[0]])
         real = scipy.optimize.linprog
 
         def drifted(*args, **kwargs):
             res = real(*args, **kwargs)
             res.x = res.x.copy()
-            res.x[column] += 5e-7
+            res.x[sent] += 5e-7
             return res
 
         monkeypatch.setattr(scipy.optimize, "linprog", drifted)
@@ -513,7 +515,9 @@ class TestCertificate:
         assert code == 0
         solver = json.loads(out)["solver"]
         assert solver["method"] == method and solver["status"] == 0
-        assert solver["reason"].endswith("equality rows sent")
+        # the delivery demo's >= orders: the origin violates its natural LP
+        reason = {"highs": "the origin violates a row", "highs-ipm": "equality rows sent"}[method]
+        assert solver["reason"].endswith(reason) and solver["options"] == {}
         assert solver["fallback"] is None
         assert solver["nit"] >= 0
         assert (solver["crossover_nit"] is None) == (method == "highs")
@@ -853,13 +857,33 @@ class TestHeuristicTreesAsBuilt:
         assert math.isclose(factorized.value, natural.value, rel_tol=1e-9, abs_tol=1e-9)
 
 
-def test_module_entry_point_runs_without_warnings():
+def lpcq_process(*argv, flags=()):
+    """``python -m lpcq.cli`` with *argv*, in a process of its own, so that
+    Python's own warning filters apply rather than pytest's."""
     src = str(Path(lpcq.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "lpcq.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "lpcq.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = lpcq_process("--help", flags=("-W", "error"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_primal_simplex_solve_writes_nothing_to_stderr(tmp_path):
+    # the natural throughput LP gets an option linprog passes to HiGHS
+    # verbatim; the warning that says so must not reach the user
+    db_dir = tmp_path / "db"
+    code, _ = run_main(["gen", "--out", str(db_dir), "--size", "60", "--seed", "1",
+                        "--selectivity", str(BENCH_SELECTIVITY)])
+    assert code == 0
+    prog = tmp_path / "bench.lpcq"
+    prog.write_text(BENCH_PROGRAM)
+    proc = lpcq_process("solve", str(prog), str(db_dir), "--json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["solver"]["options"] == {"presolve": False, "simplex_strategy": 4}

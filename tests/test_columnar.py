@@ -155,30 +155,36 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path):
 
 
 def test_method_rule_on_the_throughput_lps(tmp_path):
-    # the natural LP has no equality rows and gets exactly the keywords it
-    # always got; the factorized LP's marginal rows send it to interior point
+    # the natural LP is a packing LP, <= rows with bounds >= 0, and goes to
+    # primal simplex from the origin; the factorized LP's marginal rows send
+    # it to interior point with linprog's defaults
     program, db, decomp_path = delivery_case(tmp_path)
     cp = close(normal_form(program), db)
     cp_qf = quantifier_eliminate(cp)
     decomps = build_decompositions(cp, cp_qf, decomp_path, False)
     nat, nat_sol = highs_input(natural(cp_qf, db).program)
-    assert set(nat) == {"c", *MATRICES, "bounds", "method"}
-    assert nat["A_eq"] is None and nat["b_eq"] is None
+    assert set(nat) == {"c", *MATRICES, "bounds", "method", "options"}
+    assert nat["A_eq"] is None and nat["b_eq"] is None and (nat["b_ub"] >= 0).all()
     assert nat["bounds"] == (0, None) and nat["method"] == "highs"
+    assert nat["options"] == {"presolve": False, "simplex_strategy": 4}
+    assert nat_sol.solver.call.options == nat["options"] and nat_sol.solver.fallback is None
     fac, fac_sol = highs_input(factorized(cp_qf, decomps, db).program)
     assert fac["A_eq"].shape[0] > 0 and fac["method"] == "highs-ipm"
+    assert fac["options"] == {} and fac_sol.solver.call.options == {}
     assert fac_sol.solver.fallback is None
     assert abs(fac_sol.value - nat_sol.value) <= 1e-6 * max(1.0, abs(nat_sol.value))
 
 
 def test_fractional_widths_stay_on_simplex(tmp_path):
-    # a cover LP has only <= rows
+    # a cover LP has only <= rows, but the origin violates them (each
+    # vertex covered at least once), so it gets the plain highs call
     _, _, decomp_path = delivery_case(tmp_path)
     (tree,) = load_decompositions(decomp_path)
     with highs_calls() as calls:
         assert tree_width(tree, qf(tree.query)) == 2.0
     assert len(calls) == len(tree.bags) and all(
-        call["A_eq"] is None and call["method"] == "highs" for call in calls
+        call["A_eq"] is None and call["method"] == "highs" and call["options"] == {}
+        for call in calls
     )
 
 

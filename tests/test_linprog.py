@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from lpcq.errors import CertificateError, IoError, NumericalFailureError
-from lpcq.linprog import FEAS_TOL, certify, solve
+from lpcq.linprog import FEAS_TOL, PRIMAL_FROM_ORIGIN, certify, solve
 from lpcq.lpformat import export_lp
 
 from makers import sparse_lp
@@ -82,7 +82,7 @@ class TestSolveSmall:
         assert sol.status == "optimal" and abs(sol.value - 8.0) < 1e-9
         assert len(calls) == 1
         assert calls[0]["A_ub"].shape == (1, 2)
-        assert calls[0]["method"] == "highs"
+        assert calls[0]["method"] == "highs" and calls[0]["options"] == PRIMAL_FROM_ORIGIN
         assert sol.solver.method == "highs" and sol.solver.fallback is None
 
     def test_equality_rows_go_to_interior_point(self, monkeypatch):
@@ -101,8 +101,8 @@ class TestSolveSmall:
         )
         sol = solve(lp)
         assert sol.status == "optimal" and abs(sol.value - 7.0) < 1e-9
-        assert [call["method"] for call in calls] == ["highs-ipm"]
-        assert sol.solver.method == "highs-ipm"
+        assert [(call["method"], call["options"]) for call in calls] == [("highs-ipm", {})]
+        assert sol.solver.method == "highs-ipm" and sol.solver.call.options == {}
         assert sol.solver.call.status == 0 and sol.solver.call.crossover_nit is not None
         assert sol.solver.certificate.ok
 
@@ -163,6 +163,93 @@ class TestFallback:
             assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
             assert sol.solver.call.status == 4 and sol.solver.fallback.status == 0
         assert methods == ["highs-ipm", "highs"]
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """The method and options of every ``scipy.optimize.linprog`` call."""
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["method"], kwargs["options"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls
+
+
+class TestMethodRule:
+    """``choose_method``: equality rows go to interior point; an LP whose
+    rows the origin satisfies to primal simplex without presolve; any other
+    to plain ``highs``."""
+
+    def test_origin_feasible_packing_lp_goes_to_primal_simplex(self, highs_calls):
+        lp = sparse_lp(
+            "maximize", dict(w=1.0, x=2.0, y=3.0, z=1.0),
+            [(dict(w=1.0, x=1.0, y=1.0), "<=", 4.0), (dict(y=1.0, z=2.0), "<=", 0.0),
+             (dict(x=1.0), "<=", dict(z=1.0))],
+        )
+        sol = solve(lp)
+        assert highs_calls == [("highs", {"presolve": False, "simplex_strategy": 4})]
+        assert sol.status == "optimal" and abs(sol.value - 4.0) < 1e-9
+        assert sol.solver.call.options == PRIMAL_FROM_ORIGIN and sol.solver.fallback is None
+        assert sol.solver.reason == "no equality rows sent; the origin satisfies every row"
+        assert sol.solver.as_dict()["options"] == PRIMAL_FROM_ORIGIN
+
+    def test_one_negative_bound_gives_the_plain_call(self, highs_calls):
+        lp = sparse_lp(
+            "maximize", dict(x=2.0, y=3.0),
+            [(dict(x=1.0, y=1.0), "<=", 4.0), (1.0, "<=", dict(x=1.0))],
+        )
+        sol = solve(lp)
+        assert highs_calls == [("highs", {})]
+        assert sol.status == "optimal" and abs(sol.value - 11.0) < 1e-9
+        assert sol.solver.call.options == {}
+        assert sol.solver.reason == "no equality rows sent; the origin violates a row"
+
+    def test_equality_rows_give_interior_point(self, highs_calls):
+        # the origin satisfies this equality row too
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
+                       [(dict(x=1.0), "=", dict(y=1.0)), (dict(x=1.0), "<=", 2.0)])
+        sol = solve(lp)
+        assert highs_calls == [("highs-ipm", {})]
+        assert sol.status == "optimal" and abs(sol.value - 4.0) < 1e-9
+        assert sol.solver.reason == "1 equality rows sent"
+
+    def test_unbounded_origin_feasible_maximize(self, highs_calls):
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=-1.0), "<=", 1.0)])
+        sol = solve(lp)
+        assert sol.status == "unbounded"
+        assert highs_calls == [("highs", PRIMAL_FROM_ORIGIN)] and sol.solver.fallback is None
+
+    @pytest.mark.parametrize("resolve_fails", [False, True])
+    def test_primal_failure_re_solves_with_plain_highs(self, monkeypatch, resolve_fails):
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+        calls = []
+
+        def failing_primal(*args, **kwargs):
+            calls.append(kwargs["options"])
+            res = real(*args, **kwargs)
+            if kwargs["options"] or resolve_fails:
+                res.status, res.message = 4, "(HiGHS Status 4: Solve error)"
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_primal)
+        lp = sparse_lp("maximize", dict(x=1.0, y=2.0), [(dict(x=1.0, y=1.0), "<=", 3.0)])
+        if resolve_fails:
+            with pytest.raises(NumericalFailureError, match="Status 4"):
+                solve(lp)
+        else:
+            sol = solve(lp)
+            assert sol.status == "optimal" and abs(sol.value - 6.0) < 1e-9
+            assert sol.solver.call.options == PRIMAL_FROM_ORIGIN and sol.solver.call.status == 4
+            assert sol.solver.fallback.method == "highs" and sol.solver.fallback.options == {}
+        assert calls == [PRIMAL_FROM_ORIGIN, {}]
 
 
 class TestCertificate:
