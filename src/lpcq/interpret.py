@@ -37,11 +37,12 @@ Handed the same LPs with columns in block order (one run each on a 2-core
 VM), dual simplex took 4,290 iterations instead of 3,675 on the
 factorized delivery benchmark (m=300, seed 1), and 1,250 instead of 1,210
 on the natural one, and returned optimal vertices that differ by up to
-203 and 49 in a coordinate.  The interior point solver with crossover,
-which the factorized LPs go to, took the same 12 to 16 iterations in
-either order, but its vertex moved too: by up to 38 in a coordinate at
-m=100 and 17 at m=500 (seed 1; not at all at m=300).  Either would change
-the lifted weights.  So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
+203 and 49 in a coordinate.  Primal simplex after presolve, which the
+factorized LPs go to once their forced-equal columns are merged, took 367
+iterations instead of 330 at m=100, 1,145 instead of 870 at m=300 and
+1,258 instead of 1,233 at m=500 (seed 1), and its vertex moved by up to
+76, 156 and 103 in a coordinate.  Either would change the lifted weights.
+So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 from .decomp import DecompTree, bag_projections, validate
 from .errors import IncompatibleDecompositionError, MissingDecompositionError
 from .language import ClosedProgram
-from .linprog import LpBuilder, Side, SparseLp
+from .linprog import LpBuilder, Side, SparseLp, slices
 from .queries import AnswerSet, Groups, Query, evaluate, is_quantifier_free, qf
 from .relations import Database, ranges, row_groups
 
@@ -226,9 +227,11 @@ def _sides(count: int, pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cols, vals = np.empty(int(widths.sum()), dtype=np.int64), np.empty(int(widths.sum()))
     at = 0
     for _, _, coeffs, source, starts, counts in pieces:
-        into = ranges(place[at:at + len(counts)], counts)
-        cols[into] = source[ranges(starts, counts)]
-        vals[into] = np.repeat(coeffs, counts)
+        for lo, hi in slices(counts):  # bounded temporaries
+            width = counts[lo:hi]
+            into = ranges(place[at + lo:at + hi], width)
+            cols[into] = source[ranges(starts[lo:hi], width)]
+            vals[into] = np.repeat(coeffs[lo:hi], width)
         at += len(counts)
     counts = np.bincount(slots, widths, count).astype(np.int64)
     multi = np.flatnonzero(np.bincount(slots, minlength=count) > 1)  # sides to sum up

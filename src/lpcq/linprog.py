@@ -8,16 +8,20 @@ Every program is solved by HiGHS through ``scipy.optimize.linprog``, from
 the matrices ``SparseLp.matrices`` builds.  Those hand HiGHS each distinct
 column once: columns with the same cost and the same entries (in the
 natural LP, the answers that differ only in witnesses no weight reads) are
-one column to the solver, found exactly by ``_representatives``.  The
-call follows the LP's shape (``choose_method``), in three ways: an LP with
-equality rows goes to the interior point solver (``highs-ipm``); one whose
+one column to the solver, found exactly by ``_representatives``.  Columns
+that an equality row ``a x_i - a x_j = 0`` forces equal (in the factorized
+LP, a separator value with one bag row on each side) are one column too,
+found by ``_forced_equal``, and those rows are not sent.  The call follows
+the LP's shape (``choose_method``), in three ways, all of them simplex: an
+LP with equality rows goes to primal simplex after presolve; one whose
 rows the origin x = 0 satisfies (no equality rows, every bound >= 0, as in
 the natural LPs) to primal simplex from the slack basis without presolve;
 any other to ``highs``, dual simplex after presolve.  Every optimum is put
-back on the program's columns, each group's value on its lowest column,
-and checked against the rows and bounds sent (``certify``) before it is
-returned.  The tests cross-check the solver against a vertex enumeration
-oracle.
+back on the program's columns, each forced-equal class's value on each of
+its columns, then each identical group's value on its lowest column, and
+checked against the rows and bounds before the forced-equal merge
+(``certify``) before it is returned.  The tests cross-check the solver
+against a vertex enumeration oracle.
 
 Conventions: every variable is implicitly >= 0; ``maximize`` is handed to
 the solver as ``minimize -objective`` with the reported value negated back.
@@ -42,16 +46,25 @@ from .relations import ranges
 
 FEAS_TOL = 1e-7
 
-# The HiGHS options beyond ``linprog``'s defaults for an LP the origin
-# satisfies: no presolve, and HiGHS's simplex strategy 4, primal simplex.
-# ``linprog`` knows no ``simplex_strategy`` option; it passes it to HiGHS
-# verbatim, with an OptimizeWarning that ``solve`` filters.
-PRIMAL_FROM_ORIGIN = {"presolve": False, "simplex_strategy": 4}
+# The HiGHS options beyond ``linprog``'s defaults for an LP with equality
+# rows: HiGHS's simplex strategy 4, primal simplex, after presolve; and for
+# an LP the origin satisfies, the same without presolve.  ``linprog`` knows
+# no ``simplex_strategy`` option; it passes it to HiGHS verbatim, with an
+# OptimizeWarning that ``solve`` filters.
+PRIMAL = {"simplex_strategy": 4}
+PRIMAL_FROM_ORIGIN = {"presolve": False, **PRIMAL}
 
 # entries per step of the loops that keep their temporary arrays small:
 # renumbering columns in ``LpBuilder.build``, comparing them in
-# ``_same_entries``
+# ``_same_entries``, filling row sides in ``interpret._sides``
 _STEP = 1 << 20
+
+
+def slices(counts: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Bounds ``(lo, hi)`` that cut items of *counts* entries each into runs
+    of about ``_STEP`` entries, in order; an item is never cut."""
+    cuts = np.searchsorted(np.cumsum(counts), np.arange(_STEP, counts.sum(), _STEP)).tolist()
+    return zip([0, *cuts], [*cuts, len(counts)])
 
 
 Side = tuple[float, Sequence[int], Sequence[float]]
@@ -65,9 +78,9 @@ class SparseLp:
     ``solve`` reads (``matrices`` builds what HiGHS gets from it).
 
     Column j is the variable ``names[j]``, and the names are sorted: the
-    optimal vertex HiGHS returns depends on the column order, with dual
-    simplex and with the interior point solver's crossover alike, so the
-    order is fixed by name however a program was built.
+    optimal vertex HiGHS returns depends on the column order, with primal
+    and dual simplex alike, so the order is fixed by name however a
+    program was built.
     Row r owns the entries ``indptr[r]:indptr[r + 1]`` of ``cols`` and
     ``vals``: the terms of its left side up to ``split[r]``, then those of
     its right side negated, so a row's entries add up to lhs - rhs.
@@ -122,12 +135,16 @@ class SparseLp:
     def matrices(self) -> Matrices:
         """The program as ``solve`` hands it to HiGHS: a row's entries summed
         per column and exact zeros dropped, each bound ``rconst - lconst``,
-        and one column for each group of identical columns.
+        one column for each group of identical columns, and one for each
+        class of columns that equality rows force equal.
 
-        Columns with the same cost and the same entries are one column to
-        the solver (``_representatives``); it stands for its group, whose
-        lowest column is the one sent.  The full matrix is freed on return,
-        before HiGHS runs."""
+        Columns with the same cost and the same entries are one column
+        (``_representatives``); it stands for its group, whose lowest
+        column is the one kept.  Of those, the columns that rows
+        ``a x_i - a x_j = 0`` tie together are one column to the solver
+        (``_forced_equal``): the sum of the class's columns, with their
+        costs summed, so each such row has no terms left and is not sent.
+        The full matrix is freed on return, before HiGHS runs."""
         from scipy.sparse import csr_matrix
 
         n = len(self.names)
@@ -140,23 +157,26 @@ class SparseLp:
         c = np.zeros(n)
         c[self.obj_cols] = (-1.0 if self.sense == "maximize" else 1.0) * self.obj_vals
         representative = _representatives(A, c)
-        sent = representative == np.arange(n)
-        columns = np.flatnonzero(sent)
-        group = (np.cumsum(sent) - 1)[representative]
+        kept = representative == np.arange(n)
+        columns = np.flatnonzero(kept)
+        group = (np.cumsum(kept) - 1)[representative]
         if len(columns) < n:
             A = A[:, columns]
+        c = c[columns]
         bound = self.rconst - self.lconst
-        empty = A.indptr[1:] == A.indptr[:-1]
-        holds = np.where(self.eq, np.abs(bound) <= FEAS_TOL, bound >= -FEAS_TOL)
-
-        def select(mask):
-            rows = np.flatnonzero(mask)
-            return (A[rows], bound[rows]) if rows.size else (None, None)
-
+        checked, holds = _split(A, bound, self.eq)
+        sent = checked
+        classes = _forced_equal(A, bound, self.eq)
+        k = int(classes.max(initial=-1)) + 1
+        if k < len(columns):
+            A = csr_matrix((A.data, classes[A.indices], A.indptr), shape=(A.shape[0], k), copy=True)
+            A.sum_duplicates()
+            A.eliminate_zeros()
+            c = np.bincount(classes, weights=c, minlength=k)
+            sent, holds = _split(A, bound, self.eq)
         return Matrices(
-            c[columns], *select(~empty & ~self.eq), *select(~empty & self.eq),
-            columns=columns, group=group, nonzeros=A.nnz,
-            constants_hold=bool(holds[empty].all()),
+            c, *sent, columns=columns, group=group, classes=classes, checked=checked,
+            nonzeros=A.nnz, constants_hold=holds,
         )
 
     def __repr__(self) -> str:
@@ -318,27 +338,17 @@ class ArrayAssignment(MappingABC):
 class HighsCall:
     """One call to HiGHS: the method, the HiGHS options passed beyond
     ``linprog``'s defaults (``{}`` for none), and how it ended (scipy's
-    status code and message, its iteration count, and crossover's for
-    ``highs-ipm``)."""
+    status code and message, and its simplex iteration count)."""
 
     method: str
     options: dict
     status: int
     message: str
     nit: int
-    crossover_nit: int | None
 
     @classmethod
     def of(cls, method: str, options: dict, res) -> "HighsCall":
-        crossover = res.get("crossover_nit") if method == "highs-ipm" else None
-        return cls(
-            method,
-            dict(options),
-            int(res.status),
-            str(res.message),
-            int(res.get("nit") or 0),
-            None if crossover is None else int(crossover),
-        )
+        return cls(method, dict(options), int(res.status), str(res.message), int(res.get("nit") or 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -456,13 +466,60 @@ def _same_entries(A, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     entries; compared in slices of about ``_STEP`` entries."""
     counts = np.diff(A.indptr)[left]
     same = np.ones(len(left), dtype=bool)
-    cuts = np.searchsorted(np.cumsum(counts), np.arange(_STEP, counts.sum(), _STEP))
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(left)]):
+    for lo, hi in slices(counts):
         width = counts[lo:hi]
         p, q = ranges(A.indptr[left[lo:hi]], width), ranges(A.indptr[right[lo:hi]], width)
         differs = (A.indices[p] != A.indices[q]) | (A.data[p] != A.data[q])
         same[np.repeat(np.arange(lo, hi), width)[differs]] = False
     return same
+
+
+def _forced_equal(A, bound: np.ndarray, eq: np.ndarray) -> np.ndarray:
+    """For each column of the canonical CSR matrix *A*, its class among the
+    columns that equality rows force equal: a row with two entries ``a``
+    and ``-a`` and a bound of exactly 0 says x_i = x_j, and ties its two
+    columns (a doubleton equation, Andersen and Andersen 1995).  Classes
+    are numbered in the order of their lowest columns.
+
+    The classes are the connected components of those pairs, found by
+    label propagation: each column starts as its own label, and every
+    round gives both columns of a pair the lower of their labels, then
+    reads each label's own label, until nothing changes; each column is
+    then labelled with the lowest column of its class.  Over x >= 0,
+    x_i = x_j is a linear bijection between the points of the LP and those
+    of the LP with each class as one column, its costs and entries summed,
+    so the optimum, the verdict and the vertices are kept."""
+    n = A.shape[1]
+    first = A.indptr[:-1]
+    pairs = np.flatnonzero(eq & (np.diff(A.indptr) == 2) & (bound == 0.0))
+    pairs = first[pairs[A.data[first[pairs]] == -A.data[first[pairs] + 1]]]
+    i, j = A.indices[pairs], A.indices[pairs + 1]
+    label = np.arange(n)
+    while i.size:
+        lower = label.copy()
+        low = np.minimum(label[i], label[j])
+        np.minimum.at(lower, i, low)
+        np.minimum.at(lower, j, low)
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    leads = label == np.arange(n)
+    return (np.cumsum(leads) - 1)[label]
+
+
+def _split(A, bound: np.ndarray, eq: np.ndarray) -> tuple[tuple, bool]:
+    """The rows of the CSR matrix *A* that have terms, as ``(A_ub, b_ub,
+    A_eq, b_eq)``, a pair None when it has no rows; and whether each row
+    without terms meets its bound within ``FEAS_TOL``."""
+    empty = A.indptr[1:] == A.indptr[:-1]
+    holds = np.where(eq, np.abs(bound) <= FEAS_TOL, bound >= -FEAS_TOL)
+
+    def select(mask):
+        rows = np.flatnonzero(mask)
+        return (A[rows], bound[rows]) if rows.size else (None, None)
+
+    return (*select(~empty & ~eq), *select(~empty & eq)), bool(holds[empty].all())
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,9 +531,15 @@ class Matrices:
     bound within ``FEAS_TOL``.  ``nonzeros`` counts the entries of both
     matrices.
 
-    Column k of y is the program's column ``columns[k]``, the lowest of a
-    group of identical columns; ``group[j]`` is the position in y of the
-    column that stands for the program's column j."""
+    The program's columns reach y in two steps.  ``columns`` holds the
+    lowest column of each group of identical columns, and ``group[j]`` is
+    the position in ``columns`` of the one that stands for the program's
+    column j.  ``classes[d]`` is the column of y that stands for
+    ``columns[d]``: one per class of columns forced equal, in the order of
+    their lowest columns.  ``checked`` holds the rows over ``columns``
+    before that second merge, as ``(A_ub, b_ub, A_eq, b_eq)``; they are
+    what ``certify`` checks, and they are the rows sent when no columns
+    are forced equal."""
 
     c: np.ndarray
     A_ub: object
@@ -485,22 +548,26 @@ class Matrices:
     b_eq: np.ndarray | None
     columns: np.ndarray
     group: np.ndarray
+    classes: np.ndarray
+    checked: tuple
     nonzeros: int
     constants_hold: bool
 
     def expand(self, y: np.ndarray) -> np.ndarray:
-        """The program's point for the solver's point *y*: each group's
-        value on its lowest column, 0 on the others."""
+        """The program's point for the solver's point *y*: each class's
+        value on each of its columns, then each identical group's value on
+        its lowest column, 0 on the others."""
         x = np.zeros(len(self.group))
-        x[self.columns] = y
+        x[self.columns] = y[self.classes]
         return x
 
     def certify(self, x: np.ndarray) -> Certificate:
         """The primal certificate of *x*, a point over the program's
-        columns, against these rows.  The columns of a group are equal, so
-        the rows read the sum of the group's values."""
+        columns, against the rows before the forced-equal merge.  The
+        columns of an identical group are equal, so the rows read the sum
+        of the group's values."""
         summed = np.bincount(self.group, weights=x, minlength=len(self.columns))
-        return certify(x, self.A_ub, self.b_ub, self.A_eq, self.b_eq, summed)
+        return certify(x, *self.checked, summed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -571,20 +638,20 @@ def choose_method(equality_rows: int, origin_feasible: bool) -> tuple[str, dict,
     rows sent to the solver, whose rows the origin x = 0 satisfies when
     *origin_feasible* (every bound sent is >= 0), and why.
 
-    An LP with equality rows goes to the interior point solver with
-    crossover (``highs-ipm``): on the factorized LPs, which are mostly
-    per-edge marginal equalities, dual simplex takes thousands of
-    iterations where the interior point solver takes about ten, and
-    crossover still returns a basic optimal solution.  An LP that the
-    origin satisfies (the natural LPs, packing LPs with ``<=`` rows and
-    bounds >= 0) goes to ``highs`` with ``PRIMAL_FROM_ORIGIN``: the slack
-    basis is a feasible vertex, so primal simplex starts from it, and
-    presolve, which costs more there than the simplex run itself, is
+    Every LP goes to ``highs``, HiGHS's simplex solver.  An LP with
+    equality rows (the factorized and replacement LPs, mostly marginal and
+    stand-in equalities) gets ``PRIMAL``: primal simplex after presolve,
+    which on the factorized LPs, once forced-equal columns are merged,
+    takes less time than dual simplex or the interior point solver with
+    crossover.  An LP that the origin satisfies (the natural LPs, packing
+    LPs with ``<=`` rows and bounds >= 0) gets ``PRIMAL_FROM_ORIGIN``: the
+    slack basis is a feasible vertex, so primal simplex starts from it,
+    and presolve, which costs more there than the simplex run itself, is
     skipped.  Any other LP (the origin violates a row) goes to ``highs``
     as it is, dual simplex after presolve.
     """
     if equality_rows:
-        return "highs-ipm", {}, f"{equality_rows} equality rows sent"
+        return "highs", PRIMAL, f"{equality_rows} equality rows sent"
     if origin_feasible:
         return "highs", PRIMAL_FROM_ORIGIN, "no equality rows sent; the origin satisfies every row"
     return "highs", {}, "no equality rows sent; the origin violates a row"
@@ -594,18 +661,20 @@ def solve(lp: SparseLp) -> LpSolution:
     """Solve a finite LP with HiGHS through ``scipy.optimize.linprog``.
 
     HiGHS gets the program as ``lp.matrices()`` builds it: one column per
-    group of identical columns, and no row left without terms (such a row
-    is checked against its bound instead).  The method and options are
-    chosen by ``choose_method``.  When a call other than plain ``highs``
-    ends without a verdict (say, ``highs-ipm`` with status 4 on a small
-    infeasible LP), the same matrices are solved again with plain
-    ``highs`` before ``NumericalFailureError`` is raised.  An optimum
-    puts each group's value on its lowest column and 0 on the others
-    (``Matrices.expand``), and that point is checked against the rows and
-    bounds (``certify``); one beyond tolerance raises ``CertificateError``.
+    group of identical columns and per class of forced-equal columns, and
+    no row left without terms (such a row is checked against its bound
+    instead).  The method and options are chosen by ``choose_method``.
+    When a call other than plain ``highs`` ends without a verdict (HiGHS
+    status 4, a solve error), the same matrices are solved again with
+    plain ``highs`` before ``NumericalFailureError`` is raised.  An optimum
+    puts each class's value on each of its columns, and each group's value
+    on its lowest column and 0 on the others (``Matrices.expand``), and
+    that point is checked against the rows before the forced-equal merge
+    and the bounds (``certify``); one beyond tolerance raises
+    ``CertificateError``.
     """
     rows = lp.matrices()
-    columns = len(rows.columns)
+    columns = len(rows.c)
     if not rows.constants_hold:
         return LpSolution(
             "infeasible", nonzeros=rows.nonzeros,

@@ -73,7 +73,8 @@ def sparse_lp(sense: str, objective, rows=(), variables=()) -> SparseLp:
 
 def certify_point(lp: SparseLp, point) -> tuple[Certificate, float]:
     """The primal certificate of *point*, a value per column name, against
-    *lp*'s rows as HiGHS gets them, and *lp*'s objective at *point*."""
+    *lp*'s rows as ``Matrices.certify`` checks them, and *lp*'s objective
+    at *point*."""
     x = np.array([point[name] for name in lp.names])
     return lp.matrices().certify(x), lp.obj_const + float(lp.obj_vals @ x[lp.obj_cols])
 

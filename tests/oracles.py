@@ -169,7 +169,7 @@ def vertex_enumeration_optimum(
     n = len(variables)
     rows = []
     rhs = []
-    kinds = []  # "eq" rows always active
+    kinds = []  # "eq" or "ineq"
     for coeffs, rel, b in constraints:
         rows.append([coeffs.get(v, 0.0) for v in variables])
         rhs.append(b)
@@ -183,7 +183,12 @@ def vertex_enumeration_optimum(
     A = np.array(rows, dtype=float)
     b = np.array(rhs, dtype=float)
     m = len(rows)
-    eq_idx = [i for i, k in enumerate(kinds) if k == "eq"]
+    # a vertex's active rows include a largest independent set of the
+    # equality rows; the rest are checked with every other row below
+    eq_idx = []
+    for i, k in enumerate(kinds):
+        if k == "eq" and np.linalg.matrix_rank(A[eq_idx + [i]]) > len(eq_idx):
+            eq_idx.append(i)
 
     c = np.array([objective.get(v, 0.0) for v in variables])
     best = None

@@ -24,7 +24,7 @@ from lpcq.decomp import bag_projections, heuristic_decompose
 from lpcq.errors import InfeasibleSpecError
 from lpcq.interpret import natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import FEAS_TOL
+from lpcq.linprog import FEAS_TOL, PRIMAL
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
@@ -269,16 +269,23 @@ class TestSolveCommand:
             argv += ["--decomp", str(decomp)]
         code, out = run_main(argv + ["--json"])
         assert code == 0
-        # Columns with the same cost and entries reach HiGHS as one column.
+        # Columns with the same cost and entries reach HiGHS as one column,
+        # and so do columns that a row a*x - a*y = 0 forces equal; such a
+        # row is left without terms and is not sent.
         # natural: two user rows over two answers each, and a row's two
-        # answers are one column.  Otherwise the user rows hold one stand-in
-        # each, and each of the three weight rows a stand-in plus its answers
-        # (the x == 0 pair and the x == 1 pair one column each: 2 + 1 + 1) or
-        # its one bag row; the two soundness rows tie the empty root's row to
-        # the two rows of a child, and the two rows of the y bag, which no
-        # other row reads, are one column.
+        # answers are one column.  replacement: a row's two answers are one
+        # column too, so the weight rows of x == 0 and x == 1 each tie a
+        # stand-in to one column; what is sent is the two user rows, one
+        # stand-in each, and the weight row of the whole answer set, its
+        # stand-in against those two classes (1 + 1 + 3).  factorized: the
+        # two rows of the y bag, which no other row reads, are one column;
+        # the three weight rows tie each stand-in to one bag row, and the
+        # second soundness row ties the empty root's row to the y bag's
+        # column, so what is sent is the two user rows and the first
+        # soundness row, the root's class against the x bag's two rows
+        # (1 + 1 + 3).
         assert json.loads(out)["nonzeros"] == handed[0] == {
-            "natural": 2, "replacement": 2 + 3 + 4, "factorized": 2 + 3 + 3 + 3 + 2,
+            "natural": 2, "replacement": 1 + 1 + 3, "factorized": 1 + 1 + 3,
         }[mode]
         code, text = run_main(argv)
         assert code == 0 and "nonzeros" not in text
@@ -317,8 +324,10 @@ class TestSolveCommand:
         ((key, blocks),) = ilp.xi.items()
         assert ilp.trees[key].root == 1
         # HiGHS's point is over the columns sent, one per group of
-        # identical columns: move the one that stands for this column
-        sent = int(ilp.program.matrices().group[blocks[1].columns[0]])
+        # identical columns and class of forced-equal columns: move the one
+        # that stands for this column
+        matrices = ilp.program.matrices()
+        sent = int(matrices.classes[matrices.group[blocks[1].columns[0]]])
         real = scipy.optimize.linprog
 
         def drifted(*args, **kwargs):
@@ -504,23 +513,25 @@ class TestCertificate:
             assert err.startswith("error:") and "violates a row or bound" in err
 
     @pytest.mark.parametrize(
-        "argv, method",
+        "argv, call",
         [([], "highs"), (["--mode", "factorized", "--decomp", str(DELIVERY / "decomp.json")],
-                         "highs-ipm")],
+                         "highs-primal")],
     )
-    def test_json_carries_the_solver_block(self, argv, method):
+    def test_json_carries_the_solver_block(self, argv, call):
         code, out = run_main(
             ["solve", str(DELIVERY / "delivery.lpcq"), str(DELIVERY / "data"), "--json", *argv]
         )
         assert code == 0
         solver = json.loads(out)["solver"]
-        assert solver["method"] == method and solver["status"] == 0
+        assert solver["method"] == "highs" and solver["status"] == 0
         # the delivery demo's >= orders: the origin violates its natural LP
-        reason = {"highs": "the origin violates a row", "highs-ipm": "equality rows sent"}[method]
-        assert solver["reason"].endswith(reason) and solver["options"] == {}
+        reason, options = {"highs": ("the origin violates a row", {}),
+                           "highs-primal": ("equality rows sent", PRIMAL)}[call]
+        assert solver["reason"].endswith(reason) and solver["options"] == options
         assert solver["fallback"] is None
         assert solver["nit"] >= 0
-        assert (solver["crossover_nit"] is None) == (method == "highs")
+        assert set(solver) == {"method", "options", "status", "message", "nit", "reason",
+                               "columns", "fallback", "certificate"}
         cert = solver["certificate"]
         assert 0.0 <= cert["violation"] <= cert["tolerance"]
         assert cert["tolerance"] >= FEAS_TOL
@@ -557,8 +568,9 @@ class TestCertificate:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
-    # the factorized vertex comes from the interior point solver with
-    # crossover; its lift must still be an optimal plan of the natural LP
+    # the factorized vertex comes from primal simplex on the LP with its
+    # forced-equal columns merged; its lift must still be an optimal plan
+    # of the natural LP
     db_dir = tmp_path / "db"
     code, _ = run_main(
         ["gen", "--out", str(db_dir), "--size", "100", "--seed", str(seed),
@@ -579,7 +591,8 @@ def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
     )
     assert code == 0
     fac = json.loads(out)
-    assert nat["solver"]["method"] == "highs" and fac["solver"]["method"] == "highs-ipm"
+    assert nat["solver"]["method"] == fac["solver"]["method"] == "highs"
+    assert fac["solver"]["options"] == PRIMAL and fac["solver"]["fallback"] is None
     assert nat["status"] == fac["status"] == "optimal"
     assert math.isclose(nat["value"], fac["value"], rel_tol=1e-6, abs_tol=1e-6)
 

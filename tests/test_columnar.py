@@ -157,7 +157,7 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path):
 def test_method_rule_on_the_throughput_lps(tmp_path):
     # the natural LP is a packing LP, <= rows with bounds >= 0, and goes to
     # primal simplex from the origin; the factorized LP's marginal rows send
-    # it to interior point with linprog's defaults
+    # it to primal simplex after presolve
     program, db, decomp_path = delivery_case(tmp_path)
     cp = close(normal_form(program), db)
     cp_qf = quantifier_eliminate(cp)
@@ -169,8 +169,8 @@ def test_method_rule_on_the_throughput_lps(tmp_path):
     assert nat["options"] == {"presolve": False, "simplex_strategy": 4}
     assert nat_sol.solver.call.options == nat["options"] and nat_sol.solver.fallback is None
     fac, fac_sol = highs_input(factorized(cp_qf, decomps, db).program)
-    assert fac["A_eq"].shape[0] > 0 and fac["method"] == "highs-ipm"
-    assert fac["options"] == {} and fac_sol.solver.call.options == {}
+    assert fac["A_eq"].shape[0] > 0 and fac["method"] == "highs"
+    assert fac["options"] == {"simplex_strategy": 4} == fac_sol.solver.call.options
     assert fac_sol.solver.fallback is None
     assert abs(fac_sol.value - nat_sol.value) <= 1e-6 * max(1.0, abs(nat_sol.value))
 

@@ -57,9 +57,11 @@ def test_modes_agree_and_every_lift_certifies(seed, n_exists):
     solutions = {mode: solve(ilp.program) for mode, ilp in runs.items()}
     expected = solutions["natural"]
     event(f"natural {expected.status}")
-    merged = any(sol.solver.columns < len(runs[mode].program.names)
-                 for mode, sol in solutions.items())
+    matrices = [ilp.program.matrices() for ilp in runs.values()]
+    merged = any(len(m.columns) < len(m.group) for m in matrices)
     event("an LP with merged columns" if merged else "no LP with merged columns")
+    forced = any(len(m.c) < len(m.columns) for m in matrices)
+    event("an LP with forced-equal merges" if forced else "no LP with forced-equal merges")
     for mode, sol in solutions.items():
         assert sol.status == expected.status, mode
         if sol.status == "optimal":

@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from lpcq.errors import CertificateError, IoError, NumericalFailureError
-from lpcq.linprog import FEAS_TOL, PRIMAL_FROM_ORIGIN, certify, solve
+from lpcq.linprog import FEAS_TOL, PRIMAL, PRIMAL_FROM_ORIGIN, certify, solve
 from lpcq.lpformat import export_lp
 
 from makers import sparse_lp
@@ -85,7 +85,7 @@ class TestSolveSmall:
         assert calls[0]["method"] == "highs" and calls[0]["options"] == PRIMAL_FROM_ORIGIN
         assert sol.solver.method == "highs" and sol.solver.fallback is None
 
-    def test_equality_rows_go_to_interior_point(self, monkeypatch):
+    def test_equality_rows_go_to_primal_simplex_after_presolve(self, monkeypatch):
         import scipy.optimize
 
         real = scipy.optimize.linprog
@@ -101,10 +101,10 @@ class TestSolveSmall:
         )
         sol = solve(lp)
         assert sol.status == "optimal" and abs(sol.value - 7.0) < 1e-9
-        assert [(call["method"], call["options"]) for call in calls] == [("highs-ipm", {})]
-        assert sol.solver.method == "highs-ipm" and sol.solver.call.options == {}
-        assert sol.solver.call.status == 0 and sol.solver.call.crossover_nit is not None
-        assert sol.solver.certificate.ok
+        assert [(call["method"], call["options"]) for call in calls] == [("highs", PRIMAL)]
+        assert PRIMAL == {"simplex_strategy": 4}
+        assert sol.solver.method == "highs" and sol.solver.call.options == PRIMAL
+        assert sol.solver.call.status == 0 and sol.solver.certificate.ok
 
     def test_row_without_terms_never_reaches_highs(self):
         # the equality row 0 = 1 decides the LP before any method is chosen
@@ -114,28 +114,56 @@ class TestSolveSmall:
         assert sol.solver.method is None and sol.solver.call is None
 
 
-# -a + b + 2c + 2d = 7 and -a + b + 3c + 2d = 3 force c = -4; HiGHS's
-# interior point solver stops on this LP with status 4 (solve error)
-IPM_SOLVE_ERROR = sparse_lp(
-    "minimize",
-    dict(a=1.0, c=1.0, d=-2.0),
-    [
-        (dict(a=-3.0, b=2.0, c=-1.0, d=3.0), "<=", -2.0),
-        (dict(a=3.0, b=-3.0, c=-1.0, d=1.0), "<=", 1.0),
-        (dict(a=-1.0, b=1.0, c=2.0, d=2.0), "=", 7.0),
-        (dict(a=-1.0, b=1.0, c=3.0, d=2.0), "=", 3.0),
-    ],
-)
+def failing(calls, fails):
+    """A wrapper of ``scipy.optimize.linprog`` that records each call's
+    method and options in *calls*, and reports HiGHS status 4 (a solve
+    error) for every call that ``fails(method, options)`` picks."""
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+
+    def call(*args, **kwargs):
+        calls.append((kwargs["method"], kwargs["options"]))
+        res = real(*args, **kwargs)
+        if fails(kwargs["method"], kwargs["options"]):
+            res.status, res.message = 4, "(HiGHS Status 4: Solve error)"
+        return res
+
+    return call
 
 
 class TestFallback:
-    def test_interior_point_solve_error_falls_back_to_simplex(self):
-        sol = solve(IPM_SOLVE_ERROR)
+    # -a + b + 2c + 2d = 7 and -a + b + 3c + 2d = 3 force c = -4
+    INFEASIBLE = sparse_lp(
+        "minimize",
+        dict(a=1.0, c=1.0, d=-2.0),
+        [
+            (dict(a=-3.0, b=2.0, c=-1.0, d=3.0), "<=", -2.0),
+            (dict(a=3.0, b=-3.0, c=-1.0, d=1.0), "<=", 1.0),
+            (dict(a=-1.0, b=1.0, c=2.0, d=2.0), "=", 7.0),
+            (dict(a=-1.0, b=1.0, c=3.0, d=2.0), "=", 3.0),
+        ],
+    )
+
+    def test_primal_solve_error_falls_back_to_plain_highs(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            failing(calls, lambda method, options: options == PRIMAL))
+        sol = solve(self.INFEASIBLE)
         assert sol.status == "infeasible"
-        assert sol.solver.method == "highs-ipm"
+        assert calls == [("highs", PRIMAL), ("highs", {})]
+        assert sol.solver.method == "highs" and sol.solver.call.options == PRIMAL
+        assert sol.solver.call.status == 4
         assert sol.solver.fallback is not None
-        assert sol.solver.fallback.method == "highs"
+        assert sol.solver.fallback.method == "highs" and sol.solver.fallback.options == {}
         assert sol.solver.fallback.status == 2
+
+    def test_primal_simplex_decides_it_alone(self, highs_calls):
+        sol = solve(self.INFEASIBLE)
+        assert sol.status == "infeasible" and sol.solver.fallback is None
+        assert highs_calls == [("highs", PRIMAL)]
 
     @pytest.mark.parametrize("resolve_fails", [False, True])
     def test_re_solve_uses_simplex_and_only_its_failure_raises(
@@ -143,17 +171,9 @@ class TestFallback:
     ):
         import scipy.optimize
 
-        real = scipy.optimize.linprog
-        methods = []
-
-        def failing_ipm(*args, **kwargs):
-            methods.append(kwargs["method"])
-            res = real(*args, **kwargs)
-            if kwargs["method"] == "highs-ipm" or resolve_fails:
-                res.status, res.message = 4, "(HiGHS Status 4: Solve error)"
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_ipm)
+        calls = []
+        monkeypatch.setattr(scipy.optimize, "linprog", failing(
+            calls, lambda method, options: options == PRIMAL or resolve_fails))
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=1.0), "=", 3.0)])
         if resolve_fails:
             with pytest.raises(NumericalFailureError, match="Status 4"):
@@ -162,7 +182,7 @@ class TestFallback:
             sol = solve(lp)
             assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
             assert sol.solver.call.status == 4 and sol.solver.fallback.status == 0
-        assert methods == ["highs-ipm", "highs"]
+        assert calls == [("highs", PRIMAL), ("highs", {})]
 
 
 @pytest.fixture
@@ -182,9 +202,9 @@ def highs_calls(monkeypatch):
 
 
 class TestMethodRule:
-    """``choose_method``: equality rows go to interior point; an LP whose
-    rows the origin satisfies to primal simplex without presolve; any other
-    to plain ``highs``."""
+    """``choose_method``: equality rows go to primal simplex after
+    presolve; an LP whose rows the origin satisfies to primal simplex
+    without presolve; any other to plain ``highs``."""
 
     def test_origin_feasible_packing_lp_goes_to_primal_simplex(self, highs_calls):
         lp = sparse_lp(
@@ -210,14 +230,26 @@ class TestMethodRule:
         assert sol.solver.call.options == {}
         assert sol.solver.reason == "no equality rows sent; the origin violates a row"
 
-    def test_equality_rows_give_interior_point(self, highs_calls):
+    def test_equality_rows_give_primal_simplex_after_presolve(self, highs_calls):
         # the origin satisfies this equality row too
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
+                       [(dict(x=1.0), "=", dict(y=2.0)), (dict(x=1.0), "<=", 2.0)])
+        sol = solve(lp)
+        assert highs_calls == [("highs", {"simplex_strategy": 4})]
+        assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
+        assert sol.solver.call.options == PRIMAL
+        assert sol.solver.reason == "1 equality rows sent"
+
+    def test_a_merged_pair_row_is_not_an_equality_row_sent(self, highs_calls):
+        # x = y forces two columns equal: the row is gone, and what is left
+        # is a packing LP the origin satisfies
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
                        [(dict(x=1.0), "=", dict(y=1.0)), (dict(x=1.0), "<=", 2.0)])
         sol = solve(lp)
-        assert highs_calls == [("highs-ipm", {})]
+        assert highs_calls == [("highs", PRIMAL_FROM_ORIGIN)]
         assert sol.status == "optimal" and abs(sol.value - 4.0) < 1e-9
-        assert sol.solver.reason == "1 equality rows sent"
+        assert sol.solver.reason == "no equality rows sent; the origin satisfies every row"
+        assert sol.solver.columns == 1 and sol.nonzeros == 1
 
     def test_unbounded_origin_feasible_maximize(self, highs_calls):
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=-1.0), "<=", 1.0)])
@@ -229,17 +261,9 @@ class TestMethodRule:
     def test_primal_failure_re_solves_with_plain_highs(self, monkeypatch, resolve_fails):
         import scipy.optimize
 
-        real = scipy.optimize.linprog
         calls = []
-
-        def failing_primal(*args, **kwargs):
-            calls.append(kwargs["options"])
-            res = real(*args, **kwargs)
-            if kwargs["options"] or resolve_fails:
-                res.status, res.message = 4, "(HiGHS Status 4: Solve error)"
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_primal)
+        monkeypatch.setattr(scipy.optimize, "linprog", failing(
+            calls, lambda method, options: bool(options) or resolve_fails))
         lp = sparse_lp("maximize", dict(x=1.0, y=2.0), [(dict(x=1.0, y=1.0), "<=", 3.0)])
         if resolve_fails:
             with pytest.raises(NumericalFailureError, match="Status 4"):
@@ -249,7 +273,7 @@ class TestMethodRule:
             assert sol.status == "optimal" and abs(sol.value - 6.0) < 1e-9
             assert sol.solver.call.options == PRIMAL_FROM_ORIGIN and sol.solver.call.status == 4
             assert sol.solver.fallback.method == "highs" and sol.solver.fallback.options == {}
-        assert calls == [PRIMAL_FROM_ORIGIN, {}]
+        assert calls == [("highs", PRIMAL_FROM_ORIGIN), ("highs", {})]
 
 
 class TestCertificate:
@@ -544,6 +568,139 @@ class TestMergedColumns:
             assert all(sol.assignment[lp.names[j]] == 0.0 for j in unsent.tolist())
             checked += 1
         assert checked > 40 and merged == 80
+
+
+def _with_pairs(rng, spec, pairs):
+    """The LP of *spec* (``_random_lp``'s plain form) with *pairs* more
+    equality rows ``a*u - a*v = 0`` between random columns."""
+    sense, objective, constant, rows = spec
+    names = sorted(objective)
+    for _ in range(pairs):
+        u, v = rng.sample(names, 2) if len(names) > 1 else (names[0], names[0])
+        a = float(rng.choice([1, 2, 3, -1, -2]))
+        if u != v:
+            rows = [*rows, ({u: a, v: -a}, "=", 0.0)]
+    return sparse_lp(sense, (constant, objective), rows), (sense, objective, constant, rows)
+
+
+class TestForcedEqualColumns:
+    """``SparseLp.matrices`` hands HiGHS one column per class of columns
+    that equality rows ``a*x - a*y = 0`` force equal, and drops those
+    rows."""
+
+    def test_a_chain_of_three_is_one_column(self):
+        # 2a - 2b = 0 and c = b tie a, b and c; d stays apart
+        lp = sparse_lp("maximize", dict(a=1.0, b=2.0, c=3.0, d=1.0),
+                       [(dict(a=2.0), "=", dict(b=2.0)), (dict(c=1.0), "=", dict(b=1.0)),
+                        (dict(a=1.0, d=1.0), "<=", 2.0), (dict(c=2.0, d=1.0), "<=", 3.0)])
+        matrices = lp.matrices()
+        assert matrices.columns.tolist() == [0, 1, 2, 3]
+        assert matrices.classes.tolist() == [0, 0, 0, 1]
+        assert matrices.c.tolist() == [-6.0, -1.0]  # the costs summed, maximize negated
+        assert matrices.A_eq is None and matrices.A_ub.toarray().tolist() == [[1, 1], [2, 1]]
+        assert matrices.nonzeros == 4
+        checked_ub, _, checked_eq, b_eq = matrices.checked
+        assert checked_eq.toarray().tolist() == [[2, -2, 0, 0], [0, -1, 1, 0]]
+        assert b_eq.tolist() == [0.0, 0.0] and checked_ub.shape == (2, 4)
+
+    def test_a_long_chain_takes_its_lowest_column_as_lead(self):
+        # x0 = x2 = ... = x8, with the odd columns apart between them; the
+        # pairs run from the highest column down, so a label reaches the
+        # top of the chain only over several rounds
+        names = [f"x{k}" for k in range(9)]
+        pairs = [(dict([(names[k], 3.0)]), "=", dict([(names[k + 2], 3.0)]))
+                 for k in reversed(range(0, len(names) - 2, 2))]
+        # the odd columns differ in cost, so none of them are identical
+        costs = {name: 3.0 if k % 2 == 0 else k / 8 for k, name in enumerate(names)}
+        lp = sparse_lp("maximize", costs, [*pairs, ({name: 1.0 for name in names}, "<=", 9.0)])
+        matrices = lp.matrices()
+        assert matrices.columns.tolist() == list(range(9))
+        assert matrices.classes.tolist() == [0, 1, 0, 2, 0, 3, 0, 4, 0]
+        assert matrices.c.tolist() == [-15.0, -0.125, -0.375, -0.625, -0.875]
+        assert matrices.A_eq is None
+        sol = solve(lp)
+        assert sol.value == pytest.approx(27.0) and sol.solver.certificate.ok
+        assert [sol.assignment[name] for name in names[0::2]] == pytest.approx([1.8] * 5)
+
+    def test_expand_puts_the_class_value_on_every_column_of_a_chain(self):
+        lp = sparse_lp("maximize", dict(a=1.0, b=1.0, c=1.0),
+                       [(dict(a=2.0), "=", dict(b=2.0)), (dict(b=3.0), "=", dict(c=3.0)),
+                        (dict(a=1.0, b=1.0, c=1.0), "<=", 6.0)])
+        matrices = lp.matrices()
+        assert len(matrices.c) == 1
+        assert matrices.expand(np.array([2.5])).tolist() == [2.5, 2.5, 2.5]
+        sol = solve(lp)
+        assert sol.status == "optimal" and sol.value == pytest.approx(6.0)
+        assert [sol.assignment[v] for v in "abc"] == pytest.approx([2.0, 2.0, 2.0])
+        assert sol.solver.columns == 1 and sol.solver.certificate.ok
+
+    def test_a_class_and_an_identical_group_expand_together(self):
+        # b and c are identical; a = b ties a to their group
+        lp = sparse_lp("maximize", dict(a=1.0, b=1.0, c=1.0),
+                       [(dict(a=1.0), "=", dict(b=1.0, c=1.0)),
+                        (dict(a=1.0, b=1.0, c=1.0), "<=", 4.0)])
+        matrices = lp.matrices()
+        assert matrices.columns.tolist() == [0, 1] and matrices.group.tolist() == [0, 1, 1]
+        assert matrices.classes.tolist() == [0, 0]
+        assert matrices.expand(np.array([2.0])).tolist() == [2.0, 2.0, 0.0]
+        sol = solve(lp)
+        assert sol.value == pytest.approx(4.0) and sol.solver.certificate.ok
+
+    @pytest.mark.parametrize("row", [
+        (dict(a=1.0), "=", (1.0, dict(b=1.0))),  # a bound other than 0
+        (dict(a=1.0), "=", (1e-12, dict(b=1.0))),
+        (dict(a=1.0, b=1.0), "=", 0.0),  # entries of the same sign
+        (dict(a=2.0), "=", dict(b=1.0)),  # entries of different size
+        (dict(a=1.0), "<=", dict(b=1.0)),  # not an equality row
+        (dict(a=1.0, c=1.0), "=", dict(b=1.0)),  # three entries
+    ])
+    def test_other_rows_are_left_alone(self, row):
+        lp = sparse_lp("maximize", dict(a=1.0, b=2.0, c=3.0),
+                       [row, (dict(a=1.0, b=1.0, c=1.0), "<=", 5.0)])
+        matrices = lp.matrices()
+        assert matrices.classes.tolist() == [0, 1, 2]
+        assert len(matrices.c) == 3
+        sent = (matrices.A_ub, matrices.b_ub, matrices.A_eq, matrices.b_eq)
+        assert all(a is b for a, b in zip(matrices.checked, sent))  # no second merge
+        assert (0 if matrices.A_eq is None else matrices.A_eq.shape[0]) == (row[1] == "=")
+
+    def test_a_row_left_without_terms_is_checked_against_its_bound(self):
+        # a = b makes a - b <= -1 read 0 <= -1
+        lp = sparse_lp("maximize", dict(a=1.0),
+                       [(dict(a=1.0), "=", dict(b=1.0)), (dict(a=1.0), "<=", (-1.0, dict(b=1.0))),
+                        (dict(a=1.0), "<=", 3.0)])
+        matrices = lp.matrices()
+        assert len(matrices.c) == 1 and not matrices.constants_hold
+        assert solve(lp).status == "infeasible"
+
+    def test_certify_flags_a_point_that_breaks_a_dropped_row(self):
+        lp = sparse_lp("maximize", dict(a=1.0, b=1.0, c=1.0),
+                       [(dict(a=2.0), "=", dict(b=2.0)), (dict(b=1.0), "=", dict(c=1.0)),
+                        (dict(a=1.0, b=1.0, c=1.0), "<=", 3.0)])
+        matrices = lp.matrices()
+        assert matrices.A_eq is None  # both pair rows were dropped
+        assert matrices.certify(np.array([1.0, 1.0, 1.0])).ok
+        broken = matrices.certify(np.array([1.0, 1.0, 0.5]))
+        assert not broken.ok and broken.eq_violation == pytest.approx(0.5)
+        assert broken.ub_violation == 0.0
+
+    def test_random_lps_with_pairs_against_the_oracle(self, rng):
+        checked = merged = 0
+        for _ in range(120):
+            spec = _random_lp(rng, rng.randint(2, 5), rng.randint(0, 3))[1]
+            lp, planted = _with_pairs(rng, spec, rng.randint(1, 3))
+            sol = solve(lp)
+            matrices = lp.matrices()
+            merged += len(matrices.c) < len(matrices.columns)
+            oracle = vertex_enumeration_optimum(*planted, lp.names)
+            if oracle is None:
+                assert sol.status == "infeasible"
+                continue
+            assert sol.status == "optimal"
+            assert math.isclose(sol.value, oracle[0], abs_tol=1e-6), (sol.value, oracle[0])
+            assert _satisfies(planted[3], sol.assignment) and sol.solver.certificate.ok
+            checked += 1
+        assert checked > 40 and merged > 80
 
 
 class TestDuality:
