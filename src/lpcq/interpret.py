@@ -19,11 +19,14 @@ query by query, the weight rows and the soundness rows.
 
 Each interpretation compiles whole weight families to integer columns
 with an ``LpBuilder``: one block per query's answers (θ), per (query, bag)
-(ξ) and for the stand-ins (ν).  The terms of a family find the answers
-their targets select all at once (``Groups.find`` on the target codes, one
-grouping per query and target variables); a soundness row holds a
-parent's and a child's bag rows with one separator value, values in text
-order on their codes.  Rows go to ``LpBuilder.rows`` as arrays, in the
+(ξ) and for the stand-ins (ν).  A θ block's answers fall into classes by
+their values on the variables the query's weight families read; the
+answers of a class are the same in every row, so rows hold one entry per
+class, on its lead (``SparseLp.lead``).  The terms of a family find the
+classes or bag rows their targets select all at once (``Groups.find`` on
+the target codes, one grouping per query and target variables); a
+soundness row holds a parent's and a child's bag rows with one separator
+value, values in text order on their codes.  Rows go to ``LpBuilder.rows`` as arrays, in the
 closed program's order, each side's terms in rank (``sort_key``) order.
 Names are built from one ``Value.token`` per dictionary entry.  Each θ
 and ξ block is kept as a ``Block``, its rows and their columns in the
@@ -57,7 +60,7 @@ from .errors import IncompatibleDecompositionError, MissingDecompositionError
 from .language import ClosedProgram
 from .linprog import LpBuilder, Side, SparseLp, slices
 from .queries import AnswerSet, Groups, Query, evaluate, is_quantifier_free, qf
-from .relations import Database, ranges, row_groups
+from .relations import Database, key_ids, ranges, row_groups
 
 QueryKey = tuple[str, Query]
 
@@ -183,13 +186,30 @@ class InterpretedLp:
 class _AnswerColumns:
     """The θ blocks of a program's queries, one per query's answers, and
     the natural reading of weight terms: the columns of the answers their
-    targets select, one ``groups`` per (query, target variables)."""
+    targets select, one ``groups`` per (query, target variables).
+
+    A query's answers fall into classes by their values on the variables
+    its weight families read: every term selects answers by equality on
+    some of those, so the answers of a class meet the same terms with the
+    same coefficients.  Terms find classes, on the table of the classes'
+    distinct values, and each class is one column to the rows, named by
+    its first answer (``LpBuilder.block``'s stand-ins)."""
 
     def __init__(self, cp: ClosedProgram, db: Database, naming: VarNaming, builder: LpBuilder):
         self.answers = {key: evaluate(key[1], db) for key in cp.queries_w()}
-        self.starts = {
-            key: builder.block(naming.theta_names(key, rows)) for key, rows in self.answers.items()
-        }
+        read: dict[QueryKey, set[str]] = {key: set() for key in self.answers}
+        for f in cp.families:
+            read[f.key].update(f.variables)
+        self.classes: dict[QueryKey, tuple[AnswerSet, np.ndarray]] = {}
+        self.starts = {}
+        for key, rows in self.answers.items():
+            columns = rows.columns(sorted(read[key]))
+            (ids,), count = key_ids(columns)
+            first = np.empty(count, dtype=np.int64)
+            first[ids[::-1]] = np.arange(len(ids) - 1, -1, -1)  # the last write is the first row
+            table = AnswerSet.from_codes(read[key], columns[first], rows.dictionary)
+            self.classes[key] = table, first
+            self.starts[key] = builder.block(naming.theta_names(key, rows), first[ids])
         self.builder = builder
         self.recode = db.dictionary.recode(cp.dictionary)
         self._columns: dict[tuple[QueryKey, tuple[str, ...]], tuple[Groups, np.ndarray]] = {}
@@ -202,11 +222,13 @@ class _AnswerColumns:
         }
 
     def __call__(self, key: QueryKey, variables: tuple[str, ...], codes: np.ndarray):
-        """``(source, starts, counts)``: the answers of *key* whose *variables*
-        are ``codes[k]`` have the columns ``source[starts[k]:][:counts[k]]``."""
+        """``(source, starts, counts)``: the classes of the answers of *key*
+        whose *variables* are ``codes[k]`` have the columns
+        ``source[starts[k]:][:counts[k]]``."""
         if (key, variables) not in self._columns:
-            groups = self.answers[key].groups(variables)
-            self._columns[key, variables] = groups, groups.order + self.starts[key]
+            table, first = self.classes[key]
+            groups = table.groups(variables)
+            self._columns[key, variables] = groups, first[groups.order] + self.starts[key]
         groups, source = self._columns[key, variables]
         return source, *groups.find(self.recode[codes])
 

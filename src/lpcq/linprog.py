@@ -4,11 +4,13 @@
 over integer columns, ordered by variable name.  The interpretations and
 fractional bag widths build it through ``LpBuilder``, row by row or in
 bulk; the LP-format writer and ``--explain`` read it back row by row.
+Columns known to be the same in every row (in the natural and replacement
+LPs, the answers no weight tells apart) are a class from the start, and
+only its lead, its lowest column, has entries (``SparseLp.lead``).
 Every program is solved by HiGHS through ``scipy.optimize.linprog``, from
-the matrices ``SparseLp.matrices`` builds.  Those hand HiGHS each distinct
-column once: columns with the same cost and the same entries (in the
-natural LP, the answers that differ only in witnesses no weight reads) are
-one column to the solver, found exactly by ``_representatives``.  Columns
+the matrices ``SparseLp.matrices`` builds over the leads.  Those hand HiGHS
+each distinct column once: columns with the same cost and the same entries
+are one column to the solver, found exactly by ``_representatives``.  Columns
 that an equality row ``a x_i - a x_j = 0`` forces equal (in the factorized
 LP, a separator value with one bag row on each side) are one column too,
 found by ``_forced_equal``, and those rows are not sent.  The call follows
@@ -87,6 +89,14 @@ class SparseLp:
     ``lconst`` and ``rconst`` hold the sides' constants, and ``eq[r]`` is
     true for an equality row.  ``rows`` reads the split, to give back each
     side as it was written.
+
+    Columns can come in classes whose columns are the same in every row
+    and in the objective (answers that no weight tells apart).  Column j
+    belongs to the class led by column ``lead[j]``, its lowest column, and
+    only leads have entries: each stands for every column of its class.
+    ``lead`` is None when every column leads itself.  ``spread`` gives the
+    program with each lead's entries on every column of its class, which
+    is what ``rows``, ``row_texts`` and ``export_lp`` read.
     """
 
     sense: str
@@ -101,18 +111,42 @@ class SparseLp:
     split: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    lead: np.ndarray | None = None
 
     @property
     def row_count(self) -> int:
         return len(self.eq)
 
+    def spread(self) -> SparseLp:
+        """The same program with every column's entries its own: each entry
+        of a lead repeated on every column of its class, in column order.
+        The program itself when every column leads itself."""
+        if self.lead is None:
+            return self
+        sizes = np.bincount(self.lead, minlength=len(self.names))
+        members = np.argsort(self.lead, kind="stable")  # class by class, lead first
+        firsts = np.cumsum(sizes) - sizes
+
+        def on_members(cols, vals, *bounds):  # entry offsets in *bounds* moved along
+            width = sizes[cols]
+            at = np.concatenate(([0], np.cumsum(width)))
+            return (members[ranges(firsts[cols], width)], np.repeat(vals, width),
+                    *(at[b] for b in bounds))
+
+        obj_cols, obj_vals = on_members(self.obj_cols, self.obj_vals)
+        cols, vals, indptr, split = on_members(self.cols, self.vals, self.indptr, self.split)
+        return SparseLp(self.sense, self.names, self.obj_const, obj_cols, obj_vals, self.lconst,
+                        self.rconst, self.eq, indptr, split, cols, vals)
+
     def rows(self) -> Iterator[tuple[Side, str, Side]]:
         """Each row as it was written, ``(lhs, rel, rhs)``, over the
-        columns' sorted places."""
-        cols, vals, bounds = self.cols.tolist(), self.vals.tolist(), self.indptr.tolist()
+        columns' sorted places, every column of a class with its lead's
+        coefficient (``spread``)."""
+        lp = self.spread()
+        cols, vals, bounds = lp.cols.tolist(), lp.vals.tolist(), lp.indptr.tolist()
         for lc, rc, eq, lo, mid, hi in zip(
-            self.lconst.tolist(), self.rconst.tolist(), self.eq.tolist(),
-            bounds, self.split.tolist(), bounds[1:],
+            lp.lconst.tolist(), lp.rconst.tolist(), lp.eq.tolist(),
+            bounds, lp.split.tolist(), bounds[1:],
         ):
             yield (
                 (lc, cols[lo:mid], vals[lo:mid]),
@@ -140,29 +174,41 @@ class SparseLp:
 
         Columns with the same cost and the same entries are one column
         (``_representatives``); it stands for its group, whose lowest
-        column is the one kept.  Of those, the columns that rows
-        ``a x_i - a x_j = 0`` tie together are one column to the solver
-        (``_forced_equal``): the sum of the class's columns, with their
-        costs summed, so each such row has no terms left and is not sent.
-        The full matrix is freed on return, before HiGHS runs."""
+        column is the one kept.  A class of columns (``lead``) is one such
+        group from the start: the matrix is built over the leads only, the
+        groups are found among them, and each column is in its lead's
+        group.  Of the columns kept, those that rows ``a x_i - a x_j = 0``
+        tie together are one column to the solver (``_forced_equal``): the
+        sum of the class's columns, with their costs summed, so each such
+        row has no terms left and is not sent.  The full matrix is freed
+        on return, before HiGHS runs."""
         from scipy.sparse import csr_matrix
 
         n = len(self.names)
+        cols, obj_cols, leads = self.cols, self.obj_cols, np.arange(n)
+        if self.lead is not None:
+            leads = np.flatnonzero(self.lead == leads)
+            index = np.empty(n, dtype=np.int64)  # a lead's place among the leads
+            index[leads] = np.arange(len(leads))
+            cols, obj_cols = index[cols], index[obj_cols]
         A = csr_matrix(
-            (self.vals, self.cols, self.indptr),
-            shape=(self.row_count, n), dtype=float, copy=True,
+            (self.vals, cols, self.indptr),
+            shape=(self.row_count, len(leads)), dtype=float, copy=True,
         )
         A.sum_duplicates()  # a column on both sides of a row
         A.eliminate_zeros()  # ... whose terms cancel
-        c = np.zeros(n)
-        c[self.obj_cols] = (-1.0 if self.sense == "maximize" else 1.0) * self.obj_vals
+        c = np.zeros(len(leads))
+        c[obj_cols] = (-1.0 if self.sense == "maximize" else 1.0) * self.obj_vals
         representative = _representatives(A, c)
-        kept = representative == np.arange(n)
-        columns = np.flatnonzero(kept)
+        kept = representative == np.arange(len(leads))
         group = (np.cumsum(kept) - 1)[representative]
-        if len(columns) < n:
-            A = A[:, columns]
-        c = c[columns]
+        if self.lead is not None:
+            group = group[index[self.lead]]
+        kept = np.flatnonzero(kept)
+        columns = leads[kept]
+        if len(kept) < len(leads):
+            A = A[:, kept]
+        c = c[kept]
         bound = self.rconst - self.lconst
         checked, holds = _split(A, bound, self.eq)
         sent = checked
@@ -187,15 +233,19 @@ class LpBuilder:
     """The columns and rows of a program being compiled.
 
     Columns come in blocks of names, and rows name a column by its position
-    in the order the blocks were added.  ``build`` sorts the names once and
-    renumbers every column to its sorted place.  Rows come one at a time
-    (``row``), appended to ``array`` buffers so that a row costs no numpy
-    call, or in bulk (``rows``), kept as the caller's arrays; both are
-    chunks in the order they came, joined once by ``build``.
+    in the order the blocks were added.  A block can split its columns into
+    classes (``SparseLp.lead``), and rows then name a class by the one
+    column of the block that stands for it.  ``build`` sorts the names once
+    and renumbers every column to its sorted place, and every class to the
+    place of its lead.  Rows come one at a time (``row``), appended to
+    ``array`` buffers so that a row costs no numpy call, or in bulk
+    (``rows``), kept as the caller's arrays; both are chunks in the order
+    they came, joined once by ``build``.
     """
 
     def __init__(self):
         self.names: list[str] = []
+        self._classes: list[tuple[int, np.ndarray]] = []  # (block start, stand-ins)
         self._chunks: list[tuple] = []  # (cols, vals, split, indptr, lconst, rconst, eq, counts)
         self._entries = 0  # in the chunks
         self._open()
@@ -222,10 +272,15 @@ class LpBuilder:
             self._entries += len(self.cols)
             self._open()
 
-    def block(self, names: Sequence[str]) -> int:
-        """Add one column per name; returns the position of the first."""
+    def block(self, names: Sequence[str], stand_ins: np.ndarray | None = None) -> int:
+        """Add one column per name; returns the position of the first.  With
+        *stand_ins*, column i of the block is in the class of the columns
+        whose stand-in, a position in the block, is ``stand_ins[i]``; rows
+        name that class by the stand-in's position."""
         start = len(self.names)
         self.names.extend(names)
+        if stand_ins is not None:
+            self._classes.append((start, np.asarray(stand_ins, dtype=np.int64) + start))
         return start
 
     def row(self, lhs: Side, rel: str, rhs: Side) -> None:
@@ -257,23 +312,43 @@ class LpBuilder:
 
     def build(self, sense: str, objective: Side) -> SparseLp:
         """The program, with every row added so far; ``build`` runs once.
-        Rows added in one chunk keep their arrays, renumbered in place, and
-        more chunks are joined.  An int64 array of the objective's columns
-        is renumbered in place too."""
+        Each class is led by its lowest column in name order, fixed here
+        once the names are sorted, and every entry naming the class is
+        renumbered to the lead's place (``SparseLp.lead``).  Rows added in
+        one chunk keep their arrays, renumbered in place, and more chunks
+        are joined.  An int64 array of the objective's columns is
+        renumbered in place too."""
         if sense not in ("maximize", "minimize"):
             raise ValueError(f"bad sense {sense!r}")
-        order = sorted(range(len(self.names)), key=self.names.__getitem__)
-        place = np.empty(len(order), dtype=np.int64)
-        place[order] = np.arange(len(order))
-        self._place = place
+        n = len(self.names)
+        ordered = sorted(range(n), key=self.names.__getitem__)
+        names = [self.names[i] for i in ordered]
+        order = np.array(ordered, dtype=np.int64)
+        del ordered
+        place = np.empty(n, dtype=np.int64)
+        place[order] = np.arange(n)
+        self._place = target = place
+        lead = None
+        if self._classes:
+            stand_in = np.arange(n)
+            for start, stand_ins in self._classes:
+                stand_in[start:start + len(stand_ins)] = stand_ins
+            lowest = np.empty(n, dtype=np.int64)  # at a stand-in, its class's lowest place
+            lowest[stand_in[order[::-1]]] = np.arange(n - 1, -1, -1)  # the last write is lowest
+            target = lowest[stand_in]
+            lead = target[order]
+            if np.array_equal(lead, np.arange(n)):
+                lead = None
         self._seal()
         chunks, self._chunks = self._chunks, []
         for cols, vals, *_, counts in chunks:
             for at in range(0, len(cols), _STEP):
-                cols[at:at + _STEP] = place[cols[at:at + _STEP]]
-            if counts is not None:  # right sides negated
-                right = np.repeat(np.arange(len(counts)) % 2 == 1, counts)
-                np.negative(vals, out=vals, where=right)
+                cols[at:at + _STEP] = target[cols[at:at + _STEP]]
+            if counts is not None:  # right sides negated, in slices of whole sides
+                starts = np.cumsum(counts) - counts
+                for lo, hi in slices(counts[1::2]):
+                    right = ranges(starts[2 * lo + 1:2 * hi:2], counts[2 * lo + 1:2 * hi:2])
+                    vals[right] = -vals[right]
 
         def joined(k: int, dtype) -> np.ndarray:
             parts = [np.ascontiguousarray(chunk[k], dtype=dtype) for chunk in chunks]
@@ -285,10 +360,10 @@ class LpBuilder:
         )
         constant, obj_cols, obj_vals = objective
         obj_cols = np.asarray(obj_cols, dtype=np.int64)
-        obj_cols[:] = place[obj_cols]
+        obj_cols[:] = target[obj_cols]
         return SparseLp(
             sense=sense,
-            names=[self.names[i] for i in order],
+            names=names,
             obj_const=float(constant),
             obj_cols=obj_cols,
             obj_vals=np.asarray(obj_vals, dtype=float),
@@ -299,6 +374,7 @@ class LpBuilder:
             split=split,
             cols=cols,
             vals=vals,
+            lead=lead,
         )
 
     def columns(self, start: int, count: int) -> np.ndarray:
@@ -534,9 +610,10 @@ class Matrices:
     The program's columns reach y in two steps.  ``columns`` holds the
     lowest column of each group of identical columns, and ``group[j]`` is
     the position in ``columns`` of the one that stands for the program's
-    column j.  ``classes[d]`` is the column of y that stands for
-    ``columns[d]``: one per class of columns forced equal, in the order of
-    their lowest columns.  ``checked`` holds the rows over ``columns``
+    column j; every column of a class (``SparseLp.lead``) is in its
+    lead's group, whose lowest column is a lead.  ``classes[d]`` is the
+    column of y that stands for ``columns[d]``: one per class of columns
+    forced equal, in the order of their lowest columns.  ``checked`` holds the rows over ``columns``
     before that second merge, as ``(A_ub, b_ub, A_eq, b_eq)``; they are
     what ``certify`` checks, and they are the rows sent when no columns
     are forced equal."""

@@ -78,8 +78,11 @@ def export_lp(lp: SparseLp, path: str | Path) -> None:
     """Write *lp* in LP format; emits <path>.names.json with renamed variables.
 
     A row's terms are summed per column and sorted by column, which is name
-    order, and its bound is ``rconst - lconst``."""
+    order, and its bound is ``rconst - lconst``.  Every column of a class
+    is written with its lead's coefficients (``SparseLp.spread``), so a
+    class with entries lists none of its columns under ``Bounds``."""
     path = Path(path)
+    lp = lp.spread()
     to_lp, renamed = _sanitize(lp.names)
     names = [to_lp[name] for name in lp.names]
 

@@ -216,18 +216,27 @@ def key_ids(*blocks: np.ndarray) -> tuple[list[np.ndarray], int]:
     id space in the rows' lexicographic order, and how many distinct rows
     there are.
 
-    The columns are folded in one at a time: each (id so far, code) pair is
-    packed into one integer and compacted again with ``np.unique``.  An id
-    stays below the row count, so no packed key can overflow int64.
+    Codes are at least 0.  The columns are packed into one integer key per
+    row in a mixed radix of ``max + 1`` per column, as many as fit below
+    2^62; before the next column would not fit, the keys are compacted to
+    ids with ``np.unique``, and the distinct count becomes the radix of the
+    part folded so far.  An id stays below the row count, so a column
+    always fits after it.
     """
     stacked = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
     n, k = stacked.shape
     ids = np.zeros(n, dtype=np.int64)
     distinct = 1 if n else 0
-    for j in range(k if n else 0):
-        column = stacked[:, j]
-        packed = ids * (int(column.max()) + 1) + column if j else column
-        keys, ids = np.unique(packed, return_inverse=True)
+    if n and k:
+        size = 1  # keys so far are below it
+        for j in range(k):
+            top = int(stacked[:, j].max())  # column by column: max(axis=0) is slower
+            if size * (top + 1) >= 1 << 62:
+                keys, ids = np.unique(ids, return_inverse=True)
+                size = len(keys)
+            size *= top + 1
+            ids = ids * (top + 1) + stacked[:, j]
+        keys, ids = np.unique(ids, return_inverse=True)
         distinct = len(keys)
     bounds = np.cumsum([len(b) for b in blocks[:-1]])
     return np.split(ids, bounds), distinct

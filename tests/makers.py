@@ -76,7 +76,8 @@ def certify_point(lp: SparseLp, point) -> tuple[Certificate, float]:
     *lp*'s rows as ``Matrices.certify`` checks them, and *lp*'s objective
     at *point*."""
     x = np.array([point[name] for name in lp.names])
-    return lp.matrices().certify(x), lp.obj_const + float(lp.obj_vals @ x[lp.obj_cols])
+    spread = lp.spread()
+    return lp.matrices().certify(x), lp.obj_const + float(spread.obj_vals @ x[spread.obj_cols])
 
 
 def answer_point(interpreted, key, masses) -> dict[str, float]:

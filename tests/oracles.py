@@ -96,6 +96,22 @@ from lpcq.weightings import (
 )
 
 
+def column_fold_key_ids(*blocks: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """``relations.key_ids`` folding one column per ``np.unique``: each (id
+    so far, code) pair packed into one integer and compacted again."""
+    stacked = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    n, k = stacked.shape
+    ids = np.zeros(n, dtype=np.int64)
+    distinct = 1 if n else 0
+    for j in range(k if n else 0):
+        column = stacked[:, j]
+        packed = ids * (int(column.max()) + 1) + column if j else column
+        keys, ids = np.unique(packed, return_inverse=True)
+        distinct = len(keys)
+    bounds = np.cumsum([len(b) for b in blocks[:-1]])
+    return np.split(ids, bounds), distinct
+
+
 def projector(
     from_vars: Sequence[str], to_vars: Iterable[str]
 ) -> Callable[[tuple], tuple[Value, ...]]:
@@ -434,6 +450,9 @@ def written_rows(lp: SparseLp) -> list:
 
 
 def objective_terms(lp: SparseLp) -> dict[str, float]:
+    """The objective's ``{name: coefficient}`` terms without zeros, every
+    column of a class with its lead's coefficient."""
+    lp = lp.spread()
     return {lp.names[c]: v for c, v in zip(lp.obj_cols.tolist(), lp.obj_vals.tolist()) if v != 0.0}
 
 

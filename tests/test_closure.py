@@ -299,7 +299,8 @@ def lps(cp: ClosedProgram, db):
     }
 
 
-ARRAYS = ("indptr", "split", "cols", "vals", "lconst", "rconst", "eq", "obj_cols", "obj_vals")
+ARRAYS = ("indptr", "split", "cols", "vals", "lconst", "rconst", "eq", "obj_cols", "obj_vals",
+          "lead")  # lead may be None on both sides, which array_equal takes as equal
 
 
 def assert_same_lps(program, db):

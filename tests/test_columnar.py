@@ -4,7 +4,10 @@ Each interpretation compiles straight to integer columns.  These tests
 capture the arguments ``scipy.optimize.linprog`` receives and compare them,
 exactly, with those of the same program built row by row as
 ``{name: coefficient}`` dicts (``oracles.dict_assembly``) and handed to
-``LpBuilder`` as written (``makers.sparse_lp``).
+``LpBuilder`` as written (``makers.sparse_lp``).  The natural and
+replacement LPs hold one entry per answer class (``SparseLp.lead``), the
+dict assembly one per answer, so their rows, LP files and HiGHS input are
+compared across that difference.
 """
 
 import json
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, BENCH_SELECTIVITY, build_decompositions
@@ -99,6 +102,16 @@ def same_rows(got, want) -> None:
     assert written_rows(got) == want.rows
 
 
+def same_lp_text(got, want, tmp_path) -> bool:
+    """Whether ``export_lp`` writes the same files for both programs."""
+    texts = []
+    for label, lp in (("got", got), ("want", want)):
+        path = tmp_path / f"{label}.lp"
+        export_lp(lp, path)
+        texts.append((path.read_text(), Path(f"{path}.names.json").read_text()))
+    return texts[0] == texts[1]
+
+
 def delivery_case(tmp_path):
     db = generate_delivery(GenSpec(size=30, seed=1, selectivity=BENCH_SELECTIVITY))
     decomp = tmp_path / "decomp.json"
@@ -146,9 +159,14 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path):
         assert_same_input(got, want)
         assert got_sol.nonzeros == want_sol.nonzeros > 0
         assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value), label
+        if mode != "factorized" and label in ("delivery", "privacy"):
+            # their weights read fewer variables than their queries have, so
+            # the answers come in classes
+            assert ilp.program.lead is not None, label
 
-        # an LP-format round trip
+        # the LP file is the per-answer build's, and it round-trips
         path = tmp_path / f"{label}_{mode}.lp"
+        assert same_lp_text(ilp.program, sparse_lp("maximize", *want_lp), tmp_path)
         export_lp(ilp.program, path)
         parsed, _ = highs_input(parse_lp(path))
         assert_same_input(parsed, got)
@@ -196,13 +214,81 @@ def random_program(seed: int):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_random_programs_compile_like_the_conversion(seed):
+def test_random_programs_compile_like_the_conversion(seed, tmp_path_factory):
     db, cp, decomps = random_program(seed)
+    tmp_path = tmp_path_factory.mktemp("lp")
     for mode in MODES:
         ilp = interpret(mode, cp, db, decomps)
+        if mode != "factorized":
+            classes = "fewer classes than answers" if ilp.program.lead is not None else "one class per answer"
+            event(f"{mode}: {classes}")
         want_lp, _ = dict_assembly(mode, cp, db, decomps)
+        want_program = sparse_lp("maximize", *want_lp)
         same_rows(ilp.program, want_lp)
+        assert same_lp_text(ilp.program, want_program, tmp_path)
         got, got_sol = highs_input(ilp.program)
-        want, want_sol = highs_input(sparse_lp("maximize", *want_lp))
+        want, want_sol = highs_input(want_program)
         assert_same_input(got, want)
         assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value)
+
+
+# classes of answers: Q's answers (x, y), and weights that read x alone
+CLASSES_DB = dict(R1=[(0,), (1,), (2,)], R2=[(0,), (1,)])
+CLASSES = """
+let Q(x, y) = R1(x) /\\ R2(y)
+maximize weight[(x, y): true](Q)
+subject to weight[(x, y): x == 2](Q) <= 1
+        /\\ weight[(x, y): true](Q) <= 5
+"""
+
+
+@pytest.mark.parametrize("mode", ["natural", "replacement"])
+def test_answers_no_weight_tells_apart_are_one_class(mode):
+    # th_Q_0_0 and th_Q_0_1 differ only in y, which no weight reads: one
+    # class, led by its lowest column, and the only one with entries
+    db = make_db(**CLASSES_DB)
+    lp = interpret(mode, close(parse(CLASSES), db), db, None).program
+    column = {name: j for j, name in enumerate(lp.names)}
+    lead = {name: lp.names[lp.lead[j]] for name, j in column.items() if name.startswith("th_")}
+    assert lead == {f"th_Q_{x}_{y}": f"th_Q_{x}_0" for x in range(3) for y in range(2)}
+    theta = [column[name] for name in lead]
+    used = set(lp.cols.tolist()) | set(lp.obj_cols.tolist())
+    assert used & set(theta) == {column["th_Q_0_0"], column["th_Q_1_0"], column["th_Q_2_0"]}
+    # ... while every reader sees every answer
+    assert lp.spread().lead is None
+    everyone = " + ".join(f"1*th_Q_{x}_{y}" for x in range(3) for y in range(2))
+    texts = list(lp.row_texts())
+    assert any("1*th_Q_2_0 + 1*th_Q_2_1" in t and "th_Q_1" not in t for t in texts)
+    assert any(everyone in t for t in texts)
+
+
+def test_classes_with_identical_columns_still_merge():
+    # classes x = 0 and x = 1 meet the same terms, so their columns are
+    # identical: the class build keeps them apart and the merge joins them
+    db = make_db(**CLASSES_DB)
+    lp = natural(close(parse(CLASSES), db), db).program
+    assert len(set(lp.lead.tolist())) == 3
+    matrices = lp.matrices()
+    assert [lp.names[j] for j in matrices.columns] == ["th_Q_0_0", "th_Q_2_0"]
+    assert matrices.group.tolist() == [0, 0, 0, 0, 1, 1]
+    solution = solve(lp)
+    assert solution.value == pytest.approx(5.0) and solution.solver.columns == 2
+    assert solution.assignment["th_Q_0_0"] + solution.assignment["th_Q_2_0"] == pytest.approx(5.0)
+
+
+def test_export_lists_only_unused_classes_under_bounds(tmp_path):
+    # class x = 0 is in a row; class x = 1 is in none, so only its columns
+    # are listed to keep them in the file
+    db = make_db(R1=[(0,), (1,)], R2=[(0,), (1,)])
+    program = """
+    let Q(x, y) = R1(x) /\\ R2(y)
+    maximize weight[(x, y): x == 0](Q)
+    subject to weight[(x, y): x == 0](Q) <= 1
+    """
+    lp = natural(close(parse(program), db), db).program
+    assert lp.lead.tolist() == [0, 0, 2, 2]
+    path = tmp_path / "classes.lp"
+    export_lp(lp, path)
+    text = path.read_text()
+    assert " c1: th_Q_0_0 + th_Q_0_1 <= 1\n" in text
+    assert text.endswith("Bounds\n th_Q_1_0 >= 0\n th_Q_1_1 >= 0\nEnd\n")

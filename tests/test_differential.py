@@ -54,6 +54,8 @@ def test_modes_agree_and_every_lift_certifies(seed, n_exists):
         ),
     }
     event(f"largest tree: {max(len(t.bags) for t in runs['factorized'].trees.values())} bags")
+    classes = nat_ilp.program.lead is not None  # None: one class per answer
+    event("θ blocks with fewer classes than answers" if classes else "one class per answer")
     solutions = {mode: solve(ilp.program) for mode, ilp in runs.items()}
     expected = solutions["natural"]
     event(f"natural {expected.status}")

@@ -8,7 +8,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from lpcq.errors import CertificateError, IoError, NumericalFailureError
-from lpcq.linprog import FEAS_TOL, PRIMAL, PRIMAL_FROM_ORIGIN, certify, solve
+from lpcq import linprog
+from lpcq.linprog import FEAS_TOL, PRIMAL, PRIMAL_FROM_ORIGIN, LpBuilder, certify, solve
 from lpcq.lpformat import export_lp
 
 from makers import sparse_lp
@@ -701,6 +702,50 @@ class TestForcedEqualColumns:
             assert _satisfies(planted[3], sol.assignment) and sol.solver.certificate.ok
             checked += 1
         assert checked > 40 and merged > 80
+
+
+class TestBuilder:
+    def test_a_class_is_led_by_its_lowest_name_not_its_stand_in(self):
+        # the block's classes are {b, a} named by b's position, and {c}
+        builder = LpBuilder()
+        builder.block(["z"])
+        start = builder.block(["b", "a", "c"], np.array([0, 0, 2]))
+        builder.row((0.0, [start], [2.0]), "<=", (1.0, [start + 2], [3.0]))
+        builder.rows(np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool), np.array([1, 1]),
+                     np.array([0, start]), np.array([1.0, 4.0]))
+        lp = builder.build("maximize", (0.0, [start + 2], [1.0]))
+        assert lp.names == ["a", "b", "c", "z"] and lp.lead.tolist() == [0, 0, 2, 3]
+        assert lp.cols.tolist() == [0, 2, 3, 0] and lp.obj_cols.tolist() == [2]
+        assert list(lp.row_texts()) == ["2*a + 2*b <= 3*c + 1", "1*z <= 4*a + 4*b"]
+        assert builder.columns(start, 3).tolist() == [1, 0, 2]
+
+    def test_singleton_classes_leave_no_lead(self):
+        builder = LpBuilder()
+        builder.block(["b", "a"], np.array([0, 1]))
+        assert builder.build("maximize", (0.0, [0], [1.0])).lead is None
+
+    def test_bulk_right_sides_are_negated_across_slices(self, rng, monkeypatch):
+        # slices of at most a few entries, so every chunk is cut many times
+        monkeypatch.setattr(linprog, "_STEP", 3)
+        for _ in range(20):
+            n_rows, names = rng.randint(1, 12), [f"x{j}" for j in range(6)]
+            counts = np.array([rng.randint(0, 4) for _ in range(2 * n_rows)])
+            cols = np.array([rng.randrange(6) for _ in range(counts.sum())], dtype=np.int64)
+            vals = np.array([rng.uniform(-3, 3) for _ in range(counts.sum())])
+            lconst, rconst = np.zeros(n_rows), np.arange(n_rows, dtype=float)
+            bulk, one_by_one = LpBuilder(), LpBuilder()
+            for builder in (bulk, one_by_one):
+                builder.block(names)
+            at = np.concatenate(([0], np.cumsum(counts)))
+            for r in range(n_rows):
+                left, right = slice(at[2 * r], at[2 * r + 1]), slice(at[2 * r + 1], at[2 * r + 2])
+                one_by_one.row((0.0, cols[left].tolist(), vals[left].tolist()), "<=",
+                               (float(r), cols[right].tolist(), vals[right].tolist()))
+            bulk.rows(lconst, rconst, np.zeros(n_rows, dtype=bool), counts, cols.copy(), vals.copy())
+            got = bulk.build("maximize", (0.0, [], []))
+            want = one_by_one.build("maximize", (0.0, [], []))
+            assert list(got.rows()) == list(want.rows())
+            assert np.array_equal(got.vals, want.vals) and np.array_equal(got.indptr, want.indptr)
 
 
 class TestDuality:

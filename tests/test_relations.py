@@ -19,6 +19,7 @@ from lpcq.relations import (
     Database,
     Relation,
     Value,
+    key_ids,
     load_database,
     match,
     save_database,
@@ -26,7 +27,7 @@ from lpcq.relations import (
 
 from lpcq.queries import evaluate, parse_query
 
-from oracles import join_assignment_sets
+from oracles import column_fold_key_ids, join_assignment_sets
 
 
 def V(text):
@@ -270,3 +271,43 @@ def test_match_pairs_are_the_formula_pairs(left, right, shift):
     assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
     if shift or not (len(left) and len(right)):
         assert not len(got_i)
+
+
+@st.composite
+def code_blocks(draw):
+    """Code arrays over the same columns: 0 or more rows and columns, codes
+    small, or near 2^31 so that the radix product of two columns overflows
+    2^62, and a few distinct values per column so that rows repeat."""
+    k = draw(st.integers(0, 9))
+    columns = [
+        draw(st.lists(st.sampled_from([0, 1, 2, 2**31 - 2, 2**31 - 1]), min_size=1, max_size=3)
+             if draw(st.booleans()) else st.lists(st.integers(0, 40), min_size=1, max_size=4))
+        for _ in range(k)
+    ]
+    sizes = draw(st.lists(st.integers(0, 25), min_size=1, max_size=3))
+    return [
+        np.array([[draw(st.sampled_from(values)) for values in columns] for _ in range(n)],
+                 dtype=np.int32).reshape(n, k)
+        for n in sizes
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(blocks=code_blocks())
+def test_key_ids_are_the_column_fold_ids(blocks):
+    got, distinct = key_ids(*blocks)
+    want, want_distinct = column_fold_key_ids(*blocks)
+    assert distinct == want_distinct
+    assert len(got) == len(want) == len(blocks)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_key_ids_fold_columns_past_the_radix_limit():
+    # eight columns of codes near 2^31: no two fit in one key below 2^62
+    rng = np.random.default_rng(0)
+    codes = (2**31 - 1 - rng.integers(0, 3, size=(200, 8))).astype(np.int32)
+    (got,), distinct = key_ids(codes)
+    (want,), want_distinct = column_fold_key_ids(codes)
+    assert distinct == want_distinct == len(np.unique(codes, axis=0))
+    assert np.array_equal(got, want)
