@@ -265,7 +265,7 @@ def run_pipeline(
 
 
 # rows of a weights CSV formatted and written at a time
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 12
 
 
 def _csv_fields(texts) -> list[str]:

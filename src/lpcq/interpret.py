@@ -33,11 +33,11 @@ and ξ block is kept as a ``Block``, its rows and their columns in the
 built program, which is all ``weightings.lift_answers`` reads, in every
 mode.
 
-Names are still generated, once per block, because they fix the column
-order: ``LpBuilder.build`` sorts them once and puts every column at its
-name's place.  The optimal vertex HiGHS returns depends on that order.
-Handed the same LPs with columns in block order (one run each on a 2-core
-VM), dual simplex took 4,290 iterations instead of 3,675 on the
+Names fix the column order: ``LpBuilder.build`` puts every column at its
+name's place in sorted order, and the optimal vertex HiGHS returns
+depends on that order.  Handed the same LPs with columns in block order
+(one run each on a 2-core VM), dual simplex took 4,290 iterations instead
+of 3,675 on the
 factorized delivery benchmark (m=300, seed 1), and 1,250 instead of 1,210
 on the natural one, and returned optimal vertices that differ by up to
 203 and 49 in a coordinate.  Primal simplex after presolve, which the
@@ -45,20 +45,25 @@ factorized LPs go to once their forced-equal columns are merged, took 367
 iterations instead of 330 at m=100, 1,145 instead of 870 at m=300 and
 1,258 instead of 1,233 at m=500 (seed 1), and its vertex moved by up to
 76, 156 and 103 in a coordinate.  Either would change the lifted weights.
-So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.
+So ``VarNaming._claim`` and ``CONTENT_NAME_LIMIT`` stay.  A block of more
+than ``CONTENT_NAME_LIMIT`` rows is named by position, ``P_r0``,
+``P_r1``, …, and goes to the builder as its stem and count
+(``Positional``): its names' order follows from the digits of the row
+numbers, so they are made only where they are printed or looked up
+(``SparseLp.names``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .decomp import DecompTree, bag_projections, validate
 from .errors import IncompatibleDecompositionError, MissingDecompositionError
 from .language import ClosedProgram
-from .linprog import LpBuilder, Side, SparseLp, slices
+from .linprog import LpBuilder, Positional, Side, SparseLp, slices
 from .queries import AnswerSet, Groups, Query, evaluate, is_quantifier_free, qf
 from .relations import Database, key_ids, ranges, row_groups
 
@@ -75,22 +80,39 @@ def qid(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name)
 
 
+def _numbers_below(text: str, count: int) -> bool:
+    """Whether *text* is ``str(i)`` for an i below *count*."""
+    return (text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+            and len(text) <= len(str(count)) and int(text) < count)
+
+
 class VarNaming:
     """Deterministic, injective names for answer, stand-in, and bag variables.
 
-    Every name is claimed in one set shared by all θ, ξ and ν names of the
-    program, so two variables never share a name, even when they come from
-    different queries or their names are built from colliding values.
+    Every name is claimed once for the whole program, so two variables
+    never share a name, even when they come from different queries or
+    their names are built from colliding values.  Names are claimed in one
+    set, except the names ``P_r0``, ``P_r1``, … of a block of more than
+    ``CONTENT_NAME_LIMIT`` rows, which are claimed as their stem ``P_r``
+    and count (``Positional``) and never made here.  Such a block whose
+    names are not all free is made name by name instead, so every name,
+    ``_k`` suffixes included, is the one claimed in turn.
     """
 
     def __init__(self):
         self._taken: set[str] = set()
+        self._stems: dict[str, int] = {}  # positional blocks claimed: stem -> count
+
+    def _positional(self, name: str) -> bool:
+        """Whether *name* is one of the names of a positional block claimed."""
+        head, r, number = name.rpartition("_r")
+        return _numbers_below(number, self._stems.get(head + r, 0))
 
     def _claim(self, base: str) -> str:
         """*base*, or *base* with the first free ``_k2``, ``_k3``, … suffix."""
         name = base
         bump = 1
-        while name in self._taken:
+        while name in self._taken or self._positional(name):
             bump += 1
             name = f"{base}_k{bump}"
         self._taken.add(name)
@@ -100,14 +122,26 @@ class VarNaming:
         """``_claim`` of each base in turn; one set operation when no base
         is taken or repeated, which is the common case."""
         fresh = set(bases)
-        if len(fresh) == len(bases) and fresh.isdisjoint(self._taken):
+        if (len(fresh) == len(bases) and fresh.isdisjoint(self._taken)
+                and not (self._stems and any(map(self._positional, bases)))):
             self._taken |= fresh
             return bases
         return [self._claim(base) for base in bases]
 
-    def _row_names(self, prefix: str, rows: AnswerSet) -> list[str]:
+    def _claim_positional(self, stem: str, count: int) -> Sequence[str]:
+        """The names ``stem + str(i)``, i below *count*: a ``Positional``
+        block when all are free, else claimed one by one."""
+        if stem not in self._stems and not any(
+            name.startswith(stem) and _numbers_below(name[len(stem):], count)
+            for name in self._taken
+        ):
+            self._stems[stem] = count
+            return Positional(stem, count)
+        return self._claim_all([f"{stem}{i}" for i in range(count)])
+
+    def _row_names(self, prefix: str, rows: AnswerSet) -> Sequence[str]:
         if len(rows) > CONTENT_NAME_LIMIT:
-            return self._claim_all([f"{prefix}_r{i}" for i in range(len(rows))])
+            return self._claim_positional(f"{prefix}_r", len(rows))
         if not rows.variables:
             return self._claim_all([f"{prefix}_all"] * len(rows))
         # one token per dictionary entry, joined column by column
@@ -117,10 +151,10 @@ class VarNaming:
             names = names + "_" + tokens[rows.codes[:, j]]
         return self._claim_all(names.tolist())
 
-    def theta_names(self, key: QueryKey, answers: AnswerSet) -> list[str]:
+    def theta_names(self, key: QueryKey, answers: AnswerSet) -> Sequence[str]:
         return self._row_names(f"th_{qid(key[0])}", answers)
 
-    def xi_names(self, key: QueryKey, node: int, proj: AnswerSet) -> list[str]:
+    def xi_names(self, key: QueryKey, node: int, proj: AnswerSet) -> Sequence[str]:
         return self._row_names(f"xi_{qid(key[0])}_n{node}", proj)
 
     def nu_names(self, cp: ClosedProgram, ranks: np.ndarray) -> list[str]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from collections.abc import Mapping as MappingABC
+from collections.abc import Sequence as SequenceABC
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
@@ -74,6 +75,149 @@ Side = tuple[float, Sequence[int], Sequence[float]]
 each column at most once."""
 
 
+class Positional(SequenceABC):
+    """The names ``stem + str(i)`` of *count* columns, i from 0: a block
+    named by position, which ``LpBuilder`` puts in name order from the
+    numbers alone, without making the names."""
+
+    __slots__ = ("stem", "count")
+
+    def __init__(self, stem: str, count: int):
+        self.stem = stem
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> str:
+        if not -self.count <= i < self.count:
+            raise IndexError(i)
+        return f"{self.stem}{i % self.count}"
+
+    def __iter__(self) -> Iterator[str]:
+        return (f"{self.stem}{i}" for i in range(self.count))
+
+
+def _digit_places(count: int, first: int = 0) -> np.ndarray:
+    """For each i below *count*, the place of ``str(i)`` in
+    ``sorted(str(k) for k in range(count))``, counted from *first*: how
+    many k have a decimal text that sorts before i's, counted length by
+    length.  A k of fewer digits sorts before i when it is at most i's
+    leading digits of its length, one of more digits when its leading
+    digits of i's length are less than i, and one of as many digits when
+    it is less than i."""
+    lengths = [(0 if d == 1 else 10 ** (d - 1), min(10 ** d, count))
+               for d in range(1, len(str(max(count - 1, 0))) + 1)]  # (lo, hi) per digit count
+    places = np.empty(count, dtype=np.int64)
+    for d, (lo, hi) in enumerate(lengths, start=1):
+        i = np.arange(lo, hi)
+        at, term = places[lo:hi], np.empty_like(i)  # in place: a few arrays of the block's length
+        np.subtract(i, lo - first, out=at)
+        for e, (lo_e, hi_e) in enumerate(lengths, start=1):
+            if e < d:
+                np.floor_divide(i, 10 ** (d - e), out=term)
+                at += term
+                at += 1 - lo_e
+            elif e > d:
+                np.multiply(i, 10 ** (e - d), out=term)
+                term -= lo_e
+                at += np.clip(term, 0, hi_e - lo_e, out=term)
+    return places
+
+
+class ColumnNames(SequenceABC):
+    """A program's column names in sorted order, made when first read:
+    runs of names held as strings, and ``Positional`` blocks, whose names
+    are made in the order of their texts (``_digit_places``).  Equal to
+    any sequence of the same names in the same order."""
+
+    def __init__(self, pieces: list[Sequence[str]]):
+        self._pieces = pieces
+        self._count = sum(map(len, pieces))
+        self._made: list[str] | None = None
+
+    def _names(self) -> list[str]:
+        if self._made is None:
+            made = []
+            for piece in self._pieces:
+                if isinstance(piece, Positional):
+                    order = np.empty(len(piece), dtype=np.int64)
+                    order[_digit_places(len(piece))] = np.arange(len(piece))
+                    made += [f"{piece.stem}{i}" for i in order.tolist()]
+                else:
+                    made += piece
+            self._made = made
+        return self._made
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, j):
+        return self._names()[j]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC) or isinstance(other, str):
+            return NotImplemented
+        return self._names() == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ColumnNames({self._count} names)"
+
+
+def _sorted_names(blocks: list[tuple[int, Sequence[str]]], n: int) -> tuple[ColumnNames, np.ndarray]:
+    """The names of *n* columns, given in *blocks* ``(start, names)``, in
+    sorted order, and each column's place in that order.
+
+    A ``Positional`` block goes in whole, at its stem's place among the
+    other names, with its names in digit order (``_digit_places``).  That
+    is their sorted order as long as no other name or stem starts with the
+    stem; a block whose stem some other name or stem starts with has its
+    names made, and sorted as strings with the rest."""
+    while True:
+        keys, at, stems = [], [], []  # keys: the names of lists, then the stems
+        for start, names in blocks:
+            if isinstance(names, Positional):
+                stems.append((start, names))
+            else:
+                keys += names
+                at.append(np.arange(start, start + len(names)))
+        texts = len(keys)
+        keys += [names.stem for _, names in stems]
+        ranked = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+        where = np.flatnonzero(ranked >= texts).tolist()  # the stems' ranks
+        clashing = {
+            id(stems[ranked[r] - texts][1]) for r in where
+            if (r + 1 < len(keys) and keys[ranked[r + 1]].startswith(keys[ranked[r]]))
+            or (r and keys[ranked[r - 1]] == keys[ranked[r]])
+        }
+        if not clashing:
+            break
+        blocks = [(start, list(names) if id(names) in clashing else names) for start, names in blocks]
+
+    content = np.concatenate([np.zeros(0, dtype=np.int64), *at])  # each text's column
+    place = np.empty(n, dtype=np.int64)
+    pieces: list[Sequence[str]] = []
+    done = lo = 0
+    for r in [*where, len(keys)]:
+        run = ranked[lo:r]
+        if len(run):
+            place[content[run]] = np.arange(done, done + len(run))
+            pieces.append([keys[i] for i in run.tolist()])
+            done += len(run)
+        if r < len(keys):
+            start, names = stems[ranked[r] - texts]
+            place[start:start + len(names)] = _digit_places(len(names), done)
+            pieces.append(names)
+            done += len(names)
+        lo = r + 1
+    return ColumnNames(pieces), place
+
+
 @dataclass(eq=False, slots=True)
 class SparseLp:
     """A linear program over integer columns, in flat arrays: the form that
@@ -82,7 +226,9 @@ class SparseLp:
     Column j is the variable ``names[j]``, and the names are sorted: the
     optimal vertex HiGHS returns depends on the column order, with primal
     and dual simplex alike, so the order is fixed by name however a
-    program was built.
+    program was built.  ``names`` is a ``ColumnNames``, which makes the
+    names only when they are first read (by ``row_texts``, ``export_lp``
+    and lookups by name): solving reads the columns alone.
     Row r owns the entries ``indptr[r]:indptr[r + 1]`` of ``cols`` and
     ``vals``: the terms of its left side up to ``split[r]``, then those of
     its right side negated, so a row's entries add up to lhs - rhs.
@@ -100,7 +246,7 @@ class SparseLp:
     """
 
     sense: str
-    names: list[str]
+    names: Sequence[str]
     obj_const: float
     obj_cols: np.ndarray
     obj_vals: np.ndarray
@@ -232,11 +378,12 @@ class SparseLp:
 class LpBuilder:
     """The columns and rows of a program being compiled.
 
-    Columns come in blocks of names, and rows name a column by its position
-    in the order the blocks were added.  A block can split its columns into
-    classes (``SparseLp.lead``), and rows then name a class by the one
-    column of the block that stands for it.  ``build`` sorts the names once
-    and renumbers every column to its sorted place, and every class to the
+    Columns come in blocks of names, a list or a ``Positional`` block, and
+    rows name a column by its position in the order the blocks were added.
+    A block can split its columns into classes (``SparseLp.lead``), and
+    rows then name a class by the one column of the block that stands for
+    it.  ``build`` puts the names in order once (``_sorted_names``) and
+    renumbers every column to its sorted place, and every class to the
     place of its lead.  Rows come one at a time (``row``), appended to
     ``array`` buffers so that a row costs no numpy call, or in bulk
     (``rows``), kept as the caller's arrays; both are chunks in the order
@@ -244,8 +391,9 @@ class LpBuilder:
     """
 
     def __init__(self):
-        self.names: list[str] = []
-        self._classes: list[tuple[int, np.ndarray]] = []  # (block start, stand-ins)
+        self._blocks: list[tuple[int, Sequence[str]]] = []  # (start, names)
+        self._count = 0  # columns so far
+        self._classes: list[tuple[int, np.ndarray]] = []  # (block start, stand-ins in the block)
         self._chunks: list[tuple] = []  # (cols, vals, split, indptr, lconst, rconst, eq, counts)
         self._entries = 0  # in the chunks
         self._open()
@@ -277,10 +425,11 @@ class LpBuilder:
         *stand_ins*, column i of the block is in the class of the columns
         whose stand-in, a position in the block, is ``stand_ins[i]``; rows
         name that class by the stand-in's position."""
-        start = len(self.names)
-        self.names.extend(names)
+        start = self._count
+        self._blocks.append((start, names if isinstance(names, Positional) else list(names)))
+        self._count += len(names)
         if stand_ins is not None:
-            self._classes.append((start, np.asarray(stand_ins, dtype=np.int64) + start))
+            self._classes.append((start, np.asarray(stand_ins, dtype=np.int64)))
         return start
 
     def row(self, lhs: Side, rel: str, rhs: Side) -> None:
@@ -313,37 +462,37 @@ class LpBuilder:
     def build(self, sense: str, objective: Side) -> SparseLp:
         """The program, with every row added so far; ``build`` runs once.
         Each class is led by its lowest column in name order, fixed here
-        once the names are sorted, and every entry naming the class is
+        once the names are in order, and every entry naming the class is
         renumbered to the lead's place (``SparseLp.lead``).  Rows added in
         one chunk keep their arrays, renumbered in place, and more chunks
         are joined.  An int64 array of the objective's columns is
         renumbered in place too."""
         if sense not in ("maximize", "minimize"):
             raise ValueError(f"bad sense {sense!r}")
-        n = len(self.names)
-        ordered = sorted(range(n), key=self.names.__getitem__)
-        names = [self.names[i] for i in ordered]
-        order = np.array(ordered, dtype=np.int64)
-        del ordered
-        place = np.empty(n, dtype=np.int64)
-        place[order] = np.arange(n)
-        self._place = target = place
-        lead = None
-        if self._classes:
-            stand_in = np.arange(n)
-            for start, stand_ins in self._classes:
-                stand_in[start:start + len(stand_ins)] = stand_ins
-            lowest = np.empty(n, dtype=np.int64)  # at a stand-in, its class's lowest place
-            lowest[stand_in[order[::-1]]] = np.arange(n - 1, -1, -1)  # the last write is lowest
-            target = lowest[stand_in]
-            lead = target[order]
-            if np.array_equal(lead, np.arange(n)):
-                lead = None
+        n = self._count
+        names, place = _sorted_names(self._blocks, n)
+        self._blocks = []
+        self._place = place
+        lead = None  # at a place, its class's lowest place
+        for start, stand_ins in self._classes:
+            places = place[start:start + len(stand_ins)]
+            lowest = np.full(len(stand_ins), n)
+            np.minimum.at(lowest, stand_ins, places)  # at a stand-in, its class's lowest place
+            lowest = lowest[stand_ins]
+            if not np.array_equal(lowest, places):
+                if lead is None:
+                    lead = np.arange(n)
+                lead[places] = lowest
+        self._classes = []
+
+        def renumber(cols: np.ndarray) -> np.ndarray:
+            return place[cols] if lead is None else lead[place[cols]]
+
         self._seal()
         chunks, self._chunks = self._chunks, []
         for cols, vals, *_, counts in chunks:
             for at in range(0, len(cols), _STEP):
-                cols[at:at + _STEP] = target[cols[at:at + _STEP]]
+                cols[at:at + _STEP] = renumber(cols[at:at + _STEP])
             if counts is not None:  # right sides negated, in slices of whole sides
                 starts = np.cumsum(counts) - counts
                 for lo, hi in slices(counts[1::2]):
@@ -360,7 +509,7 @@ class LpBuilder:
         )
         constant, obj_cols, obj_vals = objective
         obj_cols = np.asarray(obj_cols, dtype=np.int64)
-        obj_cols[:] = target[obj_cols]
+        obj_cols[:] = renumber(obj_cols)
         return SparseLp(
             sense=sense,
             names=names,
@@ -389,7 +538,7 @@ class ArrayAssignment(MappingABC):
 
     __slots__ = ("_names", "_index", "_x")
 
-    def __init__(self, names: list[str], x):
+    def __init__(self, names: Sequence[str], x):
         self._names = names
         self._index: dict[str, int] | None = None
         self._x = x
@@ -400,8 +549,10 @@ class ArrayAssignment(MappingABC):
         return max(0.0, float(self._x[self._index[key]]))
 
     def columns(self, cols) -> list[float]:
-        """Values at the column positions *cols*, clipped at 0 like lookups."""
-        return [max(0.0, v) for v in self._x[cols].tolist()]
+        """Values at the column positions *cols*, clipped at 0 like lookups:
+        0.0 for a negative value, -0.0 or NaN."""
+        x = self._x[cols]
+        return np.where(x > 0.0, x, 0.0).tolist()
 
     def __iter__(self):
         return iter(self._names)

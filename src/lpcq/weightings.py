@@ -50,9 +50,10 @@ join (the join phase of Yannakakis, VLDB 1981).  Every partial row extends
 to an answer, so no intermediate is larger than the output (Olteanu and
 Závodný, TODS 2015); each bag's row positions are carried in the smallest
 integer type that holds its row count.  The rows are put in ``AnswerSet``
-order with ``np.lexsort`` on the codes, and each row's mass is the product
-above, edges in sorted order and multiplied left to right, as
-``reconstruct`` computes it.  The bag-variable values form a sound collection (up to solver
+order by their codes, packed column by column into int64 keys below 2^62
+(``_lex_order``), and each row's mass is the product above, edges in
+sorted order and multiplied left to right, as ``reconstruct`` computes it.
+The bag-variable values form a sound collection (up to solver
 tolerance), and the lifted weights are feasible for the answer-variable
 formulation at the same objective value.  ``solution_to_weights`` and
 ``reconstruct`` refuse more than ``MATERIALIZE_LIMIT`` answers;
@@ -409,12 +410,33 @@ class _Lift:
         del index
         codes = np.empty((len(masses), len(columns)), dtype=np.int32)
         if columns:
-            order = np.lexsort(columns[::-1])
+            order = _lex_order(columns)
             masses = masses[order]
             for j in range(len(columns)):
                 codes[:, j] = columns[j][order]
                 columns[j] = None
         return AnswerColumns(self.variables, self.dictionary, codes, masses)
+
+
+def _lex_order(columns: list[np.ndarray]) -> np.ndarray:
+    """The order ``np.lexsort(columns[::-1])`` gives rows of codes, first
+    column first.  The columns are packed into int64 keys in a mixed radix
+    of ``max + 1`` per column, as many to a key as fit below 2^62 (as in
+    ``key_ids``), and the keys are sorted stably: one by ``argsort``,
+    several by ``lexsort``, the first key most significant."""
+    keys: list[np.ndarray] = []
+    size = 1  # the key being packed is below it
+    for column in columns:
+        top = int(column.max(initial=0)) + 1
+        if keys and size * top < 1 << 62:
+            keys[-1] = keys[-1] * top + column
+            size *= top
+        else:
+            keys.append(column.astype(np.int64))
+            size = top
+    if len(keys) == 1:
+        return np.argsort(keys[0], kind="stable")
+    return np.lexsort(keys[::-1])
 
 
 def check_sound(

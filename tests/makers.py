@@ -58,9 +58,10 @@ def sparse_lp(sense: str, objective, rows=(), variables=()) -> SparseLp:
         return side if isinstance(side, tuple) else (float(side), {})
 
     sides = [parts(objective)] + [parts(side) for lhs, _, rhs in rows for side in (lhs, rhs)]
+    names = sorted(set(variables).union(*(terms for _, terms in sides)))
     builder = LpBuilder()
-    builder.block(sorted(set(variables).union(*(terms for _, terms in sides))))
-    index = {name: i for i, name in enumerate(builder.names)}
+    builder.block(names)
+    index = {name: i for i, name in enumerate(names)}
 
     def side(s):
         constant, terms = parts(s)

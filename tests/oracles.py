@@ -6,9 +6,12 @@ join of assignment sets, a brute-force test of conjunctive decomposition,
 and ``dict_assembly``, which builds an interpretation's LP row by row as
 ``{name: coefficient}`` dicts.  The decomposition test and the dict
 assembly read answer sets through the production ``AnswerSet.restrict`` and
-``group_by``, and the dict assembly names variables with the production
-``VarNaming``, so it checks the compilation to columns and nothing before
+``group_by``, so it checks the compilation to columns and nothing before
 it; the rest shares no code with the paths it checks.
+
+``StringNaming`` names variables as lpcq did before it ordered positional
+blocks from their row numbers: every name a string, claimed in one set.
+The dict assembly names its variables with it.
 
 ``normalize`` rewrites a tree into the textbook normal form, which no solve
 path uses: the tests take normalized trees as extra input shapes.
@@ -46,7 +49,8 @@ from lpcq.errors import (
     TooLargeError,
     UnknownVariableError,
 )
-from lpcq.interpret import VarNaming, qid
+from lpcq import interpret
+from lpcq.interpret import qid
 from lpcq.language import (
     CAnd,
     CCompare,
@@ -525,7 +529,60 @@ def _one(var) -> tuple[float, dict[str, float]]:
     return 0.0, ({var: 1.0} if var is not None else {})
 
 
-def nu_name(naming: VarNaming, w) -> str:
+class StringNaming:
+    """``interpret.VarNaming`` as it was before positional blocks: every
+    name made and claimed as a string.  Reads ``CONTENT_NAME_LIMIT`` from
+    ``lpcq.interpret`` at each call, so a test can patch it for both."""
+
+    def __init__(self):
+        self._taken: set[str] = set()
+
+    def _claim(self, base: str) -> str:
+        name = base
+        bump = 1
+        while name in self._taken:
+            bump += 1
+            name = f"{base}_k{bump}"
+        self._taken.add(name)
+        return name
+
+    def _claim_all(self, bases: list[str]) -> list[str]:
+        fresh = set(bases)
+        if len(fresh) == len(bases) and fresh.isdisjoint(self._taken):
+            self._taken |= fresh
+            return bases
+        return [self._claim(base) for base in bases]
+
+    def _row_names(self, prefix: str, rows: AnswerSet) -> list[str]:
+        if len(rows) > interpret.CONTENT_NAME_LIMIT:
+            return self._claim_all([f"{prefix}_r{i}" for i in range(len(rows))])
+        if not rows.variables:
+            return self._claim_all([f"{prefix}_all"] * len(rows))
+        tokens = rows.dictionary.tokens
+        names = prefix + "_" + tokens[rows.codes[:, 0]]
+        for j in range(1, len(rows.variables)):
+            names = names + "_" + tokens[rows.codes[:, j]]
+        return self._claim_all(names.tolist())
+
+    def theta_names(self, key, answers: AnswerSet) -> list[str]:
+        return self._row_names(f"th_{qid(key[0])}", answers)
+
+    def xi_names(self, key, node: int, proj: AnswerSet) -> list[str]:
+        return self._row_names(f"xi_{qid(key[0])}_n{node}", proj)
+
+    def nu_names(self, cp: ClosedProgram, ranks: np.ndarray) -> list[str]:
+        weights = cp.weights
+        tokens = cp.dictionary.tokens
+        bases = np.empty(weights.count, dtype=object)
+        for f, codes, at in zip(cp.families, weights.codes, weights.ranks):
+            base = f"nu_{qid(f.query_name)}"
+            for j, x in enumerate(f.variables):
+                base = base + f"_{x}_" + tokens[codes[:, j]]
+            bases[at] = base if f.variables else base + "_all"
+        return self._claim_all(bases[ranks].tolist())
+
+
+def nu_name(naming: StringNaming, w) -> str:
     """A new stand-in name for *w*, claimed in *naming*."""
     parts = "_".join(f"{x}_{v.token}" for x, v in w.targets) or "all"
     return naming._claim(f"nu_{qid(w.query_name)}_{parts}")
@@ -535,7 +592,7 @@ def dict_assembly(mode: str, cp: ClosedProgram, db: Database, decomps=None):
     """(DictLp, provenance) of one interpretation, each row built as
     ``{name: coefficient}`` dicts: user rows, then weight rows, then
     soundness rows, query by query."""
-    naming = VarNaming()
+    naming = StringNaming()
     if mode == "factorized":
         return _dict_factorized(cp, decomps, db, naming)
     answers = {key: evaluate(key[1], db) for key in cp.queries_w()}
@@ -550,7 +607,7 @@ def dict_assembly(mode: str, cp: ClosedProgram, db: Database, decomps=None):
     return _assemble(cp, lambda w: {nu[w]: 1.0}, rows, declared)
 
 
-def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: VarNaming):
+def _dict_factorized(cp: ClosedProgram, decomps, db: Database, naming: StringNaming):
     targets_by_query = {}
     for w in cp.weight_exprs():
         targets_by_query.setdefault((w.query_name, w.query), []).append(w)

@@ -24,12 +24,13 @@ from lpcq.decomp import bag_projections, heuristic_decompose
 from lpcq.errors import InfeasibleSpecError
 from lpcq.interpret import natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import FEAS_TOL, PRIMAL
+from lpcq import interpret
+from lpcq.linprog import FEAS_TOL, PRIMAL, ColumnNames, Positional
 from lpcq.relations import load_database
-from lpcq.synth import GenSpec, generate_delivery
+from lpcq.synth import GenSpec, generate_delivery, write_delivery
 
 from makers import answer_point, certify_point
-from oracles import parse_lp
+from oracles import StringNaming, parse_lp
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DELIVERY = DEMOS / "delivery"
@@ -242,6 +243,54 @@ class TestSolveCommand:
             assert [line for line in out.splitlines() if line.startswith("[")] == explain.splitlines()
             assert lp_path.read_text() == lp_text
             assert json.loads(Path(f"{lp_path}.names.json").read_text()) == {}
+
+    @pytest.mark.parametrize("mode", ["natural", "replacement", "factorized"])
+    def test_printed_names_match_the_string_naming(self, tmp_path, monkeypatch, mode):
+        # with every block of more than two rows named by position, the LP
+        # file, its names sidecar, --explain and the weights file are those
+        # of the same run with every name made as a string
+        monkeypatch.setattr(interpret, "CONTENT_NAME_LIMIT", 2)
+        write_delivery(GenSpec(size=20, seed=1, selectivity=BENCH_SELECTIVITY), tmp_path / "db")
+        (tmp_path / "p.lpcq").write_text(BENCH_PROGRAM)
+        (tmp_path / "decomp.json").write_text(json.dumps(BENCH_DECOMP))
+        argv = ["solve", str(tmp_path / "p.lpcq"), str(tmp_path / "db"), "--mode", mode, "--explain",
+                *(["--decomp", str(tmp_path / "decomp.json")] if mode == "factorized" else [])]
+        outputs = []
+        for naming in (interpret.VarNaming, StringNaming):
+            monkeypatch.setattr(interpret, "VarNaming", naming)
+            lp_path, weights = tmp_path / f"{naming.__name__}.lp", tmp_path / f"{naming.__name__}.csv"
+            code, out = run_main(argv + ["--emit-lp", str(lp_path), "--weights", str(weights)])
+            assert code == 0
+            outputs.append((
+                [line for line in out.splitlines() if line.startswith("[")],
+                lp_path.read_bytes(), Path(f"{lp_path}.names.json").read_bytes(), weights.read_bytes(),
+            ))
+        assert outputs[0] == outputs[1]
+        assert b"_r9 " in outputs[0][1] and b"_r10 " in outputs[0][1]
+
+    def test_natural_solve_makes_no_positional_name(self, tmp_path, monkeypatch):
+        # the names of a positional block are made only to be printed or
+        # looked up; a solve with a weights file reads the columns alone
+        monkeypatch.setattr(interpret, "CONTENT_NAME_LIMIT", 2)
+        made = []
+
+        class Counted(Positional):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def refuse(self, *args):
+            raise AssertionError("a name was made")
+
+        monkeypatch.setattr(interpret, "Positional", Counted)
+        for cls in (Positional, ColumnNames):
+            monkeypatch.setattr(cls, "__getitem__", refuse)
+            monkeypatch.setattr(cls, "__iter__", refuse)
+        here = DEMOS / "delivery"
+        code, out = run_main(["solve", str(here / "delivery.lpcq"), str(here / "data"),
+                              "--mode", "natural", "--json", "--weights", str(tmp_path / "w.csv")])
+        assert code == 0 and json.loads(out)["status"] == "optimal"
+        assert len(made) == 1 and len(made[0]) > interpret.CONTENT_NAME_LIMIT
 
     def test_json_report(self, worked_dir):
         prog, db, _ = worked_dir

@@ -21,6 +21,7 @@ import scipy.optimize
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from lpcq import interpret as interpretation
 from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, BENCH_SELECTIVITY, build_decompositions
 from lpcq.decomp import load_decompositions, tree_width
 from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
@@ -136,16 +137,39 @@ subject to weight[(x, y): true](Q) <= 1
 """
 
 
+# queries whose positional stems collide: th_a_r starts th_a_r1_r, and a'
+# and a_ share the query id a_
+STEMS = """
+let a(x) = R(x)
+let a_r1(x) = R(x)
+let a'(x) = R(x)
+let a_(x) = R(x)
+maximize weight[(x): true](a) + weight[(x): true](a_r1) + weight[(x): true](a') + weight[(x): true](a_)
+subject to weight[(x): x == 0](a) <= 1 /\\ weight[(x): x == 10](a_r1) <= 2
+        /\\ weight[(x): x == 0](a') <= 3 /\\ weight[(x): x == 1](a_) <= 4
+"""
+
+
 def cases(tmp_path):
     yield "delivery", delivery_case(tmp_path)
     for name in ("privacy", "smeasure"):
         yield name, demo_case(name)
     yield "fractions", (parse(FRACTIONS), make_db(R1=[(0,), (1,)], R2=[(0,), (1,)]), None)
+    yield "stems", (parse(STEMS), make_db(R=[(i,) for i in range(12)]), None)
+
+
+def limited_cases(tmp_path, monkeypatch):
+    """Each case with the content-name limit as it is, then at 1, which
+    names every block of two or more rows by position."""
+    for limit in (interpretation.CONTENT_NAME_LIMIT, 1):
+        monkeypatch.setattr(interpretation, "CONTENT_NAME_LIMIT", limit)
+        for label, case in cases(tmp_path):
+            yield f"{label} at {limit}", case
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_highs_input_matches_dict_assembly(mode, tmp_path):
-    for label, (program, db, decomp_path) in cases(tmp_path):
+def test_highs_input_matches_dict_assembly(mode, tmp_path, monkeypatch):
+    for label, (program, db, decomp_path) in limited_cases(tmp_path, monkeypatch):
         cp = close(normal_form(program), db)
         cp_qf = quantifier_eliminate(cp)
         decomps = build_decompositions(cp, cp_qf, decomp_path, decomp_path is None)
@@ -159,13 +183,13 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path):
         assert_same_input(got, want)
         assert got_sol.nonzeros == want_sol.nonzeros > 0
         assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value), label
-        if mode != "factorized" and label in ("delivery", "privacy"):
+        if mode != "factorized" and label.split()[0] in ("delivery", "privacy"):
             # their weights read fewer variables than their queries have, so
             # the answers come in classes
             assert ilp.program.lead is not None, label
 
         # the LP file is the per-answer build's, and it round-trips
-        path = tmp_path / f"{label}_{mode}.lp"
+        path = tmp_path / f"{label.replace(' ', '_')}_{mode}.lp"
         assert same_lp_text(ilp.program, sparse_lp("maximize", *want_lp), tmp_path)
         export_lp(ilp.program, path)
         parsed, _ = highs_input(parse_lp(path))
@@ -213,10 +237,17 @@ def random_program(seed: int):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_random_programs_compile_like_the_conversion(seed, tmp_path_factory):
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       limit=st.sampled_from([interpretation.CONTENT_NAME_LIMIT, 2, 0]))
+def test_random_programs_compile_like_the_conversion(seed, limit, tmp_path_factory):
     db, cp, decomps = random_program(seed)
     tmp_path = tmp_path_factory.mktemp("lp")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interpretation, "CONTENT_NAME_LIMIT", limit)
+        compile_like_the_conversion(db, cp, decomps, tmp_path)
+
+
+def compile_like_the_conversion(db, cp, decomps, tmp_path):
     for mode in MODES:
         ilp = interpret(mode, cp, db, decomps)
         if mode != "factorized":

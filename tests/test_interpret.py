@@ -7,8 +7,10 @@ from lpcq.errors import (
     IncompatibleDecompositionError,
     MissingDecompositionError,
 )
+from lpcq import interpret as interpretation
 from lpcq.interpret import (
     InterpretedLp,
+    VarNaming,
     factorized,
     natural,
     quantifier_eliminate,
@@ -16,10 +18,10 @@ from lpcq.interpret import (
 )
 from lpcq.language import ClosedProgram, close, parse
 from lpcq.linprog import LpBuilder, solve
-from lpcq.queries import free_vars, parse_query
+from lpcq.queries import evaluate, free_vars, parse_query
 
 from makers import make_db, rand_flagship_instance
-from oracles import normalize, scaled
+from oracles import StringNaming, normalize, scaled
 
 WORKED = """
 let Q(x, y) = R1(x) /\\ R2(y)
@@ -288,6 +290,35 @@ class TestVariableNames:
         assert len(ilp.program.names) == ilp.variable_count
         assert all(name.startswith(("th_a__", "xi_a__", "nu_a__")) for name in ilp.program.names)
         assert math.isclose(solve(ilp.program).value, 3.0)
+
+
+class TestPositionalNames:
+    def test_claims_match_the_string_naming(self, monkeypatch):
+        # blocks of 12 rows are positional; each claim gives the names, _k
+        # suffixes included, that claiming every name as a string gives
+        monkeypatch.setattr(interpretation, "CONTENT_NAME_LIMIT", 2)
+        query = parse_query("R(x)")
+        rows = evaluate(query, make_db(R=[(i,) for i in range(12)]))
+        steps = [
+            # content names taken first: th_Q_r5 is one of Q's positional
+            # names, so Q's block is made name by name; r12 and r05 are not
+            lambda n: n._claim_all(["th_Q_r5", "th_Q_r12", "th_Q_r05"]),
+            lambda n: n.theta_names(("Q", query), rows),
+            # a positional block, then content names among its names
+            lambda n: n.theta_names(("P", query), rows),
+            lambda n: n._claim_all(["th_P_r3", "th_P_r3", "th_P_r11", "th_P_r12", "th_P_r"]),
+            # a second block with the same stem
+            lambda n: n.theta_names(("P", query), rows),
+            lambda n: n.xi_names(("P", query), 1, rows),
+            lambda n: n._claim_all(["xi_P_n1_r0_k2", "xi_P_n1_r0"]),
+        ]
+        naming, oracle = VarNaming(), StringNaming()
+        kinds = []
+        for step in steps:
+            got = step(naming)
+            kinds.append(type(got).__name__)
+            assert list(got) == step(oracle)
+        assert kinds == ["list", "list", "Positional", "list", "list", "Positional", "list"]
 
 
 class TestEquivalences:

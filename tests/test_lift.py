@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lpcq import cli
 from lpcq.cli import (
     BENCH_DECOMP,
     BENCH_PROGRAM,
@@ -34,6 +35,7 @@ from lpcq.synth import GenSpec, write_delivery
 from lpcq.weightings import (
     LIFT_TOL,
     Weighting,
+    _lex_order,
     check_sound,
     collection_from_weighting,
     lift_answers,
@@ -221,6 +223,16 @@ class TestKernel:
         assert found >= 20
 
 
+@pytest.mark.parametrize("tops", [(5,), (3, 1, 4), (2**31 - 1, 2**31 - 1, 9, 2**20, 1)])
+def test_lex_order_is_lexsort(tops):
+    # columns packed into one key, and into several once a key would pass
+    # 2^62; repeated rows keep their order, as lexsort keeps them
+    rng = np.random.default_rng(len(tops))
+    columns = [rng.integers(0, top + 1, 500).astype(np.int32) for top in tops]
+    columns = [np.concatenate([c, c[:50]]) for c in columns]
+    assert np.array_equal(_lex_order(columns), np.lexsort(columns[::-1]))
+
+
 def weights_bytes(tmp_path, program_text, db_dir, mode, **decomp):
     """The weights file the CLI writes and the one the row-by-row oracle
     writes, for one solved run."""
@@ -244,6 +256,23 @@ class TestWeightsFile:
             tmp_path, BENCH_PROGRAM, db_dir, "factorized", decomp_path=str(decomp)
         )
         assert ours == theirs and ours.count(b"\r\n") > 1000
+
+    def test_blocks_of_rows_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # the writer formats a block of rows at a time; a block of 7 rows,
+        # which cuts the rows of every section, writes the same file
+        db_dir = tmp_path / "db"
+        write_delivery(GenSpec(size=100, seed=1, selectivity=BENCH_SELECTIVITY), db_dir)
+        decomp = tmp_path / "decomp.json"
+        decomp.write_text(json.dumps(BENCH_DECOMP))
+        cp_qf, ilp, solution, _ = run_pipeline(parse(BENCH_PROGRAM), load_database(db_dir),
+                                               "factorized", decomp_path=str(decomp))
+        files = []
+        for rows in (cli._BLOCK_ROWS, 7):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+            files.append(tmp_path / f"{rows}.csv")
+            _write_weights(str(files[-1]), cp_qf, ilp, solution)
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert files[0].read_bytes().count(b"\r\n") > cli._BLOCK_ROWS
 
     @pytest.mark.parametrize(
         "mode, tree",

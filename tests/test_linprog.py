@@ -9,7 +9,16 @@ from scipy.sparse import csr_matrix
 
 from lpcq.errors import CertificateError, IoError, NumericalFailureError
 from lpcq import linprog
-from lpcq.linprog import FEAS_TOL, PRIMAL, PRIMAL_FROM_ORIGIN, LpBuilder, certify, solve
+from lpcq.linprog import (
+    FEAS_TOL,
+    PRIMAL,
+    PRIMAL_FROM_ORIGIN,
+    ArrayAssignment,
+    LpBuilder,
+    Positional,
+    certify,
+    solve,
+)
 from lpcq.lpformat import export_lp
 
 from makers import sparse_lp
@@ -746,6 +755,84 @@ class TestBuilder:
             want = one_by_one.build("maximize", (0.0, [], []))
             assert list(got.rows()) == list(want.rows())
             assert np.array_equal(got.vals, want.vals) and np.array_equal(got.indptr, want.indptr)
+
+
+def built(blocks, stand_ins=(), rows=(), objective=()):
+    """A program over *blocks* of names, the ith with the classes
+    ``stand_ins[i]`` if given, the rows ``(lhs, rhs)`` and the objective
+    over positions of the blocks' columns; the builder and block starts."""
+    builder = LpBuilder()
+    starts = [builder.block(names, *stand_ins[i:i + 1]) for i, names in enumerate(blocks)]
+    for lhs, rhs in rows:
+        builder.row((0.0, lhs, [1.0] * len(lhs)), "<=", (1.0, rhs, [2.0] * len(rhs)))
+    lp = builder.build("maximize", (0.0, list(objective), [1.0] * len(objective)))
+    return lp, builder, starts
+
+
+class TestColumnOrder:
+    """A ``Positional`` block is placed from its row numbers; the order is
+    the one sorting every name as a string gives."""
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 2345])
+    def test_digit_places_sort_like_the_texts(self, count):
+        order = sorted(range(count), key=str)
+        assert linprog._digit_places(count)[order].tolist() == list(range(count))
+
+    @pytest.mark.parametrize("blocks", [
+        # blocks sorting before, after and between content names, and names
+        # sharing a prefix with a stem without starting with it
+        [Positional("p_r", 1001), ["a", "p_", "p_q", "p_s", "z"], Positional("b_r", 10),
+         Positional("pp_r", 100), ["p"]],
+        # stems of bags 1 and 10: a name of one begins like a name of the
+        # other, but neither stem starts the other
+        [Positional("xi_q_n10_r", 101), Positional("xi_q_n1_r", 11),
+         ["xi_q_n", "xi_q_n1_", "xi_q_n2_", "xi_q_n1_s"], Positional("xi_q_n2_r", 9)],
+        # stems some other name or stem starts with: made and sorted as texts
+        [Positional("a_r", 120), Positional("a_r1_r", 15), ["b_r7", "b_r07", "c_r"],
+         Positional("b_r", 12), Positional("c_r", 3), Positional("d_r", 2), Positional("d_r", 2),
+         Positional("e_r", 11)],
+    ])
+    def test_names_in_sorted_order(self, blocks):
+        lp, builder, starts = built(blocks)
+        names = [name for block in blocks for name in block]
+        assert lp.names == sorted(names) and list(lp.names) == sorted(names)
+        assert len(lp.names) == len(names) and lp.names[-1] == max(names)
+        for start, block in zip(starts, blocks):
+            assert [lp.names[j] for j in builder.columns(start, len(block)).tolist()] == list(block)
+        with pytest.raises(IndexError):
+            lp.names[len(names)]
+
+    def test_positional_blocks_build_as_their_names_do(self, rng):
+        # the same program with each block named by position and by the
+        # list of its names: the same names, classes, rows and places
+        for _ in range(30):
+            counts = [rng.choice([3, 10, 12, 105, 1003]) for _ in range(3)]
+            stems = rng.sample(["t_r", "t_r1_r", "u_r", "t_q_r", "v_r"], 3)
+            stand_ins = []
+            for count in counts:
+                first = {}
+                stand_ins.append(np.array([first.setdefault(rng.randrange(5), i) for i in range(count)]))
+            positions = [int(start + s) for start, block in zip(np.cumsum([0, *counts]), stand_ins)
+                         for s in set(block.tolist())]
+            rows = [(rng.sample(positions, 2), rng.sample(positions, 1)) for _ in range(8)]
+            objective = rng.sample(positions, 3)
+            got = built([Positional(stem, count) for stem, count in zip(stems, counts)],
+                        stand_ins, rows, objective)
+            want = built([list(Positional(stem, count)) for stem, count in zip(stems, counts)],
+                         stand_ins, rows, objective)
+            assert got[0].names == list(want[0].names)
+            for field in ("lead", "cols", "obj_cols", "indptr"):
+                assert np.array_equal(getattr(got[0], field), getattr(want[0], field)), field
+            assert np.array_equal(got[1]._place, want[1]._place)
+
+
+def test_assignment_columns_clip_like_lookups():
+    # a negative value, -0.0 and NaN all read as 0.0, as max(0.0, v) reads them
+    x = np.array([1.5, -2.0, -0.0, np.nan, 0.0, 3e-300])
+    got = np.array(ArrayAssignment(["a"] * len(x), x).columns(np.arange(len(x))))
+    want = np.array([max(0.0, v) for v in x.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got.tolist() == [1.5, 0.0, 0.0, 0.0, 0.0, 3e-300]
 
 
 class TestDuality:
