@@ -20,14 +20,19 @@ query by query, the weight rows and the soundness rows.
 Each interpretation compiles whole weight families to integer columns
 with an ``LpBuilder``: one block per query's answers (θ), per (query, bag)
 (ξ) and for the stand-ins (ν).  A θ block's answers fall into classes by
-their values on the variables the query's weight families read; the
-answers of a class are the same in every row, so rows hold one entry per
-class, on its lead (``SparseLp.lead``).  The terms of a family find the
-classes or bag rows their targets select all at once (``Groups.find`` on
-the target codes, one grouping per query and target variables); a
-soundness row holds a parent's and a child's bag rows with one separator
-value, values in text order on their codes.  Rows go to ``LpBuilder.rows`` as arrays, in the
-closed program's order, each side's terms in rank (``sort_key``) order.
+their values on the variables the query's weight families read.  A ξ
+block's rows that no target selects fall into classes by their values on
+the variables the bag shares with its neighbours in the tree, its
+separators; each row a target selects is a class of its own.  The
+columns of a class are the same in every row, so rows hold one entry per
+class, on its lead (``SparseLp.lead``), and HiGHS gets one column per
+class.  The terms of a family find the classes or bag rows their targets
+select all at once (``Groups.find`` on the target codes, one grouping per
+query and target variables); a soundness row holds a parent's and a
+child's bag rows with one separator value, one row of each class, values
+in text order on their codes.  Rows go to ``LpBuilder.rows`` as arrays,
+in the closed program's order, each side's terms in rank (``sort_key``)
+order.
 Names are built from one ``Value.token`` per dictionary entry.  Each θ
 and ξ block is kept as a ``Block``, its rows and their columns in the
 built program, which is all ``weightings.lift_answers`` reads, in every
@@ -65,7 +70,7 @@ from .errors import IncompatibleDecompositionError, MissingDecompositionError
 from .language import ClosedProgram
 from .linprog import LpBuilder, Positional, Side, SparseLp, slices
 from .queries import AnswerSet, Groups, Query, evaluate, is_quantifier_free, qf
-from .relations import Database, key_ids, ranges, row_groups
+from .relations import Database, first_rows, ranges, row_groups
 
 QueryKey = tuple[str, Query]
 
@@ -238,9 +243,7 @@ class _AnswerColumns:
         self.starts = {}
         for key, rows in self.answers.items():
             columns = rows.columns(sorted(read[key]))
-            (ids,), count = key_ids(columns)
-            first = np.empty(count, dtype=np.int64)
-            first[ids[::-1]] = np.arange(len(ids) - 1, -1, -1)  # the last write is the first row
+            ids, first = first_rows(columns)
             table = AnswerSet.from_codes(read[key], columns[first], rows.dictionary)
             self.classes[key] = table, first
             self.starts[key] = builder.block(naming.theta_names(key, rows), first[ids])
@@ -392,6 +395,21 @@ def quantifier_eliminate(cp: ClosedProgram) -> ClosedProgram:
     return cp.with_queries(rewrite)
 
 
+def _bag_classes(tree: DecompTree, node: int, rows: AnswerSet, alone: np.ndarray) -> np.ndarray:
+    """``LpBuilder.block``'s stand-ins for the rows of a bag: each row where
+    *alone* is true, one a weight target selects, is a class of its own,
+    and every other row is in the class of the first row that agrees with
+    it on every variable the bag shares with its parent or a child.  Those
+    rows meet only the soundness rows of the bag's edges, one row per edge
+    and separator value, with the same coefficient, so the rows of a class
+    have the same column."""
+    parent = [] if tree.parent[node] is None else [tree.parent[node]]
+    shared = set().union(*(tree.bags[node] & tree.bags[m] for m in [*tree.children[node], *parent]))
+    own = np.where(alone, np.arange(1, len(rows) + 1), 0)[:, None]
+    ids, first = first_rows(np.hstack([rows.columns(sorted(shared)), own]))
+    return first[ids]
+
+
 def factorized(
     cp: ClosedProgram, decomps: Mapping[QueryKey, DecompTree], db: Database
 ) -> InterpretedLp:
@@ -400,6 +418,8 @@ def factorized(
     Each weight expression maps to the single bag variable carrying its
     target assignment (or to zero when the assignment is not a projection
     row); soundness rows tie the per-bag masses together across each edge.
+    The other rows of a bag come in classes by their separator values
+    (``_bag_classes``), and soundness rows list one row of each class.
     """
     naming = VarNaming()
     weights = cp.weights
@@ -411,8 +431,9 @@ def factorized(
     builder = LpBuilder()
     projections: dict[QueryKey, dict[int, AnswerSet]] = {}
     starts: dict[QueryKey, dict[int, int]] = {}
+    listed: dict[QueryKey, dict[int, np.ndarray]] = {}  # each bag's stand-in rows
+    targets: dict[QueryKey, list] = {}  # (family, witness, its rows' order, starts, counts)
     trees: dict[QueryKey, DecompTree] = {}
-    witnesses: dict[QueryKey, dict] = {}
     nu: list[str] = []
     nu_cols = np.zeros(weights.count, dtype=np.int64)
     ranks_of: dict[QueryKey, np.ndarray] = {}  # a query's weight expressions
@@ -429,7 +450,7 @@ def factorized(
         validate(tree, query)
         # a target's witness is the bag equal to it closest to the root, the
         # smallest id on ties, so that reruns pick the same variables
-        witnesses[key] = witness = {}
+        witness = {}
         for node in sorted(tree.bags, key=lambda n: (tree.depth(n), n)):
             witness.setdefault(tree.bags[node], node)
         missing = [t for t in families_of[key] if frozenset(cp.families[t].variables) not in witness]
@@ -441,10 +462,19 @@ def factorized(
             )
 
         proj = projections[key] = bag_projections(query, tree, db)
-        starts[key] = {
-            node: builder.block(naming.xi_names(key, node, proj[node]))
-            for node in sorted(tree.bags)
-        }
+        targets[key] = []
+        alone = {node: np.zeros(len(rows), dtype=bool) for node, rows in proj.items()}
+        for t in families_of[key]:  # a witness bag's rows, each its own group
+            node = witness[frozenset(cp.families[t].variables)]
+            groups = proj[node].groups(proj[node].variables)
+            at, counts = groups.find(recode[weights.codes[t]])
+            targets[key].append((t, node, groups.order, at, counts))
+            alone[node][groups.order[at[counts > 0]]] = True
+        starts[key], listed[key] = {}, {}
+        for node in sorted(tree.bags):
+            stand_ins = _bag_classes(tree, node, proj[node], alone[node])
+            starts[key][node] = builder.block(naming.xi_names(key, node, proj[node]), stand_ins)
+            listed[key][node] = np.flatnonzero(stand_ins == np.arange(len(stand_ins)))
         trees[key] = tree
         ranks = ranks_of[key] = np.sort(np.concatenate([weights.ranks[t] for t in families_of[key]]))
         names = naming.nu_names(cp, ranks)
@@ -454,29 +484,25 @@ def factorized(
     provenance, objective = _program_rows(cp, builder, _stand_ins(nu_cols))
     for key, tree in trees.items():
         nodes = projections[key]
-        pieces = []
-        for t in families_of[key]:  # a witness bag's rows, each its own group
-            witness = witnesses[key][frozenset(cp.families[t].variables)]
-            groups = nodes[witness].groups(nodes[witness].variables)
-            local = np.searchsorted(ranks_of[key], weights.ranks[t])
-            pieces.append((local, groups.order + starts[key][witness],
-                           *groups.find(recode[weights.codes[t]])))
-        provenance += _weight_rows(builder, nu_cols[ranks_of[key]], pieces)
+        provenance += _weight_rows(builder, nu_cols[ranks_of[key]], [
+            (np.searchsorted(ranks_of[key], weights.ranks[t]), order + starts[key][node],
+             at, counts)
+            for t, node, order, at, counts in targets[key]
+        ])
 
         for parent, child in sorted(tree.edges):
             # one row per separator value γ of either side, in text order:
-            # both sides' rows grouped together, each group's parent rows
-            # first, so the grouped order lists every row's sides in turn
+            # both sides' stand-in rows grouped together, each group's parent
+            # rows first, so the grouped order lists every row's sides in turn
             shared = sorted(tree.bags[parent] & tree.bags[child])
-            split = len(nodes[parent])
+            p, c = listed[key][parent], listed[key][child]
             order, bounds = row_groups(np.concatenate(
-                [nodes[parent].columns(shared), nodes[child].columns(shared)]
+                [nodes[parent].columns(shared)[p], nodes[child].columns(shared)[c]]
             ))
-            in_parent = order < split
+            in_parent = order < len(p)
             p_bounds = np.concatenate(([0], np.cumsum(in_parent)))[bounds]
             counts = np.stack([np.diff(p_bounds), np.diff(bounds - p_bounds)], axis=1).ravel()
-            cols = np.where(in_parent, order + starts[key][parent],
-                            order - split + starts[key][child])
+            cols = np.concatenate([p + starts[key][parent], c + starts[key][child]])[order]
             groups = len(bounds) - 1
             builder.rows(np.zeros(groups), np.zeros(groups), np.ones(groups, dtype=bool),
                          counts, cols, np.ones(len(cols)))

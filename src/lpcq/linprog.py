@@ -4,26 +4,26 @@
 over integer columns, ordered by variable name.  The interpretations and
 fractional bag widths build it through ``LpBuilder``, row by row or in
 bulk; the LP-format writer and ``--explain`` read it back row by row.
-Columns known to be the same in every row (in the natural and replacement
-LPs, the answers no weight tells apart) are a class from the start, and
-only its lead, its lowest column, has entries (``SparseLp.lead``).
-Every program is solved by HiGHS through ``scipy.optimize.linprog``, from
-the matrices ``SparseLp.matrices`` builds over the leads.  Those hand HiGHS
-each distinct column once: columns with the same cost and the same entries
-are one column to the solver, found exactly by ``_representatives``.  Columns
-that an equality row ``a x_i - a x_j = 0`` forces equal (in the factorized
-LP, a separator value with one bag row on each side) are one column too,
-found by ``_forced_equal``, and those rows are not sent.  The call follows
-the LP's shape (``choose_method``), in three ways, all of them simplex: an
-LP with equality rows goes to primal simplex after presolve; one whose
-rows the origin x = 0 satisfies (no equality rows, every bound >= 0, as in
-the natural LPs) to primal simplex from the slack basis without presolve;
-any other to ``highs``, dual simplex after presolve.  Every optimum is put
+Columns known to be the same in every row are a class from the start, and
+only its lead, its lowest column, has entries (``SparseLp.lead``): in the
+natural and replacement LPs the answers no weight tells apart, in the
+factorized LP the bag rows no target selects that agree on their bag's
+separators.  Every program is solved by HiGHS through
+``scipy.optimize.linprog``, from the matrices ``SparseLp.matrices`` builds
+over the leads, one column per class.  Columns that an equality row
+``a x_i - a x_j = 0`` forces equal (in the factorized LP, a separator
+value with one bag row on each side) are one column too, found by
+``_forced_equal``, and those rows are not sent.  The call follows the LP's
+shape (``choose_method``), in three ways, all of them simplex: an LP with
+equality rows goes to primal simplex after presolve; one whose rows the
+origin x = 0 satisfies (no equality rows, every bound >= 0, as in the
+natural LPs) to primal simplex from the slack basis without presolve; any
+other to ``highs``, dual simplex after presolve.  Every optimum is put
 back on the program's columns, each forced-equal class's value on each of
-its columns, then each identical group's value on its lowest column, and
-checked against the rows and bounds before the forced-equal merge
-(``certify``) before it is returned.  The tests cross-check the solver
-against a vertex enumeration oracle.
+its leads and 0 on the other columns, and checked against the rows and
+bounds before the forced-equal merge (``certify``) before it is
+returned.  The tests cross-check the solver against a vertex enumeration
+oracle.
 
 Conventions: every variable is implicitly >= 0; ``maximize`` is handed to
 the solver as ``minimize -objective`` with the reported value negated back.
@@ -58,8 +58,8 @@ PRIMAL = {"simplex_strategy": 4}
 PRIMAL_FROM_ORIGIN = {"presolve": False, **PRIMAL}
 
 # entries per step of the loops that keep their temporary arrays small:
-# renumbering columns in ``LpBuilder.build``, comparing them in
-# ``_same_entries``, filling row sides in ``interpret._sides``
+# renumbering columns and negating right sides in ``LpBuilder.build``,
+# filling row sides in ``interpret._sides``
 _STEP = 1 << 20
 
 
@@ -237,7 +237,8 @@ class SparseLp:
     side as it was written.
 
     Columns can come in classes whose columns are the same in every row
-    and in the objective (answers that no weight tells apart).  Column j
+    and in the objective (answers that no weight tells apart, bag rows
+    that agree on their bag's separators).  Column j
     belongs to the class led by column ``lead[j]``, its lowest column, and
     only leads have entries: each stands for every column of its class.
     ``lead`` is None when every column leads itself.  ``spread`` gives the
@@ -315,28 +316,27 @@ class SparseLp:
     def matrices(self) -> Matrices:
         """The program as ``solve`` hands it to HiGHS: a row's entries summed
         per column and exact zeros dropped, each bound ``rconst - lconst``,
-        one column for each group of identical columns, and one for each
-        class of columns that equality rows force equal.
+        each class of columns (``lead``) one column, and the classes that
+        equality rows force equal one column together.
 
-        Columns with the same cost and the same entries are one column
-        (``_representatives``); it stands for its group, whose lowest
-        column is the one kept.  A class of columns (``lead``) is one such
-        group from the start: the matrix is built over the leads only, the
-        groups are found among them, and each column is in its lead's
-        group.  Of the columns kept, those that rows ``a x_i - a x_j = 0``
-        tie together are one column to the solver (``_forced_equal``): the
-        sum of the class's columns, with their costs summed, so each such
-        row has no terms left and is not sent.  The full matrix is freed
-        on return, before HiGHS runs."""
+        The matrix is built over the leads only, each standing for its
+        class.  Over x >= 0 that is exact: the optimum and the verdict stay,
+        and a vertex of the LP over the leads, with 0 on the other columns
+        of each class, is a vertex of the program.  Of the leads, those
+        that rows ``a x_i - a x_j = 0`` tie together are one column to the
+        solver (``_forced_equal``): the sum of the class's columns, with
+        their costs summed, so each such row has no terms left and is not
+        sent.  The full matrix is freed on return, before HiGHS runs."""
         from scipy.sparse import csr_matrix
 
         n = len(self.names)
         cols, obj_cols, leads = self.cols, self.obj_cols, np.arange(n)
+        group = leads  # each column's lead's place among the leads
         if self.lead is not None:
             leads = np.flatnonzero(self.lead == leads)
-            index = np.empty(n, dtype=np.int64)  # a lead's place among the leads
+            index = np.empty(n, dtype=np.int64)
             index[leads] = np.arange(len(leads))
-            cols, obj_cols = index[cols], index[obj_cols]
+            cols, obj_cols, group = index[cols], index[obj_cols], index[self.lead]
         A = csr_matrix(
             (self.vals, cols, self.indptr),
             shape=(self.row_count, len(leads)), dtype=float, copy=True,
@@ -345,29 +345,19 @@ class SparseLp:
         A.eliminate_zeros()  # ... whose terms cancel
         c = np.zeros(len(leads))
         c[obj_cols] = (-1.0 if self.sense == "maximize" else 1.0) * self.obj_vals
-        representative = _representatives(A, c)
-        kept = representative == np.arange(len(leads))
-        group = (np.cumsum(kept) - 1)[representative]
-        if self.lead is not None:
-            group = group[index[self.lead]]
-        kept = np.flatnonzero(kept)
-        columns = leads[kept]
-        if len(kept) < len(leads):
-            A = A[:, kept]
-        c = c[kept]
         bound = self.rconst - self.lconst
         checked, holds = _split(A, bound, self.eq)
         sent = checked
         classes = _forced_equal(A, bound, self.eq)
         k = int(classes.max(initial=-1)) + 1
-        if k < len(columns):
+        if k < len(leads):
             A = csr_matrix((A.data, classes[A.indices], A.indptr), shape=(A.shape[0], k), copy=True)
             A.sum_duplicates()
             A.eliminate_zeros()
             c = np.bincount(classes, weights=c, minlength=k)
             sent, holds = _split(A, bound, self.eq)
         return Matrices(
-            c, *sent, columns=columns, group=group, classes=classes, checked=checked,
+            c, *sent, columns=leads, group=group, classes=classes, checked=checked,
             nonzeros=A.nnz, constants_hold=holds,
         )
 
@@ -644,63 +634,6 @@ def _largest(residuals: np.ndarray) -> float:
     return float(residuals.max(initial=0.0)) if np.isfinite(residuals).all() else np.inf
 
 
-def _column_digest(A) -> np.ndarray:
-    """A float per column of the CSR matrix *A*: its entries times a fixed
-    pseudo-random weight per row, summed in row order.  Identical columns
-    add the same terms in the same order, so they get the same digest;
-    columns with the same digest need not be identical."""
-    return A.T @ np.random.default_rng(0).random(A.shape[0])
-
-
-def _representatives(A, cost: np.ndarray) -> np.ndarray:
-    """For each column of the canonical CSR matrix *A*, the lowest column
-    with the same *cost* and the same entries, row by row and bit for bit
-    (Andersen and Andersen's duplicate columns, 1995).
-
-    Columns are sorted by entry count, cost and ``_column_digest``; in each
-    run of equal keys the lowest column leads, and every other column of
-    the run is compared with it entry by entry.  Those that differ (a
-    digest collision) are sorted again among themselves, until none are
-    left.  Over x >= 0 with equal costs, merging a group into one column is
-    exact: the optimum and the verdict stay, and a vertex of the merged LP,
-    its value on the lowest column of each group and 0 on the rest, is a
-    vertex of the original."""
-    n = A.shape[1]
-    representative = np.arange(n)
-    counts = np.bincount(A.indices, minlength=n)
-    digest = _column_digest(A)
-    todo, by_column = np.arange(n), None
-    while todo.size > 1:
-        order = todo[np.lexsort((digest[todo], cost[todo], counts[todo]))]  # stable
-        a, b = order[:-1], order[1:]
-        follows = np.concatenate(([False], (counts[a] == counts[b]) & (cost[a] == cost[b])
-                                  & (digest[a] == digest[b])))
-        if not follows.any():
-            break
-        lead = order[np.maximum.accumulate(np.where(follows, 0, np.arange(len(order))))]
-        followers, leaders = order[follows], lead[follows]
-        if by_column is None:
-            by_column = A.tocsc()  # sorted rows in each column
-        same = _same_entries(by_column, followers, leaders)
-        representative[followers[same]] = leaders[same]
-        todo = np.sort(followers[~same])
-    return representative
-
-
-def _same_entries(A, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Whether column ``left[k]`` of the CSC matrix *A*, with sorted rows,
-    has the rows and values of column ``right[k]``, which has as many
-    entries; compared in slices of about ``_STEP`` entries."""
-    counts = np.diff(A.indptr)[left]
-    same = np.ones(len(left), dtype=bool)
-    for lo, hi in slices(counts):
-        width = counts[lo:hi]
-        p, q = ranges(A.indptr[left[lo:hi]], width), ranges(A.indptr[right[lo:hi]], width)
-        differs = (A.indices[p] != A.indices[q]) | (A.data[p] != A.data[q])
-        same[np.repeat(np.arange(lo, hi), width)[differs]] = False
-    return same
-
-
 def _forced_equal(A, bound: np.ndarray, eq: np.ndarray) -> np.ndarray:
     """For each column of the canonical CSR matrix *A*, its class among the
     columns that equality rows force equal: a row with two entries ``a``
@@ -758,16 +691,14 @@ class Matrices:
     bound within ``FEAS_TOL``.  ``nonzeros`` counts the entries of both
     matrices.
 
-    The program's columns reach y in two steps.  ``columns`` holds the
-    lowest column of each group of identical columns, and ``group[j]`` is
-    the position in ``columns`` of the one that stands for the program's
-    column j; every column of a class (``SparseLp.lead``) is in its
-    lead's group, whose lowest column is a lead.  ``classes[d]`` is the
-    column of y that stands for ``columns[d]``: one per class of columns
-    forced equal, in the order of their lowest columns.  ``checked`` holds the rows over ``columns``
-    before that second merge, as ``(A_ub, b_ub, A_eq, b_eq)``; they are
-    what ``certify`` checks, and they are the rows sent when no columns
-    are forced equal."""
+    The program's columns reach y through one map per merge.  ``columns``
+    holds the leads of the program's classes (``SparseLp.lead``), and
+    ``group[j]`` is the position in ``columns`` of column j's lead.
+    ``classes[d]`` is the column of y that stands for ``columns[d]``: one
+    per class of leads forced equal, in the order of their lowest leads.
+    ``checked`` holds the rows over ``columns`` before that second merge,
+    as ``(A_ub, b_ub, A_eq, b_eq)``; they are what ``certify`` checks, and
+    they are the rows sent when no columns are forced equal."""
 
     c: np.ndarray
     A_ub: object
@@ -782,9 +713,8 @@ class Matrices:
     constants_hold: bool
 
     def expand(self, y: np.ndarray) -> np.ndarray:
-        """The program's point for the solver's point *y*: each class's
-        value on each of its columns, then each identical group's value on
-        its lowest column, 0 on the others."""
+        """The program's point for the solver's point *y*: each forced-equal
+        class's value on each of its leads, and 0 on every other column."""
         x = np.zeros(len(self.group))
         x[self.columns] = y[self.classes]
         return x
@@ -792,8 +722,8 @@ class Matrices:
     def certify(self, x: np.ndarray) -> Certificate:
         """The primal certificate of *x*, a point over the program's
         columns, against the rows before the forced-equal merge.  The
-        columns of an identical group are equal, so the rows read the sum
-        of the group's values."""
+        columns of a class are the same in every row, so the rows read the
+        sum of the class's values."""
         summed = np.bincount(self.group, weights=x, minlength=len(self.columns))
         return certify(x, *self.checked, summed)
 
@@ -889,17 +819,16 @@ def solve(lp: SparseLp) -> LpSolution:
     """Solve a finite LP with HiGHS through ``scipy.optimize.linprog``.
 
     HiGHS gets the program as ``lp.matrices()`` builds it: one column per
-    group of identical columns and per class of forced-equal columns, and
-    no row left without terms (such a row is checked against its bound
-    instead).  The method and options are chosen by ``choose_method``.
-    When a call other than plain ``highs`` ends without a verdict (HiGHS
-    status 4, a solve error), the same matrices are solved again with
-    plain ``highs`` before ``NumericalFailureError`` is raised.  An optimum
-    puts each class's value on each of its columns, and each group's value
-    on its lowest column and 0 on the others (``Matrices.expand``), and
-    that point is checked against the rows before the forced-equal merge
-    and the bounds (``certify``); one beyond tolerance raises
-    ``CertificateError``.
+    class of leads forced equal, each lead standing for its class
+    (``SparseLp.lead``), and no row left without terms (such a row is
+    checked against its bound instead).  The method and options are chosen
+    by ``choose_method``.  When a call other than plain ``highs`` ends
+    without a verdict (HiGHS status 4, a solve error), the same matrices
+    are solved again with plain ``highs`` before ``NumericalFailureError``
+    is raised.  An optimum puts each forced-equal class's value on each of
+    its leads and 0 on the other columns (``Matrices.expand``), and that
+    point is checked against the rows before the forced-equal merge and the
+    bounds (``certify``); one beyond tolerance raises ``CertificateError``.
     """
     rows = lp.matrices()
     columns = len(rows.c)

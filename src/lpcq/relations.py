@@ -5,10 +5,10 @@ The database gives every value of its domain an int32 code in text order
 (``Dictionary``), and each relation holds its rows as an ``(n, arity)``
 array of codes; the relational operators of ``queries``, ``decomp`` and
 ``weightings`` run on such arrays through the helpers of this module
-(``unique_rows``, ``row_groups``, ``key_ids``, ``join_keys``, ``match``,
-``ranges``).  ``Value`` objects, interned by text, appear only where codes
-are decoded: names, reports and the public views (``Relation.tuples``,
-``Database.domain``).  Values carry an optional
+(``unique_rows``, ``first_rows``, ``row_groups``, ``key_ids``, ``join_keys``,
+``match``, ``ranges``).  ``Value`` objects, interned by text, appear only
+where codes are decoded: names, reports and the public views
+(``Relation.tuples``, ``Database.domain``).  Values carry an optional
 numeric reading: it exists exactly when the value's text lexes as a decimal
 real (sign, digits, optional fraction, optional exponent).  Databases are
 immutable after construction, their code arrays are read-only, and all
@@ -193,12 +193,18 @@ class Dictionary:
 # in the same way.
 
 
-def unique_rows(codes: np.ndarray) -> np.ndarray:
-    """The distinct rows of a code array, in lexicographic order."""
+def first_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``key_ids`` of the rows of a code array, and for each id the
+    first row that has it."""
     (ids,), count = key_ids(codes)
     first = np.empty(count, dtype=np.int64)
     first[ids[::-1]] = np.arange(len(ids) - 1, -1, -1)  # the last write is the first row
-    return codes[first]
+    return ids, first
+
+
+def unique_rows(codes: np.ndarray) -> np.ndarray:
+    """The distinct rows of a code array, in lexicographic order."""
+    return codes[first_rows(codes)[1]]
 
 
 def row_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,12 +44,15 @@ def make_db(**relations) -> Database:
     return Database(rels)
 
 
-def sparse_lp(sense: str, objective, rows=(), variables=()) -> SparseLp:
+def sparse_lp(sense: str, objective, rows=(), variables=(), classes=None) -> SparseLp:
     """A program built with ``LpBuilder`` from plain dicts.
 
     The objective and each side of a row ``(lhs, rel, rhs)`` are a
     ``{name: coeff}`` dict, a number, or a ``(number, dict)`` pair.  The
-    columns are the names in any of them, plus *variables*.
+    columns are the names in any of them, plus *variables*.  *classes*
+    maps a column's name to the name that stands for its class
+    (``LpBuilder.block``'s stand-ins; a column not in it is its own), and
+    the rows and the objective name a class by its stand-in alone.
     """
 
     def parts(side):
@@ -60,8 +63,8 @@ def sparse_lp(sense: str, objective, rows=(), variables=()) -> SparseLp:
     sides = [parts(objective)] + [parts(side) for lhs, _, rhs in rows for side in (lhs, rhs)]
     names = sorted(set(variables).union(*(terms for _, terms in sides)))
     builder = LpBuilder()
-    builder.block(names)
     index = {name: i for i, name in enumerate(names)}
+    builder.block(names, None if classes is None else [index[classes.get(n, n)] for n in names])
 
     def side(s):
         constant, terms = parts(s)
@@ -203,14 +206,15 @@ def rand_closed_program(
     return ClosedProgram(objective, constraints)
 
 
-def rand_flagship_instance(rng: random.Random, n_exists: int = 0):
-    """Database, queries, and a closed program for the end-to-end suites."""
+def rand_flagship_instance(rng: random.Random, n_exists: int = 0, names=None):
+    """Database, queries, and a closed program for the end-to-end suites.
+    The queries are ``Q0`` and ``Q1``, or distinct names drawn from
+    *names* when given."""
     for _ in range(40):
         db = rand_db(rng)
-        queries = []
-        for i in range(rng.randint(1, 2)):
-            q = rand_query(rng, db, n_exists=n_exists)
-            queries.append((f"Q{i}", q))
+        count = rng.randint(1, 2)
+        labels = [f"Q{i}" for i in range(count)] if names is None else rng.sample(names, count)
+        queries = [(label, rand_query(rng, db, n_exists=n_exists)) for label in labels]
         cp = rand_closed_program(rng, db, queries)
         if cp is not None:
             return db, queries, cp

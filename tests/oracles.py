@@ -473,6 +473,44 @@ def moved_left(lp: SparseLp):
     return objective_terms(lp), lp.obj_const, rows, lp.names
 
 
+def groups_by_brute_force(lp: SparseLp) -> list[int]:
+    """For each column of *lp*, the lowest column with the same cost and the
+    same summed coefficient in every row, compared as Python floats: the
+    coarsest split into identical columns (Andersen and Andersen's
+    duplicate columns, 1995), which every class of ``SparseLp.lead`` lies
+    within."""
+    lp = lp.spread()
+    sign = -1.0 if lp.sense == "maximize" else 1.0
+    cost = [0.0] * len(lp.names)
+    for c, v in zip(lp.obj_cols.tolist(), lp.obj_vals.tolist()):
+        cost[c] += sign * v
+    column = [[] for _ in lp.names]
+    for r, ((_, lcols, lvals), _, (_, rcols, rvals)) in enumerate(lp.rows()):
+        summed = {}
+        for c, v in zip(list(lcols) + list(rcols), list(lvals) + [-v for v in rvals]):
+            summed[c] = summed.get(c, 0.0) + v
+        for c, v in summed.items():
+            if v != 0.0:
+                column[c].append((r, v))
+    first = {}
+    return [first.setdefault((cost[j], tuple(column[j])), j) for j in range(len(lp.names))]
+
+
+def merged(want: DictLp, lp: SparseLp) -> tuple[DictLp, dict[str, str]]:
+    """*want*, a program with a term on every column, merged by the classes
+    of *lp*, a program over the same names: the terms of every column but
+    its class's lead dropped, and each column's lead by name, as
+    ``makers.sparse_lp`` takes its ``classes``."""
+    names = list(lp.names)
+    lead = {} if lp.lead is None else {name: names[j] for name, j in zip(names, lp.lead.tolist())}
+
+    def side(constant, terms):
+        return constant, {n: c for n, c in terms.items() if lead.get(n, n) == n}
+
+    rows = [(side(*lhs), rel, side(*rhs)) for lhs, rel, rhs in want.rows]
+    return DictLp(side(*want.objective), rows, want.variables), lead
+
+
 # --- dict assembly -------------------------------------------------------------
 
 

@@ -4,10 +4,14 @@ Each interpretation compiles straight to integer columns.  These tests
 capture the arguments ``scipy.optimize.linprog`` receives and compare them,
 exactly, with those of the same program built row by row as
 ``{name: coefficient}`` dicts (``oracles.dict_assembly``) and handed to
-``LpBuilder`` as written (``makers.sparse_lp``).  The natural and
-replacement LPs hold one entry per answer class (``SparseLp.lead``), the
-dict assembly one per answer, so their rows, LP files and HiGHS input are
-compared across that difference.
+``LpBuilder`` as written (``makers.sparse_lp``).  The compiled LPs hold
+one entry per class of identical columns (``SparseLp.lead``): answers no
+weight tells apart, and bag rows that agree on their bag's separators.
+The dict assembly holds one per answer or bag row.  Its rows and LP files
+are compared with the compiled ones as they are; its classes, found by
+brute force (``oracles.groups_by_brute_force``), with the compiled ones;
+and its HiGHS input, once merged by the compiled program's classes
+(``oracles.merged``), with the compiled input.
 """
 
 import json
@@ -33,7 +37,9 @@ from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
 from makers import make_db, rand_flagship_instance, sparse_lp
-from oracles import dict_assembly, objective_terms, parse_lp, written_rows
+from oracles import (
+    dict_assembly, groups_by_brute_force, merged, objective_terms, parse_lp, written_rows,
+)
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 MATRICES = ("A_ub", "b_ub", "A_eq", "b_eq")
@@ -101,6 +107,38 @@ def same_rows(got, want) -> None:
     assert (got.obj_const, objective_terms(got)) == want.objective
     assert got.names == want.variables
     assert written_rows(got) == want.rows
+
+
+def same_classes(mode, got, want) -> None:
+    """The classes of *got* are groups of identical columns of *want*, the
+    same program built per answer or bag row: exactly those groups in
+    factorized mode, where the tree gives them, and within them in the
+    other modes, where the data can make columns of two classes
+    identical."""
+    groups = groups_by_brute_force(want)
+    lead = list(range(len(got.names))) if got.lead is None else got.lead.tolist()
+    if mode == "factorized":
+        assert lead == groups
+    else:
+        assert all(groups[j] == groups[k] for j, k in enumerate(lead))
+
+
+def same_solve(got_program, want_lp):
+    """The solution of the compiled program, after checking that HiGHS gets
+    what it gets for the dict assembly's program merged by the compiled
+    classes, and reaches the optimum of the unmerged one; returns the
+    input HiGHS got for the unmerged program too."""
+    merged_lp, classes = merged(want_lp, got_program)
+    got, got_sol = highs_input(got_program)
+    want, want_sol = highs_input(sparse_lp("maximize", *merged_lp, classes=classes))
+    assert_same_input(got, want)
+    assert got_sol.nonzeros == want_sol.nonzeros
+    assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value)
+    unmerged, unmerged_sol = highs_input(sparse_lp("maximize", *want_lp))
+    assert unmerged_sol.status == got_sol.status
+    if got_sol.status == "optimal":
+        assert unmerged_sol.value == pytest.approx(got_sol.value, rel=1e-9, abs=1e-9)
+    return got_sol, unmerged
 
 
 def same_lp_text(got, want, tmp_path) -> bool:
@@ -178,22 +216,22 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path, monkeypatch):
 
         assert ilp.provenance == want_provenance, label
         same_rows(ilp.program, want_lp)
-        got, got_sol = highs_input(ilp.program)
-        want, want_sol = highs_input(sparse_lp("maximize", *want_lp))
-        assert_same_input(got, want)
-        assert got_sol.nonzeros == want_sol.nonzeros > 0
-        assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value), label
-        if mode != "factorized" and label.split()[0] in ("delivery", "privacy"):
+        want_program = sparse_lp("maximize", *want_lp)
+        same_classes(mode, ilp.program, want_program)
+        got_sol, unmerged = same_solve(ilp.program, want_lp)
+        assert got_sol.nonzeros > 0
+        if label.split()[0] in ("delivery", "privacy"):
             # their weights read fewer variables than their queries have, so
-            # the answers come in classes
+            # the answers come in classes, and their trees have bags that
+            # witness no target
             assert ilp.program.lead is not None, label
 
-        # the LP file is the per-answer build's, and it round-trips
+        # the LP file is the per-answer build's, and it round-trips to it
         path = tmp_path / f"{label.replace(' ', '_')}_{mode}.lp"
-        assert same_lp_text(ilp.program, sparse_lp("maximize", *want_lp), tmp_path)
+        assert same_lp_text(ilp.program, want_program, tmp_path)
         export_lp(ilp.program, path)
         parsed, _ = highs_input(parse_lp(path))
-        assert_same_input(parsed, got)
+        assert_same_input(parsed, unmerged)
 
 
 def test_method_rule_on_the_throughput_lps(tmp_path):
@@ -231,7 +269,8 @@ def test_fractional_widths_stay_on_simplex(tmp_path):
 
 
 def random_program(seed: int):
-    db, _, cp = rand_flagship_instance(random.Random(seed))
+    # query names whose positional stems collide, as in STEMS
+    db, _, cp = rand_flagship_instance(random.Random(seed), names=("a", "a_r1", "a'", "a_"))
     cpq = quantifier_eliminate(cp)
     return db, cpq, build_decompositions(cp, cpq, None, True)
 
@@ -250,17 +289,14 @@ def test_random_programs_compile_like_the_conversion(seed, limit, tmp_path_facto
 def compile_like_the_conversion(db, cp, decomps, tmp_path):
     for mode in MODES:
         ilp = interpret(mode, cp, db, decomps)
-        if mode != "factorized":
-            classes = "fewer classes than answers" if ilp.program.lead is not None else "one class per answer"
-            event(f"{mode}: {classes}")
+        classes = ilp.program.lead is not None
+        event(f"{mode}: {'fewer classes than columns' if classes else 'one class per column'}")
         want_lp, _ = dict_assembly(mode, cp, db, decomps)
         want_program = sparse_lp("maximize", *want_lp)
         same_rows(ilp.program, want_lp)
+        same_classes(mode, ilp.program, want_program)
         assert same_lp_text(ilp.program, want_program, tmp_path)
-        got, got_sol = highs_input(ilp.program)
-        want, want_sol = highs_input(want_program)
-        assert_same_input(got, want)
-        assert (got_sol.status, got_sol.value) == (want_sol.status, want_sol.value)
+        same_solve(ilp.program, want_lp)
 
 
 # classes of answers: Q's answers (x, y), and weights that read x alone
@@ -293,18 +329,19 @@ def test_answers_no_weight_tells_apart_are_one_class(mode):
     assert any(everyone in t for t in texts)
 
 
-def test_classes_with_identical_columns_still_merge():
+def test_classes_with_identical_columns_go_to_highs_apart():
     # classes x = 0 and x = 1 meet the same terms, so their columns are
-    # identical: the class build keeps them apart and the merge joins them
+    # identical, by the data rather than by the program: HiGHS gets one
+    # column per class, and the optimum is the same
     db = make_db(**CLASSES_DB)
     lp = natural(close(parse(CLASSES), db), db).program
-    assert len(set(lp.lead.tolist())) == 3
+    assert groups_by_brute_force(lp) == [0, 0, 0, 0, 4, 4]
     matrices = lp.matrices()
-    assert [lp.names[j] for j in matrices.columns] == ["th_Q_0_0", "th_Q_2_0"]
-    assert matrices.group.tolist() == [0, 0, 0, 0, 1, 1]
+    assert [lp.names[j] for j in matrices.columns] == ["th_Q_0_0", "th_Q_1_0", "th_Q_2_0"]
+    assert matrices.group.tolist() == [0, 0, 1, 1, 2, 2]
     solution = solve(lp)
-    assert solution.value == pytest.approx(5.0) and solution.solver.columns == 2
-    assert solution.assignment["th_Q_0_0"] + solution.assignment["th_Q_2_0"] == pytest.approx(5.0)
+    assert solution.value == pytest.approx(5.0) and solution.solver.columns == 3
+    assert sum(solution.assignment[f"th_Q_{x}_0"] for x in range(3)) == pytest.approx(5.0)
 
 
 def test_export_lists_only_unused_classes_under_bounds(tmp_path):

@@ -60,8 +60,8 @@ def test_modes_agree_and_every_lift_certifies(seed, n_exists):
     expected = solutions["natural"]
     event(f"natural {expected.status}")
     matrices = [ilp.program.matrices() for ilp in runs.values()]
-    merged = any(len(m.columns) < len(m.group) for m in matrices)
-    event("an LP with merged columns" if merged else "no LP with merged columns")
+    bag_classes = runs["factorized"].program.lead is not None  # None: one class per bag row
+    event("factorized LP with bag-row classes" if bag_classes else "no bag-row classes")
     forced = any(len(m.c) < len(m.columns) for m in matrices)
     event("an LP with forced-equal merges" if forced else "no LP with forced-equal merges")
     for mode, sol in solutions.items():

@@ -424,114 +424,47 @@ class TestSolveAgainstOracle:
 
 def _with_copies(rng, spec, copies):
     """The LP of *spec* (``_random_lp``'s plain form) with *copies* more
-    columns, each a copy of a random column: its cost and coefficients.  A
-    copy of ``v`` is named ``v~k``, which sorts after ``v``."""
+    columns, each in the class of a random column, and that LP written out
+    with every copy's cost and coefficients.  A copy of ``v`` is named
+    ``v~k``, which sorts after ``v``."""
     sense, objective, constant, rows = spec
     twins = {f"{rng.choice(sorted(objective))}~{k}" for k in range(copies)}
+    classes = {t: t.split("~")[0] for t in twins}
 
     def twinned(terms):
-        return {**terms, **{t: terms[t.split("~")[0]] for t in twins if t.split("~")[0] in terms}}
+        return {**terms, **{t: terms[v] for t, v in classes.items() if v in terms}}
 
+    lp = sparse_lp(sense, (constant, objective), rows, variables=twins, classes=classes)
     rows = [(twinned(coeffs), rel, bound) for coeffs, rel, bound in rows]
-    objective = twinned(objective)
-    return sparse_lp(sense, (constant, objective), rows), (sense, objective, constant, rows)
+    return lp, (sense, twinned(objective), constant, rows)
 
 
-def _groups_by_brute_force(lp):
-    """For each column, the lowest column with the same cost and the same
-    summed coefficient in every row, compared as Python floats."""
-    sign = -1.0 if lp.sense == "maximize" else 1.0
-    cost = [0.0] * len(lp.names)
-    for c, v in zip(lp.obj_cols.tolist(), lp.obj_vals.tolist()):
-        cost[c] = sign * v
-    column = [[] for _ in lp.names]
-    for r, ((_, lcols, lvals), _, (_, rcols, rvals)) in enumerate(lp.rows()):
-        summed = {}
-        for c, v in zip(list(lcols) + list(rcols), list(lvals) + [-v for v in rvals]):
-            summed[c] = summed.get(c, 0.0) + v
-        for c, v in summed.items():
-            if v != 0.0:
-                column[c].append((r, v))
-    first = {}
-    return [first.setdefault((cost[j], tuple(column[j])), j) for j in range(len(lp.names))]
-
-
-def _near_copies(rng, n_rows, n_cols):
-    """An LP whose columns come from a few patterns, some altered in one
-    coefficient or in cost only, with some empty columns."""
-    patterns = [
-        {r: float(rng.choice([1, 2, -1]))
-         for r in rng.sample(range(n_rows), rng.randint(0, n_rows))}
-        for _ in range(4)
-    ]
-    columns, costs = [], []
-    for _ in range(n_cols):
-        col = dict(rng.choice(patterns))
-        if col and rng.random() < 0.2:  # one coefficient changed
-            r = rng.choice(sorted(col))
-            col[r] += rng.choice([1.0, 1e-12])
-        columns.append(col)
-        costs.append(float(rng.choice([0, 1, 1, 2])))
+def _with_classes(rng, n_rows, n_cols):
+    """An LP whose columns fall into a few classes, each named in the rows
+    and the objective by a random column of it."""
     names = [f"x{j:03d}" for j in range(n_cols)]
-    rows = [
-        ({names[j]: col[r] for j, col in enumerate(columns) if r in col}, "<=", 5.0)
-        for r in range(n_rows)
-    ]
-    objective = {names[j]: c for j, c in enumerate(costs) if c}
-    return sparse_lp("minimize", objective, rows, variables=names)
+    members = {}
+    for name in names:
+        members.setdefault(rng.randrange(4), []).append(name)
+    classes = {name: rng.choice(group) for group in members.values() for name in group}
+    stand_ins = sorted(set(classes.values()))
+    rows = []
+    for _ in range(n_rows):
+        named = rng.sample(stand_ins, rng.randint(0, len(stand_ins)))
+        rows.append(({v: float(rng.choice([1, 2, -1])) for v in named}, "<=", 5.0))
+    objective = {v: float(rng.choice([0, 1, 2])) for v in stand_ins}
+    return sparse_lp("minimize", objective, rows, variables=names, classes=classes)
 
 
 class TestMergedColumns:
-    """``SparseLp.matrices`` hands HiGHS one column per group of identical
-    columns: the same cost and the same entries."""
-
-    @pytest.mark.parametrize("collide", [False, True])
-    def test_only_exact_copies_merge_to_the_lowest(self, rng, monkeypatch, collide):
-        if collide:  # every column gets the same digest
-            monkeypatch.setattr("lpcq.linprog._column_digest", lambda A: np.zeros(A.shape[1]))
-        merged = 0
-        for _ in range(60):
-            lp = _near_copies(rng, rng.randint(1, 5), rng.randint(1, 30))
-            rows = lp.matrices()
-            expected = _groups_by_brute_force(lp)
-            assert rows.columns.tolist() == sorted(set(expected))
-            assert rows.columns[rows.group].tolist() == expected
-            merged += len(lp.names) - len(rows.columns)
-        assert merged > 100
-
-    def test_a_coefficient_or_the_cost_keeps_columns_apart(self):
-        rows = [(dict(a=1.0, b=1.0, c=1.0, d=1.0), "<=", 4.0),
-                (dict(a=2.0, b=3.0, c=2.0, d=2.0), "<=", 6.0)]
-        lp = sparse_lp("maximize", dict(a=1.0, b=1.0, c=1.0, d=2.0), rows)
-        # b differs from a in one coefficient, d in cost only; c is a copy of a
-        matrices = lp.matrices()
-        assert matrices.columns.tolist() == [0, 1, 3]
-        assert matrices.group.tolist() == [0, 1, 0, 2]
-        assert matrices.nonzeros == 6
-
-    def test_empty_columns_merge_only_with_equal_cost(self):
-        lp = sparse_lp("minimize", dict(b=1.0, c=2.0, d=1.0), [(dict(e=1.0), "<=", 1.0)],
-                       variables=["a", "b", "c", "d", "e"])
-        matrices = lp.matrices()
-        assert matrices.columns.tolist() == [0, 1, 2, 4]
-        assert matrices.group.tolist() == [0, 1, 2, 1, 3]
-        sol = solve(lp)
-        assert sol.status == "optimal" and sol.value == 0.0
-        assert sol.solver.columns == 4
-
-    def test_a_column_on_both_sides_is_compared_summed(self):
-        # x's two terms cancel, so x is an empty column like y
-        lp = sparse_lp("maximize", {}, [(dict(x=1.0, z=1.0), "<=", (1.0, dict(x=1.0))),
-                                        (dict(w=2.0), "<=", (3.0, dict(w=1.0)))],
-                       variables=["y"])
-        matrices = lp.matrices()
-        assert lp.names == ["w", "x", "y", "z"]
-        assert matrices.group.tolist() == [0, 1, 1, 2]
+    """``SparseLp.matrices`` hands HiGHS one column per class of columns
+    (``SparseLp.lead``), given to ``LpBuilder.block`` as stand-ins."""
 
     def test_the_group_value_goes_on_the_lowest_column(self):
-        # a and b are copies, and so are c and d: the optimum 4 sits on a
-        lp = sparse_lp("maximize", dict(a=2.0, b=2.0, c=1.0, d=1.0),
-                       [(dict(a=1.0, b=1.0, c=1.0, d=1.0), "<=", 2.0)])
+        # {a, b} is a class named by b, and {c, d} one named by c: the
+        # optimum 4 sits on a, the lowest column of its class
+        lp = sparse_lp("maximize", dict(b=2.0, c=1.0), [(dict(b=1.0, c=1.0), "<=", 2.0)],
+                       variables=["a", "d"], classes=dict(a="b", d="c"))
         sol = solve(lp)
         assert sol.value == pytest.approx(4.0)
         assert [sol.assignment[v] for v in "abcd"] == pytest.approx([2.0, 0.0, 0.0, 0.0])
@@ -540,22 +473,25 @@ class TestMergedColumns:
 
     def test_a_point_off_the_lowest_columns_certifies_on_its_sums(self, rng):
         for _ in range(20):
-            lp = _near_copies(rng, rng.randint(1, 5), rng.randint(2, 20))
+            lp = _with_classes(rng, rng.randint(1, 5), rng.randint(2, 20))
             matrices = lp.matrices()
             x = np.array([rng.uniform(-1, 2) for _ in lp.names])
-            full = csr_matrix((lp.vals, lp.cols, lp.indptr), shape=(lp.row_count, len(lp.names)))
+            spread = lp.spread()
+            full = csr_matrix((spread.vals, spread.cols, spread.indptr),
+                              shape=(lp.row_count, len(lp.names)))
             want = certify(x, full, lp.rconst - lp.lconst, None, None)
             got = matrices.certify(x)
             assert got.ub_violation == pytest.approx(want.ub_violation, abs=1e-12)
             assert (got.most_negative, got.clipped_mass) == (want.most_negative, want.clipped_mass)
 
     @pytest.mark.parametrize("rows, verdict", [
-        ([(dict(x=1.0, y=1.0), "<=", -1.0)], "infeasible"),
-        ([(dict(x=1.0, y=1.0), "=", 2.0), (dict(x=1.0, y=1.0), "<=", 1.0)], "infeasible"),
-        ([(1.0, "<=", dict(x=1.0, y=1.0))], "unbounded"),
+        ([(dict(x=1.0), "<=", -1.0)], "infeasible"),
+        ([(dict(x=1.0), "=", 2.0), (dict(x=1.0), "<=", 1.0)], "infeasible"),
+        ([(1.0, "<=", dict(x=1.0))], "unbounded"),
     ])
     def test_verdicts_stay(self, rows, verdict):
-        lp = sparse_lp("maximize", dict(x=1.0, y=1.0), rows)
+        # x stands for the class {x, y}
+        lp = sparse_lp("maximize", dict(x=1.0), rows, variables=["y"], classes=dict(y="x"))
         assert len(lp.matrices().columns) == 1
         sol = solve(lp)
         assert sol.status == verdict and sol.solver.columns == 1
@@ -644,11 +580,11 @@ class TestForcedEqualColumns:
         assert [sol.assignment[v] for v in "abc"] == pytest.approx([2.0, 2.0, 2.0])
         assert sol.solver.columns == 1 and sol.solver.certificate.ok
 
-    def test_a_class_and_an_identical_group_expand_together(self):
-        # b and c are identical; a = b ties a to their group
-        lp = sparse_lp("maximize", dict(a=1.0, b=1.0, c=1.0),
-                       [(dict(a=1.0), "=", dict(b=1.0, c=1.0)),
-                        (dict(a=1.0, b=1.0, c=1.0), "<=", 4.0)])
+    def test_a_class_and_a_forced_equal_class_expand_together(self):
+        # b and c are a class, named by b; a = b ties a to it
+        lp = sparse_lp("maximize", dict(a=1.0, b=1.0),
+                       [(dict(a=1.0), "=", dict(b=1.0)), (dict(a=1.0, b=1.0), "<=", 4.0)],
+                       variables=["c"], classes=dict(c="b"))
         matrices = lp.matrices()
         assert matrices.columns.tolist() == [0, 1] and matrices.group.tolist() == [0, 1, 1]
         assert matrices.classes.tolist() == [0, 0]
