@@ -13,17 +13,22 @@ separators.  Every program is solved by HiGHS through
 over the leads, one column per class.  Columns that an equality row
 ``a x_i - a x_j = 0`` forces equal (in the factorized LP, a separator
 value with one bag row on each side) are one column too, found by
-``_forced_equal``, and those rows are not sent.  The call follows the LP's
-shape (``choose_method``), in three ways, all of them simplex: an LP with
-equality rows goes to primal simplex after presolve; one whose rows the
-origin x = 0 satisfies (no equality rows, every bound >= 0, as in the
-natural LPs) to primal simplex from the slack basis without presolve; any
-other to ``highs``, dual simplex after presolve.  Every optimum is put
-back on the program's columns, each forced-equal class's value on each of
-its leads and 0 on the other columns, and checked against the rows and
-bounds before the forced-equal merge (``certify``) before it is
-returned.  The tests cross-check the solver against a vertex enumeration
-oracle.
+``_forced_equal``, and those rows are not sent.  Two more reductions
+hand HiGHS what its presolve would reduce the LP to (``_reductions``): a
+``<=`` row with one entry is sent as a bound on its column, and a column
+of cost 0 whose one entry closes an equality row with the bound 0 is
+taken out with that row.  The call follows the shape of what is sent
+(``choose_method``), in three ways, all of them simplex: an LP whose rows
+the origin x = 0 satisfies (every ``<=`` bound >= 0 and every equality
+bound 0, as in the natural and factorized LPs) goes to primal simplex
+from the slack basis without presolve; any other with equality rows to
+primal simplex after presolve; the rest to ``highs``, dual simplex after
+presolve.  Every optimum is put back on the program's columns, each
+column taken out set from the rest of its row, each forced-equal class's
+value on each of its leads and 0 on the other columns, and checked
+against the rows and bounds before any merge or reduction (``certify``)
+before it is returned.  The tests cross-check the solver against a
+vertex enumeration oracle.
 
 Conventions: every variable is implicitly >= 0; ``maximize`` is handed to
 the solver as ``minimize -objective`` with the reported value negated back.
@@ -50,10 +55,11 @@ from .relations import ranges
 FEAS_TOL = 1e-7
 
 # The HiGHS options beyond ``linprog``'s defaults for an LP with equality
-# rows: HiGHS's simplex strategy 4, primal simplex, after presolve; and for
-# an LP the origin satisfies, the same without presolve.  ``linprog`` knows
-# no ``simplex_strategy`` option; it passes it to HiGHS verbatim, with an
-# OptimizeWarning that ``solve`` filters.
+# rows that the origin violates: HiGHS's simplex strategy 4, primal
+# simplex, after presolve; and for an LP the origin satisfies, the same
+# without presolve.  ``linprog`` knows no ``simplex_strategy`` option; it
+# passes it to HiGHS verbatim, with an OptimizeWarning that ``solve``
+# filters.
 PRIMAL = {"simplex_strategy": 4}
 PRIMAL_FROM_ORIGIN = {"presolve": False, **PRIMAL}
 
@@ -316,8 +322,9 @@ class SparseLp:
     def matrices(self) -> Matrices:
         """The program as ``solve`` hands it to HiGHS: a row's entries summed
         per column and exact zeros dropped, each bound ``rconst - lconst``,
-        each class of columns (``lead``) one column, and the classes that
-        equality rows force equal one column together.
+        each class of columns (``lead``) one column, the classes that
+        equality rows force equal one column together, and what is left
+        reduced.
 
         The matrix is built over the leads only, each standing for its
         class.  Over x >= 0 that is exact: the optimum and the verdict stay,
@@ -326,7 +333,11 @@ class SparseLp:
         that rows ``a x_i - a x_j = 0`` tie together are one column to the
         solver (``_forced_equal``): the sum of the class's columns, with
         their costs summed, so each such row has no terms left and is not
-        sent.  The full matrix is freed on return, before HiGHS runs."""
+        sent.  Then singleton ``<=`` rows go as column bounds, and leaf
+        columns are taken out with their rows (``_reductions``); when
+        neither applies, the rows sent are those matrices themselves and
+        ``bounds`` is ``(0, None)``.  The full matrix is freed on return,
+        before HiGHS runs."""
         from scipy.sparse import csr_matrix
 
         n = len(self.names)
@@ -345,20 +356,41 @@ class SparseLp:
         A.eliminate_zeros()  # ... whose terms cancel
         c = np.zeros(len(leads))
         c[obj_cols] = (-1.0 if self.sense == "maximize" else 1.0) * self.obj_vals
-        bound = self.rconst - self.lconst
-        checked, holds = _split(A, bound, self.eq)
-        sent = checked
-        classes = _forced_equal(A, bound, self.eq)
+        bound, eq = self.rconst - self.lconst, self.eq
+        checked, holds = _split(A, bound, eq)
+        classes = _forced_equal(A, bound, eq)
         k = int(classes.max(initial=-1)) + 1
         if k < len(leads):
             A = csr_matrix((A.data, classes[A.indices], A.indptr), shape=(A.shape[0], k), copy=True)
             A.sum_duplicates()
             A.eliminate_zeros()
             c = np.bincount(classes, weights=c, minlength=k)
-            sent, holds = _split(A, bound, self.eq)
+        bounded, upper, rows, at = _reductions(A, c, bound, eq)
+        if not (bounded.size or rows.size):
+            sent, holds = (checked, holds) if k == len(leads) else _split(A, bound, eq)
+            return Matrices(
+                c, *sent, columns=leads, group=group, classes=classes, checked=checked,
+                nonzeros=A.nnz, constants_hold=holds,
+            )
+        out = A.indices[at]
+        kept = np.ones(k, dtype=bool)
+        kept[out] = False
+        width = k - len(out)
+        place = np.empty(k, dtype=np.int64)  # the columns taken out go last
+        place[kept] = np.arange(width)
+        place[out] = np.arange(width, k)
+        A = csr_matrix((A.data, place[A.indices], A.indptr), shape=A.shape)
+        left = np.ones(A.shape[0], dtype=bool)
+        left[bounded] = left[rows] = False
+        left = np.flatnonzero(left)
+        B = A[left]  # no entry left in a column taken out
+        B = csr_matrix((B.data, B.indices, B.indptr), shape=(len(left), width))
+        sent, holds = _split(B, bound[left], eq[left])
         return Matrices(
-            c, *sent, columns=leads, group=group, classes=classes, checked=checked,
-            nonzeros=A.nnz, constants_hold=holds,
+            c[kept], *sent, columns=leads, group=group, classes=place[classes], checked=checked,
+            nonzeros=B.nnz, constants_hold=holds,
+            bounds=np.column_stack((np.zeros(width), upper[kept])) if bounded.size else (0, None),
+            implied=(A[rows], A.data[at]) if rows.size else None, bounded=len(bounded),
         )
 
     def __repr__(self) -> str:
@@ -571,7 +603,7 @@ class HighsCall:
 @dataclass(frozen=True, slots=True)
 class Certificate:
     """How far an optimal point is from feasible, in the rows ``solve``
-    handed to HiGHS and in the bounds x >= 0.
+    checks (``Matrices.certify``) and in the bounds x >= 0.
 
     ``ub_violation`` is max((A_ub x - b_ub)+), ``eq_violation`` is
     max|A_eq x - b_eq|, each ``inf`` if a residual is not a finite number,
@@ -581,7 +613,7 @@ class Certificate:
     ``LpSolution.values`` clips away from negative coordinates.  The point
     passes when ``violation``, the largest of the row violations and
     ``-most_negative``, is within ``tolerance``: ``FEAS_TOL * max(1,
-    |b|_inf)`` over the right-hand sides sent.
+    |b|_inf)`` over the right-hand sides checked.
     """
 
     ub_violation: float
@@ -668,6 +700,45 @@ def _forced_equal(A, bound: np.ndarray, eq: np.ndarray) -> np.ndarray:
     return (np.cumsum(leads) - 1)[label]
 
 
+def _reductions(A, c: np.ndarray, bound: np.ndarray, eq: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What two exact reductions (Andersen and Andersen 1995) take out of
+    the canonical CSR matrix *A* with costs *c*: ``(bounded, upper, rows,
+    at)``.
+
+    A ``<=`` row with one entry a > 0 and a bound b >= 0 says x_j <= b / a,
+    a bound on its column: ``bounded`` holds those rows, and ``upper``
+    each column's smallest such bound (``inf`` for none).  A column with
+    cost 0 and one entry a, in an equality row with a bound of exactly 0
+    whose other entries all have the sign opposite to a's, is an implied
+    column singleton: the row says x_j = -(the rest of the row) / a, which
+    is >= 0 wherever the other columns are, and no other row or the
+    objective reads x_j, so the row and the column can both go and x_j be
+    set afterwards.  ``rows`` holds such rows in order, and ``at`` the
+    entry of the one column each gives up, its first such column.  A
+    column with a bound has a second entry, so it is never one of them.
+    Column entries are counted over *A*'s indices, not a CSC copy."""
+    counts = np.diff(A.indptr)
+    first = A.indptr[:-1]
+    bounded = np.flatnonzero(~eq & (counts == 1) & (bound >= 0.0))
+    bounded = bounded[A.data[first[bounded]] > 0.0]
+    upper = np.full(A.shape[1], np.inf)
+    np.minimum.at(upper, A.indices[first[bounded]], bound[bounded] / A.data[first[bounded]])
+    closing = eq & (bound == 0.0)  # rows a leaf column can close
+    if not closing.any():
+        none = np.zeros(0, dtype=np.int64)
+        return bounded, upper, none, none
+    leaf = (np.bincount(A.indices, minlength=len(c)) == 1) & (c == 0.0)
+    at = np.flatnonzero(leaf[A.indices])
+    rows = np.searchsorted(A.indptr, at, side="right") - 1
+    at, rows = at[closing[rows]], rows[closing[rows]]
+    positive = np.concatenate(([0], np.cumsum(A.data > 0.0)))  # positive entries before each
+    ups = positive[A.indptr[rows + 1]] - positive[A.indptr[rows]]
+    alone = np.where(A.data[at] > 0.0, ups == 1, ups == counts[rows] - 1)  # the only one of its sign
+    at, rows = at[alone], rows[alone]
+    first_of_row = np.diff(rows, prepend=-1) != 0
+    return bounded, upper, rows[first_of_row], at[first_of_row]
+
+
 def _split(A, bound: np.ndarray, eq: np.ndarray) -> tuple[tuple, bool]:
     """The rows of the CSR matrix *A* that have terms, as ``(A_ub, b_ub,
     A_eq, b_eq)``, a pair None when it has no rows; and whether each row
@@ -685,20 +756,26 @@ def _split(A, bound: np.ndarray, eq: np.ndarray) -> tuple[tuple, bool]:
 @dataclass(frozen=True, slots=True)
 class Matrices:
     """A program as HiGHS gets it (``SparseLp.matrices``): minimize
-    ``c y`` subject to ``A_ub y <= b_ub`` and ``A_eq y = b_eq``, y >= 0, in
-    CSR form, a pair None when it has no rows.  Rows without terms are not
-    among them; ``constants_hold`` says whether each of those meets its
+    ``c y`` subject to ``A_ub y <= b_ub``, ``A_eq y = b_eq`` and
+    ``bounds``, in CSR form, a pair None when it has no rows.  ``bounds``
+    is ``linprog``'s: ``(0, None)``, y >= 0, or one ``(0, upper)`` row per
+    column, ``inf`` for no upper bound.  Rows without terms are not among
+    the rows sent; ``constants_hold`` says whether each of those meets its
     bound within ``FEAS_TOL``.  ``nonzeros`` counts the entries of both
-    matrices.
+    matrices, ``bounded`` the rows sent as bounds.
 
     The program's columns reach y through one map per merge.  ``columns``
     holds the leads of the program's classes (``SparseLp.lead``), and
     ``group[j]`` is the position in ``columns`` of column j's lead.
-    ``classes[d]`` is the column of y that stands for ``columns[d]``: one
-    per class of leads forced equal, in the order of their lowest leads.
-    ``checked`` holds the rows over ``columns`` before that second merge,
-    as ``(A_ub, b_ub, A_eq, b_eq)``; they are what ``certify`` checks, and
-    they are the rows sent when no columns are forced equal."""
+    ``classes[d]`` is the column that stands for ``columns[d]``: one per
+    class of leads forced equal, in the order of their lowest leads, the
+    columns of y first, then the ``substituted`` ones taken out.  Those
+    are set from y by ``implied``, None when there are none: the rows
+    that were taken out with them, as CSR over all of those columns, and
+    each one's own coefficient in its row.  ``checked`` holds the rows
+    over ``columns`` before any merge or reduction, as ``(A_ub, b_ub,
+    A_eq, b_eq)``; they are what ``certify`` checks, and they are the
+    rows sent when nothing is merged or reduced."""
 
     c: np.ndarray
     A_ub: object
@@ -711,19 +788,33 @@ class Matrices:
     checked: tuple
     nonzeros: int
     constants_hold: bool
+    bounds: object = (0, None)
+    implied: tuple | None = None
+    bounded: int = 0
+
+    @property
+    def substituted(self) -> int:
+        return 0 if self.implied is None else len(self.implied[1])
 
     def expand(self, y: np.ndarray) -> np.ndarray:
-        """The program's point for the solver's point *y*: each forced-equal
-        class's value on each of its leads, and 0 on every other column."""
+        """The program's point for the solver's point *y*: each column
+        substituted out set from the rest of its row, then each
+        forced-equal class's value on each of its leads, and 0 on every
+        other column."""
+        if self.implied is not None:
+            rows, a = self.implied
+            y = np.concatenate((y, np.zeros(len(a))))
+            y[len(y) - len(a):] = -(rows @ y) / a
         x = np.zeros(len(self.group))
         x[self.columns] = y[self.classes]
         return x
 
     def certify(self, x: np.ndarray) -> Certificate:
         """The primal certificate of *x*, a point over the program's
-        columns, against the rows before the forced-equal merge.  The
-        columns of a class are the same in every row, so the rows read the
-        sum of the class's values."""
+        columns, against the rows before any merge or reduction, those
+        sent as bounds or taken out among them.  The columns of a class
+        are the same in every row, so the rows read the sum of the class's
+        values."""
         summed = np.bincount(self.group, weights=x, minlength=len(self.columns))
         return certify(x, *self.checked, summed)
 
@@ -732,15 +823,18 @@ class Matrices:
 class SolverReport:
     """How ``solve`` reached its verdict: why the rule chose the method of
     ``call``, that call, the ``highs`` re-solve when it ended without a
-    verdict, the certificate of an optimum, and how many columns the
-    matrices handed to HiGHS have.  ``call`` is None when ``solve``
-    decided without HiGHS."""
+    verdict, the certificate of an optimum, how many columns the matrices
+    handed to HiGHS have, how many rows went as bounds and how many
+    column-and-row pairs were taken out (``Matrices``).  ``call`` is None
+    when ``solve`` decided without HiGHS."""
 
     reason: str
     call: HighsCall | None = None
     fallback: HighsCall | None = None
     certificate: Certificate | None = None
     columns: int = 0
+    bounded: int = 0
+    substituted: int = 0
 
     @property
     def method(self) -> str | None:
@@ -754,6 +848,8 @@ class SolverReport:
             **call,
             "reason": self.reason,
             "columns": self.columns,
+            "bounded": self.bounded,
+            "substituted": self.substituted,
             "fallback": asdict(self.fallback) if self.fallback else None,
             "certificate": self.certificate.as_dict() if self.certificate else None,
         }
@@ -794,25 +890,26 @@ _VERDICTS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 def choose_method(equality_rows: int, origin_feasible: bool) -> tuple[str, dict, str]:
     """The HiGHS method and options for an LP with *equality_rows* equality
     rows sent to the solver, whose rows the origin x = 0 satisfies when
-    *origin_feasible* (every bound sent is >= 0), and why.
+    *origin_feasible* (every ``<=`` bound sent is >= 0 and every equality
+    bound is 0), and why.
 
-    Every LP goes to ``highs``, HiGHS's simplex solver.  An LP with
-    equality rows (the factorized and replacement LPs, mostly marginal and
-    stand-in equalities) gets ``PRIMAL``: primal simplex after presolve,
-    which on the factorized LPs, once forced-equal columns are merged,
-    takes less time than dual simplex or the interior point solver with
-    crossover.  An LP that the origin satisfies (the natural LPs, packing
-    LPs with ``<=`` rows and bounds >= 0) gets ``PRIMAL_FROM_ORIGIN``: the
-    slack basis is a feasible vertex, so primal simplex starts from it,
-    and presolve, which costs more there than the simplex run itself, is
-    skipped.  Any other LP (the origin violates a row) goes to ``highs``
-    as it is, dual simplex after presolve.
+    Every LP goes to ``highs``, HiGHS's simplex solver.  An LP that the
+    origin satisfies gets ``PRIMAL_FROM_ORIGIN``, with or without equality
+    rows: the slack basis is a feasible vertex, so primal simplex starts
+    from it, and presolve is skipped.  These are the natural LPs, packing
+    LPs with ``<=`` rows and bounds >= 0, where presolve costs more than
+    the simplex run itself; and the factorized LPs and most replacement
+    LPs, whose marginal and stand-in equalities have the bound 0 and
+    whose singleton rows and leaf columns ``SparseLp.matrices`` has
+    already reduced, which leaves presolve little to find.  An LP with
+    equality rows that the origin violates gets ``PRIMAL``: primal simplex
+    after presolve.  Any other LP (the origin violates a ``<=`` row) goes
+    to ``highs`` as it is, dual simplex after presolve.
     """
-    if equality_rows:
-        return "highs", PRIMAL, f"{equality_rows} equality rows sent"
+    rows = f"{equality_rows} equality rows sent" if equality_rows else "no equality rows sent"
     if origin_feasible:
-        return "highs", PRIMAL_FROM_ORIGIN, "no equality rows sent; the origin satisfies every row"
-    return "highs", {}, "no equality rows sent; the origin violates a row"
+        return "highs", PRIMAL_FROM_ORIGIN, f"{rows}; the origin satisfies every row"
+    return "highs", PRIMAL if equality_rows else {}, f"{rows}; the origin violates a row"
 
 
 def solve(lp: SparseLp) -> LpSolution:
@@ -820,27 +917,32 @@ def solve(lp: SparseLp) -> LpSolution:
 
     HiGHS gets the program as ``lp.matrices()`` builds it: one column per
     class of leads forced equal, each lead standing for its class
-    (``SparseLp.lead``), and no row left without terms (such a row is
-    checked against its bound instead).  The method and options are chosen
-    by ``choose_method``.  When a call other than plain ``highs`` ends
-    without a verdict (HiGHS status 4, a solve error), the same matrices
-    are solved again with plain ``highs`` before ``NumericalFailureError``
-    is raised.  An optimum puts each forced-equal class's value on each of
-    its leads and 0 on the other columns (``Matrices.expand``), and that
-    point is checked against the rows before the forced-equal merge and the
-    bounds (``certify``); one beyond tolerance raises ``CertificateError``.
+    (``SparseLp.lead``), singleton ``<=`` rows as column bounds, leaf
+    columns and their rows taken out, and no row left without terms (such
+    a row is checked against its bound instead).  The method and options
+    are chosen by ``choose_method``.  When a call other than plain
+    ``highs`` ends without a verdict (HiGHS status 4, a solve error), the
+    same matrices are solved again with plain ``highs`` before
+    ``NumericalFailureError`` is raised.  An optimum sets each column
+    taken out from the rest of its row, puts each forced-equal class's
+    value on each of its leads and 0 on the other columns
+    (``Matrices.expand``), and that point is checked against the rows
+    before any merge or reduction and the bounds x >= 0 (``certify``); one
+    beyond tolerance raises ``CertificateError``.
     """
     rows = lp.matrices()
     columns = len(rows.c)
+    shape = dict(columns=columns, bounded=rows.bounded, substituted=rows.substituted)
     if not rows.constants_hold:
         return LpSolution(
             "infeasible", nonzeros=rows.nonzeros,
-            solver=SolverReport("a row without terms violates its bound", columns=columns),
+            solver=SolverReport("a row without terms violates its bound", **shape),
         )
-    if not columns:
+    if not columns:  # no column, or each one taken out with its row
+        x = rows.expand(np.zeros(0))
         return LpSolution(
-            "optimal", value=lp.obj_const, assignment=ArrayAssignment([], np.zeros(0)),
-            solver=SolverReport("no variables", certificate=rows.certify(np.zeros(0))),
+            "optimal", value=lp.obj_const, assignment=ArrayAssignment(lp.names, x),
+            solver=SolverReport("no columns sent", certificate=rows.certify(x), **shape),
         )
 
     # looked up per call, so a wrapper installed on scipy.optimize.linprog
@@ -852,13 +954,14 @@ def solve(lp: SparseLp) -> LpSolution:
             warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
             res = linprog(
                 rows.c, A_ub=rows.A_ub, b_ub=rows.b_ub, A_eq=rows.A_eq, b_eq=rows.b_eq,
-                bounds=(0, None), method=method, options=options,
+                bounds=rows.bounds, method=method, options=options,
             )
         return res, HighsCall.of(method, options, res)
 
     method, options, reason = choose_method(
         0 if rows.A_eq is None else rows.A_eq.shape[0],
-        rows.b_ub is None or bool((rows.b_ub >= 0).all()),
+        (rows.b_ub is None or bool((rows.b_ub >= 0).all()))
+        and (rows.b_eq is None or not rows.b_eq.any()),
     )
     res, first = call(method, options)
     fallback = None
@@ -871,7 +974,7 @@ def solve(lp: SparseLp) -> LpSolution:
     if status != "optimal":
         return LpSolution(
             status, nonzeros=rows.nonzeros,
-            solver=SolverReport(reason, first, fallback, columns=columns),
+            solver=SolverReport(reason, first, fallback, **shape),
         )
 
     x = rows.expand(res.x)
@@ -887,5 +990,5 @@ def solve(lp: SparseLp) -> LpSolution:
     return LpSolution(
         "optimal", value=value, assignment=ArrayAssignment(lp.names, x),
         nonzeros=rows.nonzeros,
-        solver=SolverReport(reason, first, fallback, certificate, columns),
+        solver=SolverReport(reason, first, fallback, certificate, **shape),
     )

@@ -11,8 +11,10 @@ min-fill tree), and the delivery demo factorized over
 the argv (paths relative to the repository root, outputs under ``OUT``)
 and the exit code; the sha256 of each output file, of the ``--explain``
 lines and of the report without ``seconds``; the optimum, ``lp_vars`` and
-``lp_rows``; and the sha256 of each argument of each ``linprog`` call.
-Compare two trees with a plain ``diff``:
+``lp_rows``; and for each ``linprog`` call the sha256 of each argument, the
+shape sent (``<=`` rows, equality rows, columns) and the simplex
+iteration count, so that a run whose vertex moved shows.  Compare two
+trees with a plain ``diff``:
 
     PYTHONPATH=src python tests/check_set.py > after.jsonl
 
@@ -103,8 +105,12 @@ def run(argv: list[str], out: Path) -> dict:
     original = scipy.optimize.linprog
 
     def recording(c, **kwargs):
-        calls.append({key: digest(value) for key, value in dict(kwargs, c=c).items()})
-        return original(c, **kwargs)
+        call = {key: digest(value) for key, value in dict(kwargs, c=c).items()}
+        call["shape"] = [0 if kwargs[key] is None else kwargs[key].shape[0]
+                         for key in ("A_ub", "A_eq")] + [len(c)]
+        res = original(c, **kwargs)
+        calls.append(dict(call, nit=int(res.nit)))
+        return res
 
     stdout, stderr = io.StringIO(), io.StringIO()
     scipy.optimize.linprog = recording

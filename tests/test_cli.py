@@ -25,7 +25,7 @@ from lpcq.errors import InfeasibleSpecError
 from lpcq.interpret import natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
 from lpcq import interpret
-from lpcq.linprog import FEAS_TOL, PRIMAL, ColumnNames, Positional
+from lpcq.linprog import FEAS_TOL, PRIMAL, PRIMAL_FROM_ORIGIN, ColumnNames, Positional
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery, write_delivery
 
@@ -320,21 +320,23 @@ class TestSolveCommand:
         assert code == 0
         # Columns with the same cost and entries reach HiGHS as one column,
         # and so do columns that a row a*x - a*y = 0 forces equal; such a
-        # row is left without terms and is not sent.
+        # row is left without terms and is not sent.  A <= row left with
+        # one entry a > 0 and a bound >= 0 is sent as a bound on its column.
         # natural: two user rows over two answers each, and a row's two
-        # answers are one column.  replacement: a row's two answers are one
-        # column too, so the weight rows of x == 0 and x == 1 each tie a
-        # stand-in to one column; what is sent is the two user rows, one
-        # stand-in each, and the weight row of the whole answer set, its
-        # stand-in against those two classes (1 + 1 + 3).  factorized: the
-        # two rows of the y bag, which no other row reads, are one column;
-        # the three weight rows tie each stand-in to one bag row, and the
+        # answers are one column, so both rows are bounds (0).
+        # replacement: a row's two answers are one column too, so the
+        # weight rows of x == 0 and x == 1 each tie a stand-in to one
+        # column; the two user rows, on one stand-in each, are bounds, and
+        # what is sent is the weight row of the whole answer set, its
+        # stand-in against those two classes (3).  factorized: the two
+        # rows of the y bag, which no other row reads, are one column; the
+        # three weight rows tie each stand-in to one bag row, and the
         # second soundness row ties the empty root's row to the y bag's
-        # column, so what is sent is the two user rows and the first
-        # soundness row, the root's class against the x bag's two rows
-        # (1 + 1 + 3).
+        # column; the two user rows are bounds, so what is sent is the
+        # first soundness row, the root's class against the x bag's two
+        # rows (3).
         assert json.loads(out)["nonzeros"] == handed[0] == {
-            "natural": 2, "replacement": 1 + 1 + 3, "factorized": 1 + 1 + 3,
+            "natural": 0, "replacement": 3, "factorized": 3,
         }[mode]
         code, text = run_main(argv)
         assert code == 0 and "nonzeros" not in text
@@ -575,12 +577,13 @@ class TestCertificate:
         assert solver["method"] == "highs" and solver["status"] == 0
         # the delivery demo's >= orders: the origin violates its natural LP
         reason, options = {"highs": ("the origin violates a row", {}),
-                           "highs-primal": ("equality rows sent", PRIMAL)}[call]
+                           "highs-primal": ("equality rows sent; the origin violates a row",
+                                            PRIMAL)}[call]
         assert solver["reason"].endswith(reason) and solver["options"] == options
         assert solver["fallback"] is None
         assert solver["nit"] >= 0
         assert set(solver) == {"method", "options", "status", "message", "nit", "reason",
-                               "columns", "fallback", "certificate"}
+                               "columns", "bounded", "substituted", "fallback", "certificate"}
         cert = solver["certificate"]
         assert 0.0 <= cert["violation"] <= cert["tolerance"]
         assert cert["tolerance"] >= FEAS_TOL
@@ -618,8 +621,9 @@ class TestCertificate:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
     # the factorized vertex comes from primal simplex on the LP with its
-    # forced-equal columns merged; its lift must still be an optimal plan
-    # of the natural LP
+    # forced-equal columns merged, its singleton rows sent as bounds and
+    # its leaf columns substituted out; its lift must still be an optimal
+    # plan of the natural LP
     db_dir = tmp_path / "db"
     code, _ = run_main(
         ["gen", "--out", str(db_dir), "--size", "100", "--seed", str(seed),
@@ -641,7 +645,7 @@ def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
     assert code == 0
     fac = json.loads(out)
     assert nat["solver"]["method"] == fac["solver"]["method"] == "highs"
-    assert fac["solver"]["options"] == PRIMAL and fac["solver"]["fallback"] is None
+    assert fac["solver"]["options"] == PRIMAL_FROM_ORIGIN and fac["solver"]["fallback"] is None
     assert nat["status"] == fac["status"] == "optimal"
     assert math.isclose(nat["value"], fac["value"], rel_tol=1e-6, abs_tol=1e-6)
 

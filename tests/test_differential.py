@@ -62,8 +62,12 @@ def test_modes_agree_and_every_lift_certifies(seed, n_exists):
     matrices = [ilp.program.matrices() for ilp in runs.values()]
     bag_classes = runs["factorized"].program.lead is not None  # None: one class per bag row
     event("factorized LP with bag-row classes" if bag_classes else "no bag-row classes")
-    forced = any(len(m.c) < len(m.columns) for m in matrices)
+    forced = any(m.classes.max(initial=-1) + 1 < len(m.columns) for m in matrices)
     event("an LP with forced-equal merges" if forced else "no LP with forced-equal merges")
+    event("an LP with rows sent as bounds" if any(m.bounded for m in matrices)
+          else "no LP with rows sent as bounds")
+    event("an LP with leaf columns taken out" if any(m.substituted for m in matrices)
+          else "no LP with leaf columns taken out")
     for mode, sol in solutions.items():
         assert sol.status == expected.status, mode
         if sol.status == "optimal":

@@ -212,9 +212,10 @@ def highs_calls(monkeypatch):
 
 
 class TestMethodRule:
-    """``choose_method``: equality rows go to primal simplex after
-    presolve; an LP whose rows the origin satisfies to primal simplex
-    without presolve; any other to plain ``highs``."""
+    """``choose_method``: an LP whose rows sent the origin satisfies goes
+    to primal simplex without presolve, with or without equality rows; any
+    other with equality rows to primal simplex after presolve; the rest to
+    plain ``highs``."""
 
     def test_origin_feasible_packing_lp_goes_to_primal_simplex(self, highs_calls):
         lp = sparse_lp(
@@ -241,25 +242,38 @@ class TestMethodRule:
         assert sol.solver.reason == "no equality rows sent; the origin violates a row"
 
     def test_equality_rows_give_primal_simplex_after_presolve(self, highs_calls):
-        # the origin satisfies this equality row too
+        # the origin satisfies this equality row, but not the row x + y >= 1
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
-                       [(dict(x=1.0), "=", dict(y=2.0)), (dict(x=1.0), "<=", 2.0)])
+                       [(dict(x=1.0), "=", dict(y=2.0)), (dict(x=1.0), "<=", 2.0),
+                        (1.0, "<=", dict(x=1.0, y=1.0))])
         sol = solve(lp)
         assert highs_calls == [("highs", {"simplex_strategy": 4})]
         assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
         assert sol.solver.call.options == PRIMAL
-        assert sol.solver.reason == "1 equality rows sent"
+        assert sol.solver.reason == "1 equality rows sent; the origin violates a row"
+
+    def test_equality_rows_the_origin_satisfies_go_without_presolve(self, highs_calls):
+        # x = 2y has the bound 0, and x <= 2 is sent as a bound
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
+                       [(dict(x=1.0), "=", dict(y=2.0)), (dict(x=1.0), "<=", 2.0)])
+        sol = solve(lp)
+        assert highs_calls == [("highs", {"presolve": False, "simplex_strategy": 4})]
+        assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
+        assert sol.solver.call.options == PRIMAL_FROM_ORIGIN
+        assert sol.solver.reason == "1 equality rows sent; the origin satisfies every row"
+        assert sol.solver.bounded == 1 and sol.solver.substituted == 0
 
     def test_a_merged_pair_row_is_not_an_equality_row_sent(self, highs_calls):
         # x = y forces two columns equal: the row is gone, and what is left
-        # is a packing LP the origin satisfies
+        # is a packing LP the origin satisfies, whose one row x <= 2 is a
+        # bound
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
                        [(dict(x=1.0), "=", dict(y=1.0)), (dict(x=1.0), "<=", 2.0)])
         sol = solve(lp)
         assert highs_calls == [("highs", PRIMAL_FROM_ORIGIN)]
         assert sol.status == "optimal" and abs(sol.value - 4.0) < 1e-9
         assert sol.solver.reason == "no equality rows sent; the origin satisfies every row"
-        assert sol.solver.columns == 1 and sol.nonzeros == 1
+        assert sol.solver.columns == 1 and sol.nonzeros == 0 and sol.solver.bounded == 1
 
     def test_unbounded_origin_feasible_maximize(self, highs_calls):
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=-1.0), "<=", 1.0)])
@@ -647,6 +661,177 @@ class TestForcedEqualColumns:
             assert _satisfies(planted[3], sol.assignment) and sol.solver.certificate.ok
             checked += 1
         assert checked > 40 and merged > 80
+
+
+def _with_leaves(rng, spec, bounds, leaves):
+    """The LP of *spec* (``_random_lp``'s plain form) with *bounds* more
+    rows ``a*v <= b`` on one column each, most with a > 0 and b >= 0, and
+    *leaves* more columns ``l0``, ... of cost 0, each in one equality row
+    ``a*l = (a sum of other columns with coefficients of a's sign)`` and
+    in no other row, the sides of a row swapped at random."""
+    sense, objective, constant, rows = spec
+    names = sorted(objective)
+    for _ in range(bounds):
+        a, b = float(rng.choice([1, 2, 3, -1])), float(rng.choice([0, 1, 2, 5, -1]))
+        rows = [*rows, ({rng.choice(names): a}, "<=", b)]
+    for k in range(leaves):
+        a = float(rng.choice([1, 2, -1, -3]))
+        named = rng.sample(names, rng.randint(1, len(names)))
+        rest = {v: a * rng.choice([0.5, 1.0, 2.0]) for v in named}
+        row = ({f"l{k}": a}, "=", rest)
+        rows = [*rows, row if rng.random() < 0.5 else row[::-1]]
+    written = [({**lhs, **{v: -c for v, c in rhs.items()}}, rel, 0.0) if isinstance(rhs, dict)
+               else (lhs, rel, rhs) for lhs, rel, rhs in rows]
+    lp = sparse_lp(sense, (constant, objective), rows, variables=[f"l{k}" for k in range(leaves)])
+    return lp, (sense, objective, constant, written)
+
+
+class TestReductions:
+    """``SparseLp.matrices`` sends a ``<=`` row with one entry a > 0 and a
+    bound b >= 0 as the bound b / a on its column, and takes out a column
+    of cost 0 whose one entry is in an equality row with the bound 0 that
+    it alone closes, with that row."""
+
+    def test_singleton_rows_are_bounds_the_smallest_per_column(self):
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
+                       [(dict(x=1.0), "<=", 2.0), (dict(x=2.0), "<=", 3.0),
+                        (dict(x=1.0, y=1.0), "<=", 4.0)])
+        matrices = lp.matrices()
+        assert matrices.bounded == 2 and matrices.substituted == 0
+        assert matrices.bounds.tolist() == [[0.0, 1.5], [0.0, math.inf]]
+        assert matrices.A_ub.toarray().tolist() == [[1.0, 1.0]] and matrices.b_ub.tolist() == [4.0]
+        assert matrices.nonzeros == 2
+        sol = solve(lp)
+        assert sol.status == "optimal" and sol.value == pytest.approx(4.0)
+        assert sol.solver.bounded == 2 and sol.solver.certificate.ok
+        assert sol.assignment["x"] <= 1.5 + 1e-9
+
+    @pytest.mark.parametrize("row", [
+        (dict(x=-1.0), "<=", 1.0),  # a < 0
+        (dict(x=1.0), "<=", -1.0),  # b < 0
+        (dict(x=1.0), "=", 1.0),  # an equality row
+        (dict(x=1.0), "=", 0.0),
+    ])
+    def test_other_singleton_rows_stay_rows(self, row):
+        lp = sparse_lp("maximize", dict(x=1.0, y=2.0), [row, (dict(x=1.0, y=1.0), "<=", 5.0)])
+        matrices = lp.matrices()
+        assert matrices.bounded == matrices.substituted == 0 and matrices.bounds == (0, None)
+        sent = (matrices.A_ub, matrices.b_ub, matrices.A_eq, matrices.b_eq)
+        assert all(a is b for a, b in zip(matrices.checked, sent))
+
+    def test_a_leaf_column_is_substituted_out(self):
+        # 2z = x + 3y: z has cost 0 and no other entry, so the row only
+        # says what z is
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
+                       [(dict(z=2.0), "=", dict(x=1.0, y=3.0)), (dict(x=1.0, y=1.0), "<=", 3.0)])
+        matrices = lp.matrices()
+        assert matrices.substituted == 1 and matrices.bounded == 0
+        assert matrices.A_eq is None and len(matrices.c) == 2
+        assert matrices.classes.tolist() == [0, 1, 2]  # z, the last column, is out
+        assert matrices.expand(np.array([1.0, 2.0])).tolist() == [1.0, 2.0, 3.5]
+        sol = solve(lp)
+        assert sol.status == "optimal" and sol.value == pytest.approx(3.0)
+        assert sol.solver.substituted == 1 and sol.solver.columns == 2
+        assert 2 * sol.assignment["z"] == pytest.approx(sol.assignment["x"] + 3 * sol.assignment["y"])
+        assert sol.solver.certificate.ok
+
+    @pytest.mark.parametrize("row", [
+        (dict(a=-2.0), "=", dict(x=-1.0, y=-3.0)),  # the signs flipped
+        (dict(x=1.0, y=3.0), "=", dict(a=2.0)),  # the sides swapped
+    ])
+    def test_expand_recovers_the_value_whatever_the_signs(self, row):
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [row, (dict(x=1.0, y=1.0), "<=", 3.0)])
+        matrices = lp.matrices()
+        assert matrices.substituted == 1 and matrices.classes.tolist() == [2, 0, 1]
+        assert matrices.expand(np.array([1.0, 2.0])).tolist() == [3.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("row, cost, more", [
+        ((dict(z=2.0), "=", dict(x=1.0, y=3.0)), 1.0, []),  # z has a cost
+        ((dict(z=2.0), "=", (1.0, dict(x=1.0, y=3.0))), 0.0, []),  # a bound other than 0
+        ((dict(z=2.0, x=1.0), "=", dict(y=3.0)), 0.0, []),  # a neighbour of z's sign
+        ((dict(z=2.0), "=", dict(x=1.0, y=3.0)), 0.0,
+         [(dict(x=1.0, z=1.0), "<=", 4.0)]),  # z in a second row
+        ((dict(z=2.0), "<=", dict(x=1.0, y=3.0)), 0.0, []),  # not an equality row
+    ])
+    def test_other_columns_stay(self, row, cost, more):
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0, z=cost),
+                       [row, (dict(x=1.0, y=1.0), "<=", 3.0), *more])
+        matrices = lp.matrices()
+        assert matrices.substituted == 0 and len(matrices.c) == 3
+        sent = (matrices.A_ub, matrices.b_ub, matrices.A_eq, matrices.b_eq)
+        assert all(a is b for a, b in zip(matrices.checked, sent))
+
+    def test_two_candidates_in_one_row_give_up_one(self):
+        # 2u = v: u and v both have cost 0 and no other entry; u, the first,
+        # is substituted out, and v stays, now in no row
+        lp = sparse_lp("maximize", dict(x=1.0),
+                       [(dict(u=2.0), "=", dict(v=1.0)), (dict(x=1.0), "<=", 1.0)])
+        matrices = lp.matrices()
+        assert matrices.substituted == 1 and matrices.bounded == 1
+        assert matrices.A_ub is None and matrices.A_eq is None and len(matrices.c) == 2
+        assert matrices.classes.tolist() == [2, 0, 1]
+        assert matrices.expand(np.array([4.0, 1.0])).tolist() == [2.0, 4.0, 1.0]
+        sol = solve(lp)
+        assert sol.value == pytest.approx(1.0) and sol.solver.certificate.ok
+        assert 2 * sol.assignment["u"] == pytest.approx(sol.assignment["v"])
+
+    def test_every_column_taken_out_leaves_no_call(self, highs_calls):
+        # 2z = 0 closes z's row: nothing is left to send
+        lp = sparse_lp("maximize", 2.0, [(dict(z=2.0), "=", 0.0)])
+        sol = solve(lp)
+        assert highs_calls == [] and sol.status == "optimal" and sol.value == 2.0
+        assert sol.solver.reason == "no columns sent" and sol.solver.substituted == 1
+        assert sol.assignment["z"] == 0.0 and sol.solver.certificate.ok
+
+    def test_certify_flags_a_point_that_breaks_a_dropped_row(self):
+        # x <= 2 is a bound, and 2z = x + y is substituted out
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
+                       [(dict(x=1.0), "<=", 2.0), (dict(z=2.0), "=", dict(x=1.0, y=1.0)),
+                        (dict(x=1.0, y=1.0), "<=", 3.0)])
+        matrices = lp.matrices()
+        assert matrices.bounded == matrices.substituted == 1
+        assert matrices.A_eq is None and matrices.A_ub.shape == (1, 2)
+        assert matrices.certify(np.array([2.0, 1.0, 1.5])).ok
+        over = matrices.certify(np.array([2.5, 0.0, 1.25]))
+        assert not over.ok and over.ub_violation == pytest.approx(0.5) and over.eq_violation == 0.0
+        off = matrices.certify(np.array([1.0, 1.0, 2.0]))
+        assert not off.ok and off.eq_violation == pytest.approx(2.0) and off.ub_violation == 0.0
+
+    @pytest.mark.parametrize("rows, verdict", [
+        ([(dict(x=1.0), "<=", 1.0), (dict(x=1.0), "=", 2.0)], "infeasible"),  # through a bound
+        ([(dict(x=1.0), "<=", 1.0), (2.0, "<=", dict(x=1.0))], "infeasible"),
+        ([(dict(x=1.0), "<=", 1.0), (dict(z=2.0), "=", dict(x=1.0)), (dict(x=1.0), "<=", -1.0)],
+         "infeasible"),
+        ([(dict(x=1.0), "<=", 1.0), (dict(z=2.0), "=", dict(y=1.0))], "unbounded"),
+        ([(dict(x=1.0), "<=", 0.0), (dict(z=2.0), "=", dict(y=1.0)), (dict(y=1.0), "<=", 3.0)],
+         "optimal"),
+    ])
+    def test_verdicts_stay(self, rows, verdict):
+        lp = sparse_lp("maximize", dict(x=1.0, y=1.0), rows)
+        matrices = lp.matrices()
+        assert matrices.bounded + matrices.substituted > 0
+        sol = solve(lp)
+        assert sol.status == verdict
+        if verdict == "optimal":
+            assert sol.value == pytest.approx(3.0) and sol.solver.certificate.ok
+
+    def test_random_lps_with_bounds_and_leaves_against_the_oracle(self, rng):
+        checked = bounded = substituted = 0
+        for _ in range(120):
+            spec = _random_lp(rng, rng.randint(1, 4), rng.randint(0, 2))[1]
+            lp, planted = _with_leaves(rng, spec, rng.randint(0, 3), rng.randint(0, 2))
+            sol = solve(lp)
+            bounded += sol.solver.bounded > 0
+            substituted += sol.solver.substituted > 0
+            oracle = vertex_enumeration_optimum(*planted, lp.names)
+            if oracle is None:
+                assert sol.status == "infeasible"
+                continue
+            assert sol.status == "optimal"
+            assert math.isclose(sol.value, oracle[0], abs_tol=1e-6), (sol.value, oracle[0])
+            assert _satisfies(planted[3], sol.assignment) and sol.solver.certificate.ok
+            checked += 1
+        assert checked > 40 and bounded > 40 and substituted > 40
 
 
 class TestBuilder:
