@@ -79,7 +79,8 @@ class IncompatibleTargetError(LpcqError):
 
 class NumericalFailureError(LpcqError):
     """The LP solver stopped without an optimum, infeasibility or unboundedness
-    verdict, e.g. on an iteration limit or numerical trouble."""
+    verdict, e.g. on an iteration limit or numerical trouble; or the LP
+    holds a number that is not finite, which no solve is tried on."""
 
 
 class CertificateError(LpcqError):

@@ -46,7 +46,7 @@ of 3,675 on the
 factorized delivery benchmark (m=300, seed 1), and 1,250 instead of 1,210
 on the natural one, and returned optimal vertices that differ by up to
 203 and 49 in a coordinate.  Primal simplex after presolve, which the
-factorized LPs go to once their forced-equal columns are merged, took 367
+factorized LPs went to when this was measured, took 367
 iterations instead of 330 at m=100, 1,145 instead of 870 at m=300 and
 1,258 instead of 1,233 at m=500 (seed 1), and its vertex moved by up to
 76, 156 and 103 in a coordinate.  Either would change the lifted weights.

@@ -924,8 +924,10 @@ class _Closure:
             factor = self.num(node.num, frame)
             terms = {t: (codes, coeffs * factor[owners], owners)
                      for t, (codes, coeffs, owners) in terms.items()}
-            return const * factor, {t: tuple(part[block[1] != 0.0] for part in block)
-                                    for t, block in terms.items() if block[1].any()}
+            with np.errstate(invalid="ignore"):  # 0 * inf is NaN, which solve refuses
+                const = const * factor
+            return const, {t: tuple(part[block[1] != 0.0] for part in block)
+                           for t, block in terms.items() if block[1].any()}
         if isinstance(node, SAdd):
             (left, terms), (right, more) = self.sum(node.left, frame), self.sum(node.right, frame)
             terms = dict(terms)

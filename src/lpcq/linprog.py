@@ -17,18 +17,14 @@ value with one bag row on each side) are one column too, found by
 hand HiGHS what its presolve would reduce the LP to (``_reductions``): a
 ``<=`` row with one entry is sent as a bound on its column, and a column
 of cost 0 whose one entry closes an equality row with the bound 0 is
-taken out with that row.  The call follows the shape of what is sent
-(``choose_method``), in three ways, all of them simplex: an LP whose rows
-the origin x = 0 satisfies (every ``<=`` bound >= 0 and every equality
-bound 0, as in the natural and factorized LPs) goes to primal simplex
-from the slack basis without presolve; any other with equality rows to
-primal simplex after presolve; the rest to ``highs``, dual simplex after
-presolve.  Every optimum is put back on the program's columns, each
-column taken out set from the rest of its row, each forced-equal class's
-value on each of its leads and 0 on the other columns, and checked
-against the rows and bounds before any merge or reduction (``certify``)
-before it is returned.  The tests cross-check the solver against a
-vertex enumeration oracle.
+taken out with that row.  Every program takes these steps, and every
+call is the same: primal simplex without presolve (``OPTIONS``).  Every
+optimum is put back on the program's columns, each column taken out set
+from the rest of its row, each forced-equal class's value on each of its
+leads and 0 on the other columns, and checked against the rows and
+bounds before any merge or reduction (``certify``) before it is
+returned.  The tests cross-check the solver against a vertex enumeration
+oracle.
 
 Conventions: every variable is implicitly >= 0; ``maximize`` is handed to
 the solver as ``minimize -objective`` with the reported value negated back.
@@ -54,14 +50,12 @@ from .relations import ranges
 
 FEAS_TOL = 1e-7
 
-# The HiGHS options beyond ``linprog``'s defaults for an LP with equality
-# rows that the origin violates: HiGHS's simplex strategy 4, primal
-# simplex, after presolve; and for an LP the origin satisfies, the same
-# without presolve.  ``linprog`` knows no ``simplex_strategy`` option; it
-# passes it to HiGHS verbatim, with an OptimizeWarning that ``solve``
-# filters.
-PRIMAL = {"simplex_strategy": 4}
-PRIMAL_FROM_ORIGIN = {"presolve": False, **PRIMAL}
+# The HiGHS options beyond ``linprog``'s defaults for every LP: HiGHS's
+# simplex strategy 4, primal simplex, without presolve, whose work
+# ``SparseLp.matrices`` has mostly done.  ``linprog`` knows no
+# ``simplex_strategy`` option; it passes it to HiGHS verbatim, with an
+# OptimizeWarning that ``solve`` filters.
+OPTIONS = {"presolve": False, "simplex_strategy": 4}
 
 # entries per step of the loops that keep their temporary arrays small:
 # renumbering columns and negating right sides in ``LpBuilder.build``,
@@ -247,9 +241,9 @@ class SparseLp:
     that agree on their bag's separators).  Column j
     belongs to the class led by column ``lead[j]``, its lowest column, and
     only leads have entries: each stands for every column of its class.
-    ``lead`` is None when every column leads itself.  ``spread`` gives the
-    program with each lead's entries on every column of its class, which
-    is what ``rows``, ``row_texts`` and ``export_lp`` read.
+    ``lead`` is the identity when every column leads itself.  ``spread``
+    gives the program with each lead's entries on every column of its
+    class, which is what ``rows``, ``row_texts`` and ``export_lp`` read.
     """
 
     sense: str
@@ -264,7 +258,7 @@ class SparseLp:
     split: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    lead: np.ndarray | None = None
+    lead: np.ndarray
 
     @property
     def row_count(self) -> int:
@@ -272,10 +266,8 @@ class SparseLp:
 
     def spread(self) -> SparseLp:
         """The same program with every column's entries its own: each entry
-        of a lead repeated on every column of its class, in column order.
-        The program itself when every column leads itself."""
-        if self.lead is None:
-            return self
+        of a lead repeated on every column of its class, in column order,
+        and every column its own lead."""
         sizes = np.bincount(self.lead, minlength=len(self.names))
         members = np.argsort(self.lead, kind="stable")  # class by class, lead first
         firsts = np.cumsum(sizes) - sizes
@@ -289,7 +281,7 @@ class SparseLp:
         obj_cols, obj_vals = on_members(self.obj_cols, self.obj_vals)
         cols, vals, indptr, split = on_members(self.cols, self.vals, self.indptr, self.split)
         return SparseLp(self.sense, self.names, self.obj_const, obj_cols, obj_vals, self.lconst,
-                        self.rconst, self.eq, indptr, split, cols, vals)
+                        self.rconst, self.eq, indptr, split, cols, vals, np.arange(len(self.names)))
 
     def rows(self) -> Iterator[tuple[Side, str, Side]]:
         """Each row as it was written, ``(lhs, rel, rhs)``, over the
@@ -334,44 +326,32 @@ class SparseLp:
         solver (``_forced_equal``): the sum of the class's columns, with
         their costs summed, so each such row has no terms left and is not
         sent.  Then singleton ``<=`` rows go as column bounds, and leaf
-        columns are taken out with their rows (``_reductions``); when
-        neither applies, the rows sent are those matrices themselves and
-        ``bounds`` is ``(0, None)``.  The full matrix is freed on return,
-        before HiGHS runs."""
+        columns are taken out with their rows (``_reductions``).  Every
+        program takes each step, whether or not it finds anything.  The
+        full matrix is freed on return, before HiGHS runs."""
         from scipy.sparse import csr_matrix
 
         n = len(self.names)
-        cols, obj_cols, leads = self.cols, self.obj_cols, np.arange(n)
-        group = leads  # each column's lead's place among the leads
-        if self.lead is not None:
-            leads = np.flatnonzero(self.lead == leads)
-            index = np.empty(n, dtype=np.int64)
-            index[leads] = np.arange(len(leads))
-            cols, obj_cols, group = index[cols], index[obj_cols], index[self.lead]
+        leads = np.flatnonzero(self.lead == np.arange(n))
+        index = np.empty(n, dtype=np.int64)  # at a lead, its place among the leads
+        index[leads] = np.arange(len(leads))
         A = csr_matrix(
-            (self.vals, cols, self.indptr),
+            (self.vals, index[self.cols], self.indptr),
             shape=(self.row_count, len(leads)), dtype=float, copy=True,
         )
         A.sum_duplicates()  # a column on both sides of a row
         A.eliminate_zeros()  # ... whose terms cancel
         c = np.zeros(len(leads))
-        c[obj_cols] = (-1.0 if self.sense == "maximize" else 1.0) * self.obj_vals
+        c[index[self.obj_cols]] = (-1.0 if self.sense == "maximize" else 1.0) * self.obj_vals
         bound, eq = self.rconst - self.lconst, self.eq
-        checked, holds = _split(A, bound, eq)
+        checked, _ = _split(A, bound, eq)
         classes = _forced_equal(A, bound, eq)
         k = int(classes.max(initial=-1)) + 1
-        if k < len(leads):
-            A = csr_matrix((A.data, classes[A.indices], A.indptr), shape=(A.shape[0], k), copy=True)
-            A.sum_duplicates()
-            A.eliminate_zeros()
-            c = np.bincount(classes, weights=c, minlength=k)
+        A = _moved(A, classes, k)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        c = np.bincount(classes, weights=c, minlength=k)
         bounded, upper, rows, at = _reductions(A, c, bound, eq)
-        if not (bounded.size or rows.size):
-            sent, holds = (checked, holds) if k == len(leads) else _split(A, bound, eq)
-            return Matrices(
-                c, *sent, columns=leads, group=group, classes=classes, checked=checked,
-                nonzeros=A.nnz, constants_hold=holds,
-            )
         out = A.indices[at]
         kept = np.ones(k, dtype=bool)
         kept[out] = False
@@ -379,18 +359,14 @@ class SparseLp:
         place = np.empty(k, dtype=np.int64)  # the columns taken out go last
         place[kept] = np.arange(width)
         place[out] = np.arange(width, k)
-        A = csr_matrix((A.data, place[A.indices], A.indptr), shape=A.shape)
-        left = np.ones(A.shape[0], dtype=bool)
-        left[bounded] = left[rows] = False
-        left = np.flatnonzero(left)
-        B = A[left]  # no entry left in a column taken out
-        B = csr_matrix((B.data, B.indices, B.indptr), shape=(len(left), width))
-        sent, holds = _split(B, bound[left], eq[left])
+        sent = np.ones(A.shape[0], dtype=bool)
+        sent[bounded] = sent[rows] = False
+        matrices, holds = _split(A, bound, eq, sent, place, width)
         return Matrices(
-            c[kept], *sent, columns=leads, group=group, classes=place[classes], checked=checked,
-            nonzeros=B.nnz, constants_hold=holds,
-            bounds=np.column_stack((np.zeros(width), upper[kept])) if bounded.size else (0, None),
-            implied=(A[rows], A.data[at]) if rows.size else None, bounded=len(bounded),
+            c[kept], *matrices, columns=leads, group=index[self.lead], classes=place[classes],
+            checked=checked, nonzeros=int(np.diff(A.indptr)[sent].sum()), constants_hold=holds,
+            bounds=np.column_stack((np.zeros(width), upper[kept])),
+            implied=(_moved(A[rows], place, k), A.data[at]), bounded=len(bounded),
         )
 
     def __repr__(self) -> str:
@@ -495,26 +471,20 @@ class LpBuilder:
         names, place = _sorted_names(self._blocks, n)
         self._blocks = []
         self._place = place
-        lead = None  # at a place, its class's lowest place
+        lead = np.arange(n)  # at a place, its class's lowest place
         for start, stand_ins in self._classes:
             places = place[start:start + len(stand_ins)]
             lowest = np.full(len(stand_ins), n)
             np.minimum.at(lowest, stand_ins, places)  # at a stand-in, its class's lowest place
-            lowest = lowest[stand_ins]
-            if not np.array_equal(lowest, places):
-                if lead is None:
-                    lead = np.arange(n)
-                lead[places] = lowest
+            lead[places] = lowest[stand_ins]
         self._classes = []
-
-        def renumber(cols: np.ndarray) -> np.ndarray:
-            return place[cols] if lead is None else lead[place[cols]]
+        renumber = lead[place]  # at a position, the place of its class's lead
 
         self._seal()
         chunks, self._chunks = self._chunks, []
         for cols, vals, *_, counts in chunks:
             for at in range(0, len(cols), _STEP):
-                cols[at:at + _STEP] = renumber(cols[at:at + _STEP])
+                cols[at:at + _STEP] = renumber[cols[at:at + _STEP]]
             if counts is not None:  # right sides negated, in slices of whole sides
                 starts = np.cumsum(counts) - counts
                 for lo, hi in slices(counts[1::2]):
@@ -531,7 +501,7 @@ class LpBuilder:
         )
         constant, obj_cols, obj_vals = objective
         obj_cols = np.asarray(obj_cols, dtype=np.int64)
-        obj_cols[:] = renumber(obj_cols)
+        obj_cols[:] = renumber[obj_cols]
         return SparseLp(
             sense=sense,
             names=names,
@@ -739,18 +709,33 @@ def _reductions(A, c: np.ndarray, bound: np.ndarray, eq: np.ndarray) -> tuple[np
     return bounded, upper, rows[first_of_row], at[first_of_row]
 
 
-def _split(A, bound: np.ndarray, eq: np.ndarray) -> tuple[tuple, bool]:
-    """The rows of the CSR matrix *A* that have terms, as ``(A_ub, b_ub,
-    A_eq, b_eq)``, a pair None when it has no rows; and whether each row
-    without terms meets its bound within ``FEAS_TOL``."""
+def _split(A, bound: np.ndarray, eq: np.ndarray, sent=True, place=None,
+           width=None) -> tuple[tuple, bool]:
+    """The rows of the CSR matrix *A* that have terms, of those *sent*
+    marks, as ``(A_ub, b_ub, A_eq, b_eq)``, a pair None when it has no
+    rows, column j of each moved to ``place[j]`` of *width* when given (the
+    rows must not reach past *width*); and whether each row without terms
+    meets its bound within ``FEAS_TOL``."""
     empty = A.indptr[1:] == A.indptr[:-1]
     holds = np.where(eq, np.abs(bound) <= FEAS_TOL, bound >= -FEAS_TOL)
 
     def select(mask):
         rows = np.flatnonzero(mask)
-        return (A[rows], bound[rows]) if rows.size else (None, None)
+        if not rows.size:
+            return None, None
+        return (A[rows] if place is None else _moved(A[rows], place, width)), bound[rows]
 
-    return (*select(~empty & ~eq), *select(~empty & eq)), bool(holds[empty].all())
+    sent = sent & ~empty
+    return (*select(sent & ~eq), *select(sent & eq)), bool(holds[empty].all())
+
+
+def _moved(A, place: np.ndarray, width: int):
+    """The CSR matrix *A* with column j moved to ``place[j]`` of *width*,
+    not canonical where two columns meet (``np.take``: fancy indexing by
+    scipy's int32 indices is slower)."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((A.data, np.take(place, A.indices), A.indptr), shape=(A.shape[0], width))
 
 
 @dataclass(frozen=True, slots=True)
@@ -758,11 +743,11 @@ class Matrices:
     """A program as HiGHS gets it (``SparseLp.matrices``): minimize
     ``c y`` subject to ``A_ub y <= b_ub``, ``A_eq y = b_eq`` and
     ``bounds``, in CSR form, a pair None when it has no rows.  ``bounds``
-    is ``linprog``'s: ``(0, None)``, y >= 0, or one ``(0, upper)`` row per
-    column, ``inf`` for no upper bound.  Rows without terms are not among
-    the rows sent; ``constants_hold`` says whether each of those meets its
-    bound within ``FEAS_TOL``.  ``nonzeros`` counts the entries of both
-    matrices, ``bounded`` the rows sent as bounds.
+    is ``linprog``'s, one ``(0, upper)`` row per column, ``inf`` for no
+    upper bound.  Rows without terms are not among the rows sent;
+    ``constants_hold`` says whether each of those meets its bound within
+    ``FEAS_TOL``.  ``nonzeros`` counts the entries of both matrices,
+    ``bounded`` the rows sent as bounds.
 
     The program's columns reach y through one map per merge.  ``columns``
     holds the leads of the program's classes (``SparseLp.lead``), and
@@ -770,12 +755,11 @@ class Matrices:
     ``classes[d]`` is the column that stands for ``columns[d]``: one per
     class of leads forced equal, in the order of their lowest leads, the
     columns of y first, then the ``substituted`` ones taken out.  Those
-    are set from y by ``implied``, None when there are none: the rows
-    that were taken out with them, as CSR over all of those columns, and
+    are set from y by ``implied``: the rows that were taken out with
+    them, as CSR over all of those columns (no rows when none was), and
     each one's own coefficient in its row.  ``checked`` holds the rows
     over ``columns`` before any merge or reduction, as ``(A_ub, b_ub,
-    A_eq, b_eq)``; they are what ``certify`` checks, and they are the
-    rows sent when nothing is merged or reduced."""
+    A_eq, b_eq)``; they are what ``certify`` checks."""
 
     c: np.ndarray
     A_ub: object
@@ -788,23 +772,22 @@ class Matrices:
     checked: tuple
     nonzeros: int
     constants_hold: bool
-    bounds: object = (0, None)
-    implied: tuple | None = None
-    bounded: int = 0
+    bounds: np.ndarray
+    implied: tuple
+    bounded: int
 
     @property
     def substituted(self) -> int:
-        return 0 if self.implied is None else len(self.implied[1])
+        return len(self.implied[1])
 
     def expand(self, y: np.ndarray) -> np.ndarray:
         """The program's point for the solver's point *y*: each column
         substituted out set from the rest of its row, then each
         forced-equal class's value on each of its leads, and 0 on every
         other column."""
-        if self.implied is not None:
-            rows, a = self.implied
-            y = np.concatenate((y, np.zeros(len(a))))
-            y[len(y) - len(a):] = -(rows @ y) / a
+        rows, a = self.implied
+        y = np.concatenate((y, np.zeros(len(a))))
+        y[len(y) - len(a):] = -(rows @ y) / a
         x = np.zeros(len(self.group))
         x[self.columns] = y[self.classes]
         return x
@@ -821,14 +804,14 @@ class Matrices:
 
 @dataclass(frozen=True, slots=True)
 class SolverReport:
-    """How ``solve`` reached its verdict: why the rule chose the method of
-    ``call``, that call, the ``highs`` re-solve when it ended without a
-    verdict, the certificate of an optimum, how many columns the matrices
-    handed to HiGHS have, how many rows went as bounds and how many
-    column-and-row pairs were taken out (``Matrices``).  ``call`` is None
-    when ``solve`` decided without HiGHS."""
+    """How ``solve`` reached its verdict: the call to HiGHS, the ``highs``
+    re-solve when it ended without a verdict, the certificate of an
+    optimum, how many columns the matrices handed to HiGHS have, how many
+    rows went as bounds and how many column-and-row pairs were taken out
+    (``Matrices``).  ``call`` is None when ``solve`` decided without
+    HiGHS, and ``reason`` then says why; it is None when HiGHS ran."""
 
-    reason: str
+    reason: str | None = None
     call: HighsCall | None = None
     fallback: HighsCall | None = None
     certificate: Certificate | None = None
@@ -887,49 +870,40 @@ class LpSolution:
 _VERDICTS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def choose_method(equality_rows: int, origin_feasible: bool) -> tuple[str, dict, str]:
-    """The HiGHS method and options for an LP with *equality_rows* equality
-    rows sent to the solver, whose rows the origin x = 0 satisfies when
-    *origin_feasible* (every ``<=`` bound sent is >= 0 and every equality
-    bound is 0), and why.
-
-    Every LP goes to ``highs``, HiGHS's simplex solver.  An LP that the
-    origin satisfies gets ``PRIMAL_FROM_ORIGIN``, with or without equality
-    rows: the slack basis is a feasible vertex, so primal simplex starts
-    from it, and presolve is skipped.  These are the natural LPs, packing
-    LPs with ``<=`` rows and bounds >= 0, where presolve costs more than
-    the simplex run itself; and the factorized LPs and most replacement
-    LPs, whose marginal and stand-in equalities have the bound 0 and
-    whose singleton rows and leaf columns ``SparseLp.matrices`` has
-    already reduced, which leaves presolve little to find.  An LP with
-    equality rows that the origin violates gets ``PRIMAL``: primal simplex
-    after presolve.  Any other LP (the origin violates a ``<=`` row) goes
-    to ``highs`` as it is, dual simplex after presolve.
-    """
-    rows = f"{equality_rows} equality rows sent" if equality_rows else "no equality rows sent"
-    if origin_feasible:
-        return "highs", PRIMAL_FROM_ORIGIN, f"{rows}; the origin satisfies every row"
-    return "highs", PRIMAL if equality_rows else {}, f"{rows}; the origin violates a row"
+def _check_finite(lp: SparseLp) -> None:
+    """Raise ``NumericalFailureError`` when a cost, a coefficient or a
+    constant of *lp* is not a finite number: a decimal beyond the float
+    range, such as 1e400 in a program or a database cell, reads as inf."""
+    for what, values in (("cost", np.append(lp.obj_vals, lp.obj_const)),
+                         ("coefficient", lp.vals),
+                         ("row constant", np.concatenate((lp.lconst, lp.rconst)))):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise NumericalFailureError(
+                f"the LP has a {what} of {bad[0]}, not a finite number: a decimal beyond "
+                f"the float range, such as 1e400, reads as inf")
 
 
 def solve(lp: SparseLp) -> LpSolution:
     """Solve a finite LP with HiGHS through ``scipy.optimize.linprog``.
 
+    An LP with a cost, a coefficient or a constant that is not a finite
+    number raises ``NumericalFailureError`` before anything is built.
     HiGHS gets the program as ``lp.matrices()`` builds it: one column per
     class of leads forced equal, each lead standing for its class
     (``SparseLp.lead``), singleton ``<=`` rows as column bounds, leaf
     columns and their rows taken out, and no row left without terms (such
-    a row is checked against its bound instead).  The method and options
-    are chosen by ``choose_method``.  When a call other than plain
-    ``highs`` ends without a verdict (HiGHS status 4, a solve error), the
-    same matrices are solved again with plain ``highs`` before
-    ``NumericalFailureError`` is raised.  An optimum sets each column
-    taken out from the rest of its row, puts each forced-equal class's
-    value on each of its leads and 0 on the other columns
-    (``Matrices.expand``), and that point is checked against the rows
-    before any merge or reduction and the bounds x >= 0 (``certify``); one
-    beyond tolerance raises ``CertificateError``.
+    a row is checked against its bound instead).  Every call is ``highs``
+    with ``OPTIONS``.  When it ends without a verdict (HiGHS status 4, a
+    solve error), the same matrices are solved again with plain ``highs``,
+    dual simplex after presolve, before ``NumericalFailureError`` is
+    raised.  An optimum sets each column taken out from the rest of its
+    row, puts each forced-equal class's value on each of its leads and 0
+    on the other columns (``Matrices.expand``), and that point is checked
+    against the rows before any merge or reduction and the bounds x >= 0
+    (``certify``); one beyond tolerance raises ``CertificateError``.
     """
+    _check_finite(lp)
     rows = lp.matrices()
     columns = len(rows.c)
     shape = dict(columns=columns, bounded=rows.bounded, substituted=rows.substituted)
@@ -949,24 +923,19 @@ def solve(lp: SparseLp) -> LpSolution:
     # after this module was imported still sees every solve
     from scipy.optimize import OptimizeWarning, linprog
 
-    def call(method: str, options: dict):
+    def call(options: dict):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
             res = linprog(
                 rows.c, A_ub=rows.A_ub, b_ub=rows.b_ub, A_eq=rows.A_eq, b_eq=rows.b_eq,
-                bounds=rows.bounds, method=method, options=options,
+                bounds=rows.bounds, method="highs", options=options,
             )
-        return res, HighsCall.of(method, options, res)
+        return res, HighsCall.of("highs", options, res)
 
-    method, options, reason = choose_method(
-        0 if rows.A_eq is None else rows.A_eq.shape[0],
-        (rows.b_ub is None or bool((rows.b_ub >= 0).all()))
-        and (rows.b_eq is None or not rows.b_eq.any()),
-    )
-    res, first = call(method, options)
+    res, first = call(OPTIONS)
     fallback = None
-    if first.status not in _VERDICTS and (method, options) != ("highs", {}):
-        res, fallback = call("highs", {})
+    if first.status not in _VERDICTS:
+        res, fallback = call({})
     final = fallback or first
     if final.status not in _VERDICTS:
         raise NumericalFailureError(f"HiGHS failed: {final.message}")
@@ -974,7 +943,7 @@ def solve(lp: SparseLp) -> LpSolution:
     if status != "optimal":
         return LpSolution(
             status, nonzeros=rows.nonzeros,
-            solver=SolverReport(reason, first, fallback, **shape),
+            solver=SolverReport(call=first, fallback=fallback, **shape),
         )
 
     x = rows.expand(res.x)
@@ -990,5 +959,5 @@ def solve(lp: SparseLp) -> LpSolution:
     return LpSolution(
         "optimal", value=value, assignment=ArrayAssignment(lp.names, x),
         nonzeros=rows.nonzeros,
-        solver=SolverReport(reason, first, fallback, certificate, **shape),
+        solver=SolverReport(call=first, fallback=fallback, certificate=certificate, **shape),
     )

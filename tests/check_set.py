@@ -5,16 +5,19 @@ The check set is every seed-1 invocation of the benchmark's workloads
 ``workloads.materialize``), the three demos in all three modes (the
 delivery demo factorized over ``decomp.json``, the others over the
 min-fill tree), and the delivery demo factorized over
-``decomp_coarse.json`` and over the min-fill tree.  Each run goes through
-``lpcq.cli.main`` with ``--json --emit-lp --weights --explain`` while
-``scipy.optimize.linprog`` is wrapped, and prints one line, keys sorted:
-the argv (paths relative to the repository root, outputs under ``OUT``)
-and the exit code; the sha256 of each output file, of the ``--explain``
-lines and of the report without ``seconds``; the optimum, ``lp_vars`` and
-``lp_rows``; and for each ``linprog`` call the sha256 of each argument, the
-shape sent (``<=`` rows, equality rows, columns) and the simplex
-iteration count, so that a run whose vertex moved shows.  Compare two
-trees with a plain ``diff``:
+``decomp_coarse.json`` and over the min-fill tree; and ``lpcq width`` on
+the delivery demo's two trees and the benchmark's, whose cover LPs go to
+HiGHS too.  Each solve goes through ``lpcq.cli.main`` with ``--json
+--emit-lp --weights --explain``, each width run with its plain argv,
+while ``scipy.optimize.linprog`` is wrapped, and prints one line, keys
+sorted: the argv (paths relative to the repository root, outputs under
+``OUT``) and the exit code; the sha256 of each output file, of the
+``--explain`` lines (for ``width``, of its output) and of the report
+without ``seconds`` and ``solver``; the report's ``solver`` block itself;
+the optimum, ``lp_vars`` and ``lp_rows``; and for each ``linprog`` call
+the sha256 of each argument, the shape sent (``<=`` rows, equality rows,
+columns) and the simplex iteration count, so that a run whose vertex
+moved shows.  Compare two trees with a plain ``diff``:
 
     PYTHONPATH=src python tests/check_set.py > after.jsonl
 
@@ -64,7 +67,9 @@ def argvs(out: Path) -> list[list[str]]:
         if "--weights" not in argv:
             argv += ["--weights", str(out / "weights.csv")]
         argv += ["--emit-lp", str(out / "program.lp"), "--explain"]
-    return runs
+    decomps = [DEMOS / "delivery" / "decomp.json", DEMOS / "delivery" / "decomp_coarse.json",
+               ROOT / "perfbench" / "programs" / "throughput_decomp.json"]
+    return runs + [["width", str(path)] for path in decomps]
 
 
 def digest(value) -> str:
@@ -131,6 +136,7 @@ def run(argv: list[str], out: Path) -> dict:
         "exit": code,
         "files": {path.name: sha(path.read_bytes()) for path in sorted(out.iterdir())},
         "explain": sha(explain.encode()),
+        "solver": None if report is None else report.pop("solver", None),
         "report": sha(json.dumps(without_seconds(report), sort_keys=True).encode()),
         "linprog": calls,
         "stderr": sha(stderr.getvalue().encode()),

@@ -75,6 +75,11 @@ def sparse_lp(sense: str, objective, rows=(), variables=(), classes=None) -> Spa
     return builder.build(sense, side(objective))
 
 
+def has_classes(lp: SparseLp) -> bool:
+    """Whether some class of *lp* (``SparseLp.lead``) has two columns."""
+    return bool((lp.lead != np.arange(len(lp.names))).any())
+
+
 def certify_point(lp: SparseLp, point) -> tuple[Certificate, float]:
     """The primal certificate of *point*, a value per column name, against
     *lp*'s rows as ``Matrices.certify`` checks them, and *lp*'s objective

@@ -502,7 +502,7 @@ def merged(want: DictLp, lp: SparseLp) -> tuple[DictLp, dict[str, str]]:
     its class's lead dropped, and each column's lead by name, as
     ``makers.sparse_lp`` takes its ``classes``."""
     names = list(lp.names)
-    lead = {} if lp.lead is None else {name: names[j] for name, j in zip(names, lp.lead.tolist())}
+    lead = {name: names[j] for name, j in zip(names, lp.lead.tolist())}
 
     def side(constant, terms):
         return constant, {n: c for n, c in terms.items() if lead.get(n, n) == n}

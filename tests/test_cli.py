@@ -25,7 +25,7 @@ from lpcq.errors import InfeasibleSpecError
 from lpcq.interpret import natural, quantifier_eliminate
 from lpcq.language import close, normal_form, parse
 from lpcq import interpret
-from lpcq.linprog import FEAS_TOL, PRIMAL, PRIMAL_FROM_ORIGIN, ColumnNames, Positional
+from lpcq.linprog import FEAS_TOL, OPTIONS, ColumnNames, Positional
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery, write_delivery
 
@@ -564,22 +564,19 @@ class TestCertificate:
             assert err.startswith("error:") and "violates a row or bound" in err
 
     @pytest.mark.parametrize(
-        "argv, call",
-        [([], "highs"), (["--mode", "factorized", "--decomp", str(DELIVERY / "decomp.json")],
-                         "highs-primal")],
+        "argv", [[], ["--mode", "factorized", "--decomp", str(DELIVERY / "decomp.json")]],
+        ids=["natural", "factorized"],
     )
-    def test_json_carries_the_solver_block(self, argv, call):
+    def test_json_carries_the_solver_block(self, argv):
         code, out = run_main(
             ["solve", str(DELIVERY / "delivery.lpcq"), str(DELIVERY / "data"), "--json", *argv]
         )
         assert code == 0
         solver = json.loads(out)["solver"]
         assert solver["method"] == "highs" and solver["status"] == 0
-        # the delivery demo's >= orders: the origin violates its natural LP
-        reason, options = {"highs": ("the origin violates a row", {}),
-                           "highs-primal": ("equality rows sent; the origin violates a row",
-                                            PRIMAL)}[call]
-        assert solver["reason"].endswith(reason) and solver["options"] == options
+        # the delivery demo's >= orders: the origin violates both LPs, and
+        # they get the options every LP gets
+        assert solver["options"] == OPTIONS and solver["reason"] is None
         assert solver["fallback"] is None
         assert solver["nit"] >= 0
         assert set(solver) == {"method", "options", "status", "message", "nit", "reason",
@@ -645,7 +642,7 @@ def test_factorized_lift_satisfies_the_natural_rows(tmp_path, seed):
     assert code == 0
     fac = json.loads(out)
     assert nat["solver"]["method"] == fac["solver"]["method"] == "highs"
-    assert fac["solver"]["options"] == PRIMAL_FROM_ORIGIN and fac["solver"]["fallback"] is None
+    assert fac["solver"]["options"] == OPTIONS and fac["solver"]["fallback"] is None
     assert nat["status"] == fac["status"] == "optimal"
     assert math.isclose(nat["value"], fac["value"], rel_tol=1e-6, abs_tol=1e-6)
 
@@ -933,6 +930,29 @@ def lpcq_process(*argv, flags=()):
         [sys.executable, *flags, "-m", "lpcq.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("objective, cell, shown", [
+    ("1e400 * weight[(x'): true](Q)", "2", "cost of inf"),  # in the program text
+    ("weight[(x'): true](Q)", "1e400", "row constant of inf"),  # read by num(...)
+    ("weight[(x'): true](Q)", "-1e400", "row constant of -inf"),
+])
+def test_a_number_beyond_the_float_range_is_input_error(tmp_path, capsys, objective, cell, shown):
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "R.csv").write_text(f"a,{cell}\nb,2\n")
+    prog = tmp_path / "big.lpcq"
+    prog.write_text(f"""
+let Q(x') = exists q. R(x', q)
+maximize {objective}
+subject to forall (x, q): R(x, q). weight[(x'): x' == x](Q) <= num(q)
+""")
+    for extra in ([], ["--json"]):
+        code, out = run_main(["solve", str(prog), str(db), *extra])
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: the LP has a " + shown + ", not a finite number")
+        assert err.count("\n") == 1
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -30,13 +30,13 @@ from lpcq.cli import BENCH_DECOMP, BENCH_PROGRAM, BENCH_SELECTIVITY, build_decom
 from lpcq.decomp import load_decompositions, tree_width
 from lpcq.interpret import factorized, natural, quantifier_eliminate, replacement
 from lpcq.language import close, normal_form, parse
-from lpcq.linprog import solve
+from lpcq.linprog import OPTIONS, solve
 from lpcq.lpformat import export_lp
 from lpcq.queries import qf
 from lpcq.relations import load_database
 from lpcq.synth import GenSpec, generate_delivery
 
-from makers import make_db, rand_flagship_instance, sparse_lp
+from makers import has_classes, make_db, rand_flagship_instance, sparse_lp
 from oracles import (
     dict_assembly, groups_by_brute_force, merged, objective_terms, parse_lp, written_rows,
 )
@@ -83,8 +83,7 @@ def assert_same_input(got, want) -> None:
     if got is None:
         return
     assert np.array_equal(got["c"], want["c"])
-    bounds = got["bounds"], want["bounds"]
-    assert bounds[0] == bounds[1] if isinstance(bounds[0], tuple) else np.array_equal(*bounds)
+    assert np.array_equal(got["bounds"], want["bounds"])
     for key in MATRICES:
         a, b = got[key], want[key]
         assert (a is None) == (b is None), key
@@ -118,7 +117,7 @@ def same_classes(mode, got, want) -> None:
     other modes, where the data can make columns of two classes
     identical."""
     groups = groups_by_brute_force(want)
-    lead = list(range(len(got.names))) if got.lead is None else got.lead.tolist()
+    lead = got.lead.tolist()
     if mode == "factorized":
         assert lead == groups
     else:
@@ -227,7 +226,7 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path, monkeypatch):
             # their weights read fewer variables than their queries have, so
             # the answers come in classes, and their trees have bags that
             # witness no target
-            assert ilp.program.lead is not None, label
+            assert has_classes(ilp.program), label
 
         # the LP file is the per-answer build's, and it round-trips to it
         path = tmp_path / f"{label.replace(' ', '_')}_{mode}.lp"
@@ -238,9 +237,9 @@ def test_highs_input_matches_dict_assembly(mode, tmp_path, monkeypatch):
 
 
 def test_method_rule_on_the_throughput_lps(tmp_path):
-    # the natural LP is a packing LP, <= rows with bounds >= 0, and goes to
-    # primal simplex from the origin; so does the factorized LP, whose
-    # marginal rows sent all have the bound 0
+    # the natural LP, a packing LP with <= rows and bounds >= 0, and the
+    # factorized LP, whose marginal rows sent all have the bound 0, both
+    # go to primal simplex without presolve, as every LP does
     program, db, decomp_path = delivery_case(tmp_path)
     cp = close(normal_form(program), db)
     cp_qf = quantifier_eliminate(cp)
@@ -251,25 +250,25 @@ def test_method_rule_on_the_throughput_lps(tmp_path):
     # at this size some stores have one answer class: their rows are bounds
     assert (nat["bounds"][:, 0] == 0).all() and (nat["bounds"][:, 1] >= 0).all()
     assert nat["method"] == "highs"
-    assert nat["options"] == {"presolve": False, "simplex_strategy": 4}
+    assert nat["options"] == OPTIONS
     assert nat_sol.solver.call.options == nat["options"] and nat_sol.solver.fallback is None
     fac, fac_sol = highs_input(factorized(cp_qf, decomps, db).program)
     assert fac["A_eq"].shape[0] > 0 and fac["method"] == "highs" and not fac["b_eq"].any()
-    assert fac["options"] == {"presolve": False, "simplex_strategy": 4}
-    assert fac["options"] == fac_sol.solver.call.options
+    assert fac["options"] == OPTIONS == fac_sol.solver.call.options
     assert fac_sol.solver.fallback is None
     assert abs(fac_sol.value - nat_sol.value) <= 1e-6 * max(1.0, abs(nat_sol.value))
 
 
 def test_fractional_widths_stay_on_simplex(tmp_path):
-    # a cover LP has only <= rows, but the origin violates them (each
-    # vertex covered at least once), so it gets the plain highs call
+    # a cover LP has only <= rows, which the origin violates (each vertex
+    # covered at least once); it goes to primal simplex without presolve
+    # too, and HiGHS decides it without the plain re-solve
     _, _, decomp_path = delivery_case(tmp_path)
     (tree,) = load_decompositions(decomp_path)
     with highs_calls() as calls:
         assert tree_width(tree, qf(tree.query)) == 2.0
     assert len(calls) == len(tree.bags) and all(
-        call["A_eq"] is None and call["method"] == "highs" and call["options"] == {}
+        call["A_eq"] is None and call["method"] == "highs" and call["options"] == OPTIONS
         for call in calls
     )
 
@@ -295,7 +294,7 @@ def test_random_programs_compile_like_the_conversion(seed, limit, tmp_path_facto
 def compile_like_the_conversion(db, cp, decomps, tmp_path):
     for mode in MODES:
         ilp = interpret(mode, cp, db, decomps)
-        classes = ilp.program.lead is not None
+        classes = has_classes(ilp.program)
         event(f"{mode}: {'fewer classes than columns' if classes else 'one class per column'}")
         want_lp, _ = dict_assembly(mode, cp, db, decomps)
         want_program = sparse_lp("maximize", *want_lp)
@@ -328,7 +327,7 @@ def test_answers_no_weight_tells_apart_are_one_class(mode):
     used = set(lp.cols.tolist()) | set(lp.obj_cols.tolist())
     assert used & set(theta) == {column["th_Q_0_0"], column["th_Q_1_0"], column["th_Q_2_0"]}
     # ... while every reader sees every answer
-    assert lp.spread().lead is None
+    assert lp.spread().lead.tolist() == list(range(len(lp.names)))
     everyone = " + ".join(f"1*th_Q_{x}_{y}" for x in range(3) for y in range(2))
     texts = list(lp.row_texts())
     assert any("1*th_Q_2_0 + 1*th_Q_2_1" in t and "th_Q_1" not in t for t in texts)

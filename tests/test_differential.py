@@ -22,7 +22,7 @@ from lpcq.interpret import factorized, natural, quantifier_eliminate, replacemen
 from lpcq.linprog import solve
 from lpcq.weightings import lift_answers
 
-from makers import answer_point, certify_point, rand_flagship_instance
+from makers import answer_point, certify_point, has_classes, rand_flagship_instance
 
 REL_TOL = 1e-6
 
@@ -54,13 +54,13 @@ def test_modes_agree_and_every_lift_certifies(seed, n_exists):
         ),
     }
     event(f"largest tree: {max(len(t.bags) for t in runs['factorized'].trees.values())} bags")
-    classes = nat_ilp.program.lead is not None  # None: one class per answer
+    classes = has_classes(nat_ilp.program)
     event("θ blocks with fewer classes than answers" if classes else "one class per answer")
     solutions = {mode: solve(ilp.program) for mode, ilp in runs.items()}
     expected = solutions["natural"]
     event(f"natural {expected.status}")
     matrices = [ilp.program.matrices() for ilp in runs.values()]
-    bag_classes = runs["factorized"].program.lead is not None  # None: one class per bag row
+    bag_classes = has_classes(runs["factorized"].program)
     event("factorized LP with bag-row classes" if bag_classes else "no bag-row classes")
     forced = any(m.classes.max(initial=-1) + 1 < len(m.columns) for m in matrices)
     event("an LP with forced-equal merges" if forced else "no LP with forced-equal merges")

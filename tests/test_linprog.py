@@ -11,8 +11,7 @@ from lpcq.errors import CertificateError, IoError, NumericalFailureError
 from lpcq import linprog
 from lpcq.linprog import (
     FEAS_TOL,
-    PRIMAL,
-    PRIMAL_FROM_ORIGIN,
+    OPTIONS,
     ArrayAssignment,
     LpBuilder,
     Positional,
@@ -92,10 +91,10 @@ class TestSolveSmall:
         assert sol.status == "optimal" and abs(sol.value - 8.0) < 1e-9
         assert len(calls) == 1
         assert calls[0]["A_ub"].shape == (1, 2)
-        assert calls[0]["method"] == "highs" and calls[0]["options"] == PRIMAL_FROM_ORIGIN
+        assert calls[0]["method"] == "highs" and calls[0]["options"] == OPTIONS
         assert sol.solver.method == "highs" and sol.solver.fallback is None
 
-    def test_equality_rows_go_to_primal_simplex_after_presolve(self, monkeypatch):
+    def test_equality_rows_go_to_primal_simplex(self, monkeypatch):
         import scipy.optimize
 
         real = scipy.optimize.linprog
@@ -111,10 +110,11 @@ class TestSolveSmall:
         )
         sol = solve(lp)
         assert sol.status == "optimal" and abs(sol.value - 7.0) < 1e-9
-        assert [(call["method"], call["options"]) for call in calls] == [("highs", PRIMAL)]
-        assert PRIMAL == {"simplex_strategy": 4}
-        assert sol.solver.method == "highs" and sol.solver.call.options == PRIMAL
+        assert [(call["method"], call["options"]) for call in calls] == [("highs", OPTIONS)]
+        assert OPTIONS == {"presolve": False, "simplex_strategy": 4}
+        assert sol.solver.method == "highs" and sol.solver.call.options == OPTIONS
         assert sol.solver.call.status == 0 and sol.solver.certificate.ok
+        assert sol.solver.reason is None
 
     def test_row_without_terms_never_reaches_highs(self):
         # the equality row 0 = 1 decides the LP before any method is chosen
@@ -160,11 +160,11 @@ class TestFallback:
 
         calls = []
         monkeypatch.setattr(scipy.optimize, "linprog",
-                            failing(calls, lambda method, options: options == PRIMAL))
+                            failing(calls, lambda method, options: options == OPTIONS))
         sol = solve(self.INFEASIBLE)
         assert sol.status == "infeasible"
-        assert calls == [("highs", PRIMAL), ("highs", {})]
-        assert sol.solver.method == "highs" and sol.solver.call.options == PRIMAL
+        assert calls == [("highs", OPTIONS), ("highs", {})]
+        assert sol.solver.method == "highs" and sol.solver.call.options == OPTIONS
         assert sol.solver.call.status == 4
         assert sol.solver.fallback is not None
         assert sol.solver.fallback.method == "highs" and sol.solver.fallback.options == {}
@@ -173,7 +173,7 @@ class TestFallback:
     def test_primal_simplex_decides_it_alone(self, highs_calls):
         sol = solve(self.INFEASIBLE)
         assert sol.status == "infeasible" and sol.solver.fallback is None
-        assert highs_calls == [("highs", PRIMAL)]
+        assert highs_calls == [("highs", OPTIONS)]
 
     @pytest.mark.parametrize("resolve_fails", [False, True])
     def test_re_solve_uses_simplex_and_only_its_failure_raises(
@@ -183,7 +183,7 @@ class TestFallback:
 
         calls = []
         monkeypatch.setattr(scipy.optimize, "linprog", failing(
-            calls, lambda method, options: options == PRIMAL or resolve_fails))
+            calls, lambda method, options: options == OPTIONS or resolve_fails))
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=1.0), "=", 3.0)])
         if resolve_fails:
             with pytest.raises(NumericalFailureError, match="Status 4"):
@@ -192,7 +192,7 @@ class TestFallback:
             sol = solve(lp)
             assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
             assert sol.solver.call.status == 4 and sol.solver.fallback.status == 0
-        assert calls == [("highs", PRIMAL), ("highs", {})]
+        assert calls == [("highs", OPTIONS), ("highs", {})]
 
 
 @pytest.fixture
@@ -212,10 +212,9 @@ def highs_calls(monkeypatch):
 
 
 class TestMethodRule:
-    """``choose_method``: an LP whose rows sent the origin satisfies goes
-    to primal simplex without presolve, with or without equality rows; any
-    other with equality rows to primal simplex after presolve; the rest to
-    plain ``highs``."""
+    """Every LP goes to ``highs`` with ``OPTIONS``, primal simplex without
+    presolve, whatever its shape, and reports no reason; only a call that
+    ends without a verdict is followed by a plain ``highs`` call."""
 
     def test_origin_feasible_packing_lp_goes_to_primal_simplex(self, highs_calls):
         lp = sparse_lp(
@@ -226,31 +225,34 @@ class TestMethodRule:
         sol = solve(lp)
         assert highs_calls == [("highs", {"presolve": False, "simplex_strategy": 4})]
         assert sol.status == "optimal" and abs(sol.value - 4.0) < 1e-9
-        assert sol.solver.call.options == PRIMAL_FROM_ORIGIN and sol.solver.fallback is None
-        assert sol.solver.reason == "no equality rows sent; the origin satisfies every row"
-        assert sol.solver.as_dict()["options"] == PRIMAL_FROM_ORIGIN
+        assert sol.solver.call.options == OPTIONS and sol.solver.fallback is None
+        assert sol.solver.reason is None
+        assert sol.solver.as_dict()["options"] == OPTIONS
+        assert sol.solver.as_dict()["reason"] is None
 
-    def test_one_negative_bound_gives_the_plain_call(self, highs_calls):
-        lp = sparse_lp(
-            "maximize", dict(x=2.0, y=3.0),
-            [(dict(x=1.0, y=1.0), "<=", 4.0), (1.0, "<=", dict(x=1.0))],
-        )
+    @pytest.mark.parametrize("sense, objective, rows", [
+        # a cover LP: a, b and c cover x, y and z, each at least once, so
+        # every <= row has a bound below 0
+        ("minimize", dict(a=1.0, b=1.0, c=1.0),
+         [(1.0, "<=", dict(a=1.0, b=1.0)), (1.0, "<=", dict(b=1.0, c=1.0)),
+          (1.0, "<=", dict(a=1.0, c=1.0))]),
+        # an equality row with a bound other than 0
+        ("maximize", dict(x=1.0, y=1.0),
+         [(dict(x=1.0), "=", (1.0, dict(y=2.0))), (dict(x=1.0), "<=", 3.0)]),
+        ("maximize", dict(x=2.0, y=1.0, z=1.0),
+         [(dict(x=1.0, y=1.0), "=", 2.0), (dict(x=1.0, z=1.0), "<=", 1.5),
+          (1.0, "<=", dict(y=1.0, z=1.0))]),
+    ], ids=["cover", "equality-bound-1", "equality-bound-2-and-a-cover-row"])
+    def test_lps_the_origin_violates_reach_the_oracle_optimum(
+        self, highs_calls, sense, objective, rows
+    ):
+        lp = sparse_lp(sense, objective, rows)
         sol = solve(lp)
-        assert highs_calls == [("highs", {})]
-        assert sol.status == "optimal" and abs(sol.value - 11.0) < 1e-9
-        assert sol.solver.call.options == {}
-        assert sol.solver.reason == "no equality rows sent; the origin violates a row"
-
-    def test_equality_rows_give_primal_simplex_after_presolve(self, highs_calls):
-        # the origin satisfies this equality row, but not the row x + y >= 1
-        lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
-                       [(dict(x=1.0), "=", dict(y=2.0)), (dict(x=1.0), "<=", 2.0),
-                        (1.0, "<=", dict(x=1.0, y=1.0))])
-        sol = solve(lp)
-        assert highs_calls == [("highs", {"simplex_strategy": 4})]
-        assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
-        assert sol.solver.call.options == PRIMAL
-        assert sol.solver.reason == "1 equality rows sent; the origin violates a row"
+        assert highs_calls == [("highs", OPTIONS)]
+        assert sol.solver.reason is None and sol.solver.fallback is None
+        assert sol.solver.certificate.ok
+        value, _ = vertex_enumeration_optimum(sense, *moved_left(lp))
+        assert sol.status == "optimal" and math.isclose(sol.value, value, abs_tol=1e-9)
 
     def test_equality_rows_the_origin_satisfies_go_without_presolve(self, highs_calls):
         # x = 2y has the bound 0, and x <= 2 is sent as a bound
@@ -259,27 +261,24 @@ class TestMethodRule:
         sol = solve(lp)
         assert highs_calls == [("highs", {"presolve": False, "simplex_strategy": 4})]
         assert sol.status == "optimal" and abs(sol.value - 3.0) < 1e-9
-        assert sol.solver.call.options == PRIMAL_FROM_ORIGIN
-        assert sol.solver.reason == "1 equality rows sent; the origin satisfies every row"
+        assert sol.solver.call.options == OPTIONS and sol.solver.reason is None
         assert sol.solver.bounded == 1 and sol.solver.substituted == 0
 
     def test_a_merged_pair_row_is_not_an_equality_row_sent(self, highs_calls):
         # x = y forces two columns equal: the row is gone, and what is left
-        # is a packing LP the origin satisfies, whose one row x <= 2 is a
-        # bound
+        # is one column whose one row x <= 2 is a bound
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0),
                        [(dict(x=1.0), "=", dict(y=1.0)), (dict(x=1.0), "<=", 2.0)])
         sol = solve(lp)
-        assert highs_calls == [("highs", PRIMAL_FROM_ORIGIN)]
+        assert highs_calls == [("highs", OPTIONS)]
         assert sol.status == "optimal" and abs(sol.value - 4.0) < 1e-9
-        assert sol.solver.reason == "no equality rows sent; the origin satisfies every row"
         assert sol.solver.columns == 1 and sol.nonzeros == 0 and sol.solver.bounded == 1
 
     def test_unbounded_origin_feasible_maximize(self, highs_calls):
         lp = sparse_lp("maximize", dict(x=1.0, y=1.0), [(dict(x=1.0, y=-1.0), "<=", 1.0)])
         sol = solve(lp)
         assert sol.status == "unbounded"
-        assert highs_calls == [("highs", PRIMAL_FROM_ORIGIN)] and sol.solver.fallback is None
+        assert highs_calls == [("highs", OPTIONS)] and sol.solver.fallback is None
 
     @pytest.mark.parametrize("resolve_fails", [False, True])
     def test_primal_failure_re_solves_with_plain_highs(self, monkeypatch, resolve_fails):
@@ -295,9 +294,9 @@ class TestMethodRule:
         else:
             sol = solve(lp)
             assert sol.status == "optimal" and abs(sol.value - 6.0) < 1e-9
-            assert sol.solver.call.options == PRIMAL_FROM_ORIGIN and sol.solver.call.status == 4
+            assert sol.solver.call.options == OPTIONS and sol.solver.call.status == 4
             assert sol.solver.fallback.method == "highs" and sol.solver.fallback.options == {}
-        assert calls == [("highs", PRIMAL_FROM_ORIGIN), ("highs", {})]
+        assert calls == [("highs", OPTIONS), ("highs", {})]
 
 
 class TestCertificate:
@@ -620,8 +619,7 @@ class TestForcedEqualColumns:
         matrices = lp.matrices()
         assert matrices.classes.tolist() == [0, 1, 2]
         assert len(matrices.c) == 3
-        sent = (matrices.A_ub, matrices.b_ub, matrices.A_eq, matrices.b_eq)
-        assert all(a is b for a, b in zip(matrices.checked, sent))  # no second merge
+        assert sends_the_checked_rows(matrices)  # no second merge
         assert (0 if matrices.A_eq is None else matrices.A_eq.shape[0]) == (row[1] == "=")
 
     def test_a_row_left_without_terms_is_checked_against_its_bound(self):
@@ -661,6 +659,16 @@ class TestForcedEqualColumns:
             assert _satisfies(planted[3], sol.assignment) and sol.solver.certificate.ok
             checked += 1
         assert checked > 40 and merged > 80
+
+
+def sends_the_checked_rows(matrices) -> bool:
+    """Whether the rows *matrices* sends equal those it checks."""
+
+    def dense(a):
+        return a.toarray() if hasattr(a, "toarray") else a
+
+    sent = (matrices.A_ub, matrices.b_ub, matrices.A_eq, matrices.b_eq)
+    return all(np.array_equal(dense(a), dense(b)) for a, b in zip(matrices.checked, sent))
 
 
 def _with_leaves(rng, spec, bounds, leaves):
@@ -715,9 +723,9 @@ class TestReductions:
     def test_other_singleton_rows_stay_rows(self, row):
         lp = sparse_lp("maximize", dict(x=1.0, y=2.0), [row, (dict(x=1.0, y=1.0), "<=", 5.0)])
         matrices = lp.matrices()
-        assert matrices.bounded == matrices.substituted == 0 and matrices.bounds == (0, None)
-        sent = (matrices.A_ub, matrices.b_ub, matrices.A_eq, matrices.b_eq)
-        assert all(a is b for a, b in zip(matrices.checked, sent))
+        assert matrices.bounded == matrices.substituted == 0
+        assert matrices.bounds.tolist() == [[0.0, math.inf], [0.0, math.inf]]
+        assert sends_the_checked_rows(matrices)
 
     def test_a_leaf_column_is_substituted_out(self):
         # 2z = x + 3y: z has cost 0 and no other entry, so the row only
@@ -758,8 +766,7 @@ class TestReductions:
                        [row, (dict(x=1.0, y=1.0), "<=", 3.0), *more])
         matrices = lp.matrices()
         assert matrices.substituted == 0 and len(matrices.c) == 3
-        sent = (matrices.A_ub, matrices.b_ub, matrices.A_eq, matrices.b_eq)
-        assert all(a is b for a, b in zip(matrices.checked, sent))
+        assert sends_the_checked_rows(matrices)
 
     def test_two_candidates_in_one_row_give_up_one(self):
         # 2u = v: u and v both have cost 0 and no other entry; u, the first,
@@ -852,7 +859,7 @@ class TestBuilder:
     def test_singleton_classes_leave_no_lead(self):
         builder = LpBuilder()
         builder.block(["b", "a"], np.array([0, 1]))
-        assert builder.build("maximize", (0.0, [0], [1.0])).lead is None
+        assert builder.build("maximize", (0.0, [0], [1.0])).lead.tolist() == [0, 1]
 
     def test_bulk_right_sides_are_negated_across_slices(self, rng, monkeypatch):
         # slices of at most a few entries, so every chunk is cut many times
